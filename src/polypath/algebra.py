@@ -21,6 +21,8 @@ EXTENDED_PREC_BITS = 160
 # Scalar type of refined coordinates.
 ExtendedComplex = mpmath.mpc
 
+# lin_solve treats a matrix whose infinity-norm condition reaches
+# 1 / _PIVOT_RTOL as singular.
 _PIVOT_RTOL = 1e-14
 
 
@@ -61,78 +63,60 @@ def vec_inf_norm(v) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def mat_inf_norm(a) -> float:
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+def _solve_and_condition(a, b):
+    """x = A^-1 b and the infinity-norm condition of A from one LAPACK call.
 
-
-def lu_factor(a):
-    """LU factorization with partial pivoting.
-
-    Raises SingularMatrix as soon as a pivot magnitude falls below
-    1e-14 times the infinity norm of the input, so near-singular systems
-    fail loudly instead of returning garbage steps.
-    """
-    lu = np.array(a, dtype=complex)
-    if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {lu.shape}")
-    n = lu.shape[0]
-    anorm = mat_inf_norm(lu)
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= _PIVOT_RTOL * anorm:
-            raise SingularMatrix(
-                f"pivot {abs(lu[p, k]):.3e} below {_PIVOT_RTOL:.0e} * anorm"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
-
-
-def lu_solve(lu, piv, b):
-    """Solve with a factorization from lu_factor.  b may be 1-D or 2-D."""
-    x = np.array(b, dtype=complex)[piv]
-    n = lu.shape[0]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
-    return x
-
-
-def lin_solve(a, b):
-    """Solve the square complex system A x = b.
-
-    Raises SingularMatrix when elimination meets a pivot below the
-    relative threshold; upstream tracking treats that as path failure.
+    Solving against [b | I] yields x and A^-1 together.  Raises
+    SingularMatrix when LAPACK meets an exactly zero pivot, when
+    kappa_inf(A) >= 1 / _PIVOT_RTOL, or when anything is not finite.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"A is {a.shape}, b has length {b.shape[0]}")
-    lu, piv = lu_factor(a)
-    return lu_solve(lu, piv, b)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
+    n = a.shape[0]
+    if b.shape[:1] != (n,):
+        raise DimensionMismatch(f"A is {a.shape}, b has shape {b.shape}")
+    k = b.size // n if n else 0
+    rhs = np.eye(n, k + n, k, dtype=complex)
+    rhs[:, :k] = b.reshape(n, k)
+    try:
+        sol = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("LAPACK reports an exactly singular matrix") from None
+    x = sol[:, :k]
+    # NaN compares false, so non-finite A or A^-1 fails the bound too
+    kappa = abs(a).sum(1).max() * abs(sol[:, k:]).sum(1).max()
+    if not (kappa < 1.0 / _PIVOT_RTOL and np.isfinite(x).all()):
+        raise SingularMatrix(f"condition {kappa:.3e} (singular from "
+                             f"{1.0 / _PIVOT_RTOL:.0e}) or a non-finite solution")
+    return x.reshape(b.shape), float(kappa)
+
+
+def lin_solve(a, b):
+    """Solve the square complex system A x = b (b may be 1-D or 2-D).
+
+    LAPACK (through numpy) does the elimination.  Raises SingularMatrix
+    when A is exactly singular, when its infinity-norm condition is at
+    least 1e14, or when A, b or x is not finite; upstream tracking treats
+    that as a failed step.
+    """
+    return _solve_and_condition(a, b)[0]
 
 
 def condition_estimate(a) -> float:
     """Infinity-norm condition number ||A|| * ||A^-1||, or +inf if singular.
 
     Matrices here are tiny (n <= ~50), so the inverse is computed outright
-    rather than estimated.
+    rather than estimated.  Singular means what it means for lin_solve:
+    exactly singular, condition at least 1e14, or not finite.
     """
     a = np.asarray(a, dtype=complex)
     try:
-        lu, piv = lu_factor(a)
+        _, kappa = _solve_and_condition(a, np.zeros((a.shape[0], 0)))
     except SingularMatrix:
         return math.inf
-    inv = lu_solve(lu, piv, np.eye(a.shape[0], dtype=complex))
-    return max(float(mat_inf_norm(a) * mat_inf_norm(inv)), 1.0)
+    return max(kappa, 1.0)
 
 
 def extended_precision():

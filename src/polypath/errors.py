@@ -12,7 +12,7 @@ class DimensionMismatch(PolyPathError):
 
 
 class SingularMatrix(PolyPathError):
-    """A pivot fell below the singularity threshold during elimination."""
+    """A matrix is exactly singular, has condition >= 1e14, or is not finite."""
 
 
 class NotSquare(PolyPathError):

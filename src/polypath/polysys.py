@@ -3,9 +3,13 @@
 Polynomials are sparse term lists: an integer exponent matrix plus a complex
 coefficient vector.  Exponent rows span the variables followed by the
 parameters, so a system with N variables and P parameters has width N + P.
-Evaluation and differentiation are exact term-wise operations; per-point
-monomial powers are memoized in a single table, which keeps the tracker's
-hot path inside numpy.
+Differentiation is exact and term-wise.  Values and first partials are
+evaluated together by a MonomialKernel: a table of the distinct monomials
+of the polynomials and of their partials, times a coefficient matrix with
+one column per output entry (the straight-line-program form used by
+Bertini and HomotopyContinuation.jl).  PolySystem.evaluate, jacobian and
+param_jacobian are slices of one such call, and the tracker's homotopies
+make one kernel call per evaluation.
 """
 
 from __future__ import annotations
@@ -46,6 +50,17 @@ class Polynomial:
         coeffs = np.array(list(terms.values()), dtype=complex)
         return cls(exps, coeffs, width=width)
 
+    @classmethod
+    def linear(cls, coefficients, constant, width: int) -> "Polynomial":
+        """The degree-1 polynomial a . z + constant over a width-column space.
+
+        a spans the first len(a) columns; zero coefficients are dropped.
+        """
+        a = np.asarray(coefficients, dtype=complex)
+        exps = np.eye(a.shape[0] + 1, width, dtype=np.int64)
+        exps[-1] = 0
+        return cls(exps, np.append(a, complex(constant)), width=width)
+
     @property
     def width(self) -> int:
         return self.exps.shape[1]
@@ -82,7 +97,7 @@ class Polynomial:
             raise DimensionMismatch("point length does not match width")
         if self.is_zero:
             return 0.0 + 0.0j
-        pw = _power_table(point, int(self.exps.max()) if self.exps.size else 0)
+        pw = point[:, None] ** np.arange(self.exps.max() + 1)   # 0**0 == 1
         vals = self.coeffs.copy()
         for j in range(self.width):
             vals *= pw[j, self.exps[:, j]]
@@ -124,46 +139,57 @@ def _canonicalize(exps, coeffs):
     return np.ascontiguousarray(exps[keep]), np.ascontiguousarray(coeffs[keep])
 
 
-def _power_table(point, max_deg):
-    # point is complex (V,); result (V, max_deg + 1); 0**0 == 1.
-    return point[:, None] ** np.arange(max_deg + 1)[None, :]
+def _distinct_rows(exps):
+    """Distinct rows (lexicographic order) and each input row's index in them."""
+    order = np.lexsort(exps.T[::-1])
+    srt = exps[order]
+    first = np.ones(srt.shape[0], dtype=bool)
+    first[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    where = np.empty(srt.shape[0], dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return srt[first], where
 
 
-class _Stacked:
-    """All terms of several polynomials stacked for one-pass evaluation."""
+class MonomialKernel:
+    """Values and first partials of several polynomials at one point.
 
-    __slots__ = ("exps", "coeffs", "rows", "nrows", "max_deg", "width")
+    Built once, with numpy: each polynomial and each of its partials with
+    respect to the first nwrt exponent columns becomes one column of a
+    coefficient matrix over the distinct exponent rows (monomials) they
+    use.  A call is one power table, one gather of every monomial's
+    factors, their product and one product mon @ C.  The result has shape
+    (len(polys), 1 + nwrt): column 0 holds the values, column 1 + j the
+    partials by column j.
+    """
 
-    def __init__(self, polys, nrows, width):
-        blocks_e, blocks_c, blocks_r = [], [], []
-        for i, p in enumerate(polys):
-            if p.is_zero:
-                continue
-            blocks_e.append(p.exps)
-            blocks_c.append(p.coeffs)
-            blocks_r.append(np.full(p.coeffs.shape[0], i, dtype=np.intp))
-        if blocks_e:
-            self.exps = np.vstack(blocks_e)
-            self.coeffs = np.concatenate(blocks_c)
-            self.rows = np.concatenate(blocks_r)
-        else:
-            self.exps = np.zeros((0, width), dtype=np.int64)
-            self.coeffs = np.zeros(0, dtype=complex)
-            self.rows = np.zeros(0, dtype=np.intp)
-        self.nrows = nrows
-        self.width = width
-        self.max_deg = int(self.exps.max()) if self.exps.size else 0
+    __slots__ = ("powers", "gather", "coeffs", "shape")
+
+    def __init__(self, polys, width: int, nwrt: int):
+        k = 1 + nwrt
+        exps = np.vstack([p.exps for p in polys])
+        coeffs = np.concatenate([p.coeffs for p in polys])
+        cols = np.repeat(np.arange(len(polys)) * k, [p.coeffs.size for p in polys])
+        blocks = [(exps, coeffs, cols)]
+        for j in range(nwrt):
+            keep = exps[:, j] > 0
+            lowered = exps[keep]
+            lowered[:, j] -= 1
+            blocks.append((lowered, coeffs[keep] * exps[keep, j], cols[keep] + 1 + j))
+        mons, where = _distinct_rows(np.vstack([b[0] for b in blocks]))
+        # canonical polynomials have distinct exponent rows, so no two
+        # terms land on the same (monomial, column) entry
+        self.coeffs = np.zeros((mons.shape[0], len(polys) * k), dtype=complex)
+        self.coeffs[where, np.concatenate([b[2] for b in blocks])] = \
+            np.concatenate([b[1] for b in blocks])
+        self.powers = np.arange(int(mons.max()) + 1 if mons.size else 1)
+        # flat indices into the (width, max_deg + 1) power table
+        self.gather = mons.T + (np.arange(width) * self.powers.size)[:, None]
+        self.shape = (len(polys), k)
 
     def __call__(self, point):
-        out = np.zeros(self.nrows, dtype=complex)
-        if self.coeffs.size == 0:
-            return out
-        pw = _power_table(point, self.max_deg)
-        vals = self.coeffs.copy()
-        for j in range(self.width):
-            vals *= pw[j, self.exps[:, j]]
-        np.add.at(out, self.rows, vals)
-        return out
+        pw = point[:, None] ** self.powers
+        mon = pw.ravel()[self.gather].prod(axis=0)
+        return (mon @ self.coeffs).reshape(self.shape)
 
 
 class PolySystem:
@@ -183,9 +209,7 @@ class PolySystem:
                 raise DimensionMismatch(
                     f"polynomial width {p.width} != variables+parameters {width}"
                 )
-        self._ev = None
-        self._jac = None
-        self._pjac = None
+        self._kernel = None
 
     @property
     def n(self) -> int:
@@ -218,29 +242,23 @@ class PolySystem:
             raise DimensionMismatch("system has no parameters")
         return z
 
-    def evaluate(self, z, params=None):
+    def values_and_partials(self, z, params=None):
+        """n x (1 + N + P): values, then partials by variables and parameters."""
         point = self._point(z, params)
-        if self._ev is None:
-            self._ev = _Stacked(self.polys, self.n, self.width)
-        return self._ev(point)
+        if self._kernel is None:
+            self._kernel = MonomialKernel(self.polys, self.width, self.width)
+        return self._kernel(point)
+
+    def evaluate(self, z, params=None):
+        return self.values_and_partials(z, params)[:, 0]
 
     def jacobian(self, z, params=None):
         """n x N matrix of partials with respect to the variables."""
-        point = self._point(z, params)
-        nv = self.num_vars
-        if self._jac is None:
-            parts = [p.diff(j) for p in self.polys for j in range(nv)]
-            self._jac = _Stacked(parts, self.n * nv, self.width)
-        return self._jac(point).reshape(self.n, nv)
+        return self.values_and_partials(z, params)[:, 1:1 + self.num_vars]
 
     def param_jacobian(self, z, params):
         """n x P matrix of partials with respect to the parameters."""
-        point = self._point(z, params)
-        nv, np_ = self.num_vars, len(self.parameters)
-        if self._pjac is None:
-            parts = [p.diff(nv + j) for p in self.polys for j in range(np_)]
-            self._pjac = _Stacked(parts, self.n * np_, self.width)
-        return self._pjac(point).reshape(self.n, np_)
+        return self.values_and_partials(z, params)[:, 1 + self.num_vars:]
 
     def degrees(self):
         """Per-polynomial total degrees in the variables only."""
@@ -307,18 +325,8 @@ class LinearSlice:
 
     def as_polynomials(self, width: int):
         """Degree-1 polynomials over a width-column exponent space."""
-        out = []
-        for k in range(self.codim):
-            terms = {}
-            for j in range(self.num_vars):
-                if self.coefficients[k, j] != 0:
-                    e = [0] * width
-                    e[j] = 1
-                    terms[tuple(e)] = complex(self.coefficients[k, j])
-            if self.constants[k] != 0:
-                terms[tuple([0] * width)] = complex(self.constants[k])
-            out.append(Polynomial.from_terms(terms, width))
-        return out
+        return [Polynomial.linear(a, b, width)
+                for a, b in zip(self.coefficients, self.constants)]
 
     def translated(self, shift) -> "LinearSlice":
         return LinearSlice(self.coefficients, self.constants + np.asarray(shift, complex))
@@ -357,16 +365,8 @@ def affine_patch(system: PolySystem, rng: Rng):
     """
     if not system.is_homogeneous():
         raise NotHomogeneous("affine patch requires a homogeneous system")
-    width = system.width
-    nv = system.num_vars
-    a = np.atleast_1d(rng.unit_complex(nv))
-    terms = {}
-    for j in range(nv):
-        e = [0] * width
-        e[j] = 1
-        terms[tuple(e)] = complex(a[j])
-    terms[tuple([0] * width)] = -1.0 + 0.0j
-    patch_poly = Polynomial.from_terms(terms, width)
+    a = np.atleast_1d(rng.unit_complex(system.num_vars))
+    patch_poly = Polynomial.linear(a, -1.0, system.width)
     patched = PolySystem(system.variables, system.polys + [patch_poly],
                          system.parameters)
     return patched, a

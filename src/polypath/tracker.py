@@ -23,7 +23,7 @@ from .errors import (
     SingularMatrix,
     StartPointInvalid,
 )
-from .polysys import LinearSlice, PolySystem
+from .polysys import LinearSlice, MonomialKernel, PolySystem
 
 
 class PathStatus(Enum):
@@ -96,16 +96,15 @@ class StraightLineHomotopy(Homotopy):
         self.start = start
         self.gamma = complex(gamma)
         self.num_vars = target.num_vars
+        self._kernel = MonomialKernel(target.polys + start.polys, target.width,
+                                      target.num_vars)
 
     def eval(self, z, t):
-        f = self.target.evaluate(z)
-        g = self.start.evaluate(z)
-        jf = self.target.jacobian(z)
-        jg = self.start.jacobian(z)
-        value = (1.0 - t) * f + self.gamma * t * g
-        dz = (1.0 - t) * jf + self.gamma * t * jg
-        dt = self.gamma * g - f
-        return value, dz, dt
+        # rows [f | df/dz] then [g | dg/dz]
+        fg = self._kernel(z)
+        f, g = fg[:self.target.n], fg[self.target.n:]
+        both = (1.0 - t) * f + self.gamma * t * g
+        return both[:, 0], both[:, 1:], self.gamma * g[:, 0] - f[:, 0]
 
 
 class ParameterPathHomotopy(Homotopy):
@@ -127,11 +126,10 @@ class ParameterPathHomotopy(Homotopy):
 
     def eval(self, z, t):
         p = t * self.p_start + (1.0 - t) * self.p_target
-        value = self.family.evaluate(z, p)
-        dz = self.family.jacobian(z, p)
-        dp = self.family.param_jacobian(z, p)
-        dt = dp @ (self.p_start - self.p_target)
-        return value, dz, dt
+        # rows [F | dF/dz | dF/dp] of the family's kernel
+        out = self.family.values_and_partials(z, p)
+        nv = self.num_vars
+        return out[:, 0], out[:, 1:1 + nv], out[:, 1 + nv:] @ (self.p_start - self.p_target)
 
 
 class SliceMoveHomotopy(Homotopy):
@@ -153,18 +151,19 @@ class SliceMoveHomotopy(Homotopy):
         self.target = target
         self.gamma = complex(gamma)
         self.num_vars = fixed.num_vars
+        width = fixed.width
+        self._kernel = MonomialKernel(
+            fixed.polys + target.as_polynomials(width) + source.as_polynomials(width),
+            width, fixed.num_vars)
 
     def eval(self, z, t):
-        fv = self.fixed.evaluate(z)
-        fj = self.fixed.jacobian(z)
-        ls = self.source.evaluate(z)
-        lt = self.target.evaluate(z)
-        value = np.concatenate([fv, (1.0 - t) * lt + self.gamma * t * ls])
-        dz = np.vstack([fj, (1.0 - t) * self.target.coefficients
-                        + self.gamma * t * self.source.coefficients])
-        dt = np.concatenate([np.zeros(self.fixed.n, dtype=complex),
-                             self.gamma * ls - lt])
-        return value, dz, dt
+        # rows [f | df/dz] of the fixed rows, then of L_target, then of L_source
+        out = self._kernel(z)
+        nf, c = self.fixed.n, self.target.codim
+        lt, ls = out[nf:nf + c], out[nf + c:]
+        both = np.vstack([out[:nf], (1.0 - t) * lt + self.gamma * t * ls])
+        dt = np.concatenate([np.zeros(nf, dtype=complex), self.gamma * ls[:, 0] - lt[:, 0]])
+        return both[:, 0], both[:, 1:], dt
 
 
 def straight_line_homotopy(target: PolySystem, start: PolySystem,
@@ -214,6 +213,14 @@ def _correct(h: Homotopy, z, t, tol, max_iters):
     return z, res, update, res <= tol
 
 
+def _endgame_correct(h, z, t, tol, max_iters):
+    """_correct inside the endgame, where a singular Jacobian ends the path."""
+    try:
+        return _correct(h, z, t, tol, max_iters)
+    except SingularMatrix as exc:
+        raise EndgameDivergence(f"singular Jacobian at t = {t:.3g}") from exc
+
+
 class _AtInfinity(EndgameDivergence):
     """The tracked point escaped past the infinity threshold."""
 
@@ -223,7 +230,13 @@ class _StepBudgetExhausted(Exception):
 
 
 class _Advancer:
-    """Adaptive stepping shared by the main phase and the endgame legs."""
+    """Adaptive stepping shared by the main phase and the endgame legs.
+
+    Stands in for the homotopy in the stepping primitives: its eval
+    remembers the last evaluation, so the predictor's first tangent after
+    an accepted step reuses the corrector's final evaluation at the same
+    (z, t) instead of evaluating H again.
+    """
 
     def __init__(self, h: Homotopy, cfg: TrackerConfig):
         self.h = h
@@ -231,6 +244,14 @@ class _Advancer:
         self.steps = 0
         self.step_size = cfg.initial_step
         self.successes = 0
+        self._last_key = None
+        self._last = None
+
+    def eval(self, z, t):
+        key = (z.tobytes(), t)
+        if key != self._last_key:
+            self._last_key, self._last = key, self.h.eval(z, t)
+        return self._last
 
     def advance(self, z, t_from, t_to):
         cfg = self.cfg
@@ -243,9 +264,9 @@ class _Advancer:
             h_step = min(self.step_size, t - t_to)
             ok = False
             try:
-                zp = _predict(self.h, z, t, -h_step, cfg.predictor)
+                zp = _predict(self, z, t, -h_step, cfg.predictor)
                 if np.all(np.isfinite(zp)):
-                    zc, _, _, ok = _correct(self.h, zp, t - h_step,
+                    zc, _, _, ok = _correct(self, zp, t - h_step,
                                             cfg.corrector_tol, cfg.newton_iterations)
             except SingularMatrix:
                 ok = False
@@ -323,18 +344,19 @@ def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> Endgam
     endgame_last_t_max) or at the halving cap, then polishes the limit
     against H(. , 0) when Newton stays consistent with the extrapolation.
 
-    Raises EndgameDivergence when the samples are not Cauchy.
+    Raises EndgameDivergence when the samples are not Cauchy or a Newton
+    correction meets a singular Jacobian.
     """
     cfg = cfg or TrackerConfig()
     adv = _Advancer(h, cfg)
     adv.step_size = min(cfg.initial_step, cfg.endgame_start / 2.0)
 
     t = cfg.endgame_start
-    z, _, upd, ok = _correct(h, np.asarray(z_boundary, complex), t,
-                             cfg.corrector_tol, cfg.newton_iterations + 3)
+    z, _, upd, ok = _endgame_correct(adv, np.asarray(z_boundary, complex), t,
+                                     cfg.corrector_tol, cfg.newton_iterations + 3)
     if not ok:
         raise EndgameDivergence("could not correct the boundary point")
-    z, _, upd, _ = _correct(h, z, t, 1e-13 * (1.0 + vec_inf_norm(z)), 6)
+    z, _, upd, _ = _endgame_correct(adv, z, t, 1e-13 * (1.0 + vec_inf_norm(z)), 6)
     samples = [z]
     newton_res = upd
     extrap = z
@@ -347,7 +369,7 @@ def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> Endgam
         z = adv.advance(z, t, t_next)
         # polish the sample beyond the tracking tolerance so extrapolation
         # sees tracking noise well below final_tol
-        z, _, upd, _ = _correct(h, z, t_next, 1e-13 * (1.0 + vec_inf_norm(z)), 6)
+        z, _, upd, _ = _endgame_correct(adv, z, t_next, 1e-13 * (1.0 + vec_inf_norm(z)), 6)
         t = t_next
         if vec_inf_norm(z) > cfg.infinity_threshold:
             raise _AtInfinity

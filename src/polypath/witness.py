@@ -93,23 +93,13 @@ def _randomized_rows(system: PolySystem, count: int, rng: Rng):
             for k in range(count)]
 
 
-def _patch_polynomial(patch, width):
-    terms = {}
-    for j, a in enumerate(patch):
-        e = [0] * width
-        e[j] = 1
-        terms[tuple(e)] = complex(a)
-    terms[tuple([0] * width)] = -1.0 + 0.0j
-    return Polynomial.from_terms(terms, width)
-
-
 def _fixed_rows(system: PolySystem, dim: int, rng: Rng, patch) -> PolySystem:
     """The non-slice rows of the square sliced system at dimension dim."""
     nv = system.num_vars
     count = nv - dim - (1 if patch is not None else 0)
     rows = _randomized_rows(system, count, rng)
     if patch is not None:
-        rows.append(_patch_polynomial(patch, system.width))
+        rows.append(Polynomial.linear(patch, -1.0, system.width))
     return PolySystem(system.variables, rows)
 
 

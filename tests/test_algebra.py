@@ -108,3 +108,37 @@ def test_rng_fork_determinism():
     assert np.array_equal(fa.unit_complex(8), fb.unit_complex(8))
     # the parent streams stay aligned too
     assert a.integers(1000) == b.integers(1000)
+
+
+def test_lin_solve_two_dimensional_right_hand_side():
+    rng = Rng(17)
+    a = rng.unit_complex((5, 5)) + 3.0 * np.eye(5)
+    b = rng.unit_complex((5, 3))
+    x = lin_solve(a, b)
+    assert x.shape == (5, 3)
+    for k in range(3):
+        assert vec_inf_norm(x[:, k] - lin_solve(a, b[:, k])) <= 1e-14
+    assert vec_inf_norm((a @ x - b).ravel()) <= 1e-13
+
+
+def test_lin_solve_singular_near_singular_and_non_finite_raise():
+    # kappa_inf of [[1, 2], [1, 2 + d]] is (3 + d)(4 + d) / d
+    lin_solve([[1.0, 2.0], [1.0, 2.0 + 1e-12]], [1.0, 1.0])   # 1.2e13: solvable
+    for a, b in (
+            ([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]),            # exactly singular
+            (np.zeros((3, 3)), np.ones(3)),
+            ([[1.0, 2.0], [1.0, 2.0 + 1e-15]], [1.0, 1.0]),    # 1.2e16
+            ([[math.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([[math.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            (np.eye(2), [math.inf, 1.0]),
+            (np.eye(2), [1.0, math.nan])):
+        with pytest.raises(SingularMatrix):
+            lin_solve(a, b)
+
+
+def test_condition_matches_numpy_on_random_matrices():
+    rng = Rng(23)
+    for _ in range(50):
+        a = rng.unit_complex((5, 5)) * rng.uniform(0.1, 10.0, size=(5, 1))
+        expect = np.linalg.cond(a, np.inf)
+        assert abs(condition_estimate(a) - expect) <= 1e-12 * expect

@@ -4,7 +4,7 @@ import pytest
 from polypath.algebra import Rng, condition_estimate, vec_inf_norm
 from polypath.errors import DimensionMismatch, NotHomogeneous
 from polypath.parser import parse_input_file, parse_polynomial
-from polypath.polysys import PolySystem, affine_patch, random_slice
+from polypath.polysys import MonomialKernel, Polynomial, PolySystem, affine_patch, random_slice
 
 
 def _poly(text, variables, params=()):
@@ -24,7 +24,6 @@ def _random_system(rng, nvars, max_deg, npolys=None):
             terms[e] = complex(rng.unit_complex())
         if not terms:
             terms[(0,) * nvars] = 1.0 + 0j
-        from polypath.polysys import Polynomial
         polys.append(Polynomial.from_terms(terms, nvars))
     return PolySystem(names, polys)
 
@@ -166,3 +165,62 @@ def test_homogeneous_scaling_property(quadrics):
         lhs = quadrics.evaluate(lam * z)
         rhs = lam ** degs * quadrics.evaluate(z)
         assert vec_inf_norm(lhs - rhs) <= 1e-10 * (1.0 + vec_inf_norm(rhs))
+
+
+def _fd_partials(system, z, params, h=1e-6):
+    """Central differences of evaluate by each variable, then each parameter."""
+    point = np.concatenate([z, params])
+    nv = system.num_vars
+    cols = []
+    for j in range(point.shape[0]):
+        e = np.zeros(point.shape[0], dtype=complex)
+        e[j] = h
+        up, down = point + e, point - e
+        cols.append((system.evaluate(up[:nv], up[nv:])
+                     - system.evaluate(down[:nv], down[nv:])) / (2 * h))
+    return np.column_stack(cols)
+
+
+def test_kernel_matches_term_values_and_finite_differences(family):
+    # the conic family plus a zero row and a constant row
+    extra = [Polynomial(np.zeros((0, 5), np.int64), [], width=5),
+             Polynomial(np.zeros((1, 5), np.int64), [2.5 - 1j])]
+    system = PolySystem(family.variables, family.polys + extra, family.parameters)
+    rng = Rng(13)
+    for _ in range(10):
+        z = np.asarray(rng.unit_complex(2)) * 1.3
+        p = np.asarray(rng.unit_complex(3))
+        point = np.concatenate([z, p])
+        out = system.values_and_partials(z, p)
+        assert out.shape == (4, 6)
+        exact = [poly.value(point) for poly in system.polys]
+        assert vec_inf_norm(out[:, 0] - exact) <= 1e-14
+        assert np.array_equal(system.evaluate(z, p), out[:, 0])
+        assert np.array_equal(system.jacobian(z, p), out[:, 1:3])
+        assert np.array_equal(system.param_jacobian(z, p), out[:, 3:])
+        exact_partials = [[poly.diff(j).value(point) for j in range(5)]
+                          for poly in system.polys]
+        assert vec_inf_norm((out[:, 1:] - exact_partials).ravel()) <= 1e-14
+        fd = _fd_partials(system, z, p)
+        assert vec_inf_norm((fd - out[:, 1:]).ravel()) <= 1e-8
+    assert np.all(out[2:, 1:] == 0) and out[2, 0] == 0 and out[3, 0] == 2.5 - 1j
+
+
+def test_kernel_on_one_variable_system():
+    system = PolySystem(["x"], [_poly("3*x^4 - x + 2", ["x"])])
+    for x in (0.0, 1.0, -0.7 + 0.2j, 2.0j):
+        assert abs(system.evaluate([x])[0] - (3 * x ** 4 - x + 2)) <= 1e-13
+        assert abs(system.jacobian([x])[0, 0] - (12 * x ** 3 - 1)) <= 1e-13
+    assert system.param_jacobian([1.0], None).shape == (1, 0)
+
+
+def test_kernel_of_an_all_zero_system():
+    zero = Polynomial(np.zeros((0, 2), np.int64), [], width=2)
+    kernel = MonomialKernel([zero, zero], 2, 2)
+    assert np.array_equal(kernel(np.array([1.0 + 2j, -3.0])), np.zeros((2, 3)))
+
+
+def test_linear_polynomial_drops_zero_terms():
+    p = Polynomial.linear([1.0, 0.0, 2j], -1.0, 4)
+    assert p.terms() == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 2j, (0, 0, 0, 0): -1}
+    assert Polynomial.linear([0.0, 3.0], 0.0, 2).terms() == {(0, 1): 3}

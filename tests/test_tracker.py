@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from polypath.algebra import Rng, random_unit_complex, vec_inf_norm
-from polypath.errors import DimensionMismatch, StartPointInvalid
+from polypath.errors import DimensionMismatch, EndgameDivergence, StartPointInvalid
 from polypath.parser import parse_polynomial
-from polypath.polysys import PolySystem
+from polypath.polysys import PolySystem, random_slice
 from polypath.tracker import (
+    Homotopy,
     ParameterPathHomotopy,
     PathStatus,
+    SliceMoveHomotopy,
     TrackerConfig,
+    _Advancer,
     _predict,
+    endgame,
     homotopy_eval,
     straight_line_homotopy,
     track_path,
@@ -226,3 +230,91 @@ def test_gamma_trick_over_many_seeds(circles):
         hits = {i for z in finite for i, e in enumerate(expected)
                 if vec_inf_norm(z - e) <= 1e-6}
         assert hits == {0, 1}, f"seed {seed} lost a root"
+
+
+def test_parameter_path_eval_matches_its_formula(family):
+    p0 = np.array([1.0 + 0.5j, -0.3 + 1.0j, 0.9 - 0.2j])
+    p1 = np.array([2.0, 3.0, 4.0], dtype=complex)
+    h = ParameterPathHomotopy(family, p0, p1)
+    rng = Rng(14)
+    for _ in range(10):
+        z = np.asarray(rng.unit_complex(2)) * 1.4
+        t = float(rng.uniform(0.0, 1.0))
+        p = t * p0 + (1.0 - t) * p1
+        value, dz, dt = h.eval(z, t)
+        assert vec_inf_norm(value - family.evaluate(z, p)) <= 1e-14
+        assert vec_inf_norm((dz - family.jacobian(z, p)).ravel()) <= 1e-14
+        expect_dt = family.param_jacobian(z, p) @ (p0 - p1)
+        assert vec_inf_norm(dt - expect_dt) <= 1e-14
+
+
+def test_slice_move_eval_matches_its_formula(sphere_line):
+    rng = Rng(15)
+    fixed = PolySystem(sphere_line.variables, sphere_line.polys[:1])
+    source, target = random_slice(3, 2, rng), random_slice(3, 2, rng)
+    h = SliceMoveHomotopy(fixed, source, target, GAMMA)
+    for _ in range(10):
+        z = np.asarray(rng.unit_complex(3)) * 0.9
+        t = float(rng.uniform(0.0, 1.0))
+        value, dz, dt = h.eval(z, t)
+        moving = (1.0 - t) * target.evaluate(z) + GAMMA * t * source.evaluate(z)
+        assert vec_inf_norm(value - np.concatenate([fixed.evaluate(z), moving])) <= 1e-14
+        moving_dz = (1.0 - t) * target.coefficients + GAMMA * t * source.coefficients
+        expect_dz = np.vstack([fixed.jacobian(z), moving_dz])
+        assert vec_inf_norm((dz - expect_dz).ravel()) <= 1e-14
+        expect_dt = np.concatenate([[0.0], GAMMA * source.evaluate(z) - target.evaluate(z)])
+        assert vec_inf_norm(dt - expect_dt) <= 1e-14
+
+
+class _FlatBelowBoundary(Homotopy):
+    """H = z - t, regular above the endgame boundary t = 0.1.  At and below
+    it H gains an offset of 1e-10 and dH/dz is exactly 0: the corrector
+    accepts the boundary point without a solve, and the endgame's first
+    polish meets a singular Jacobian."""
+
+    num_vars = 1
+
+    def eval(self, z, t):
+        below = t <= 0.1
+        value = z - t + (1e-10 if below else 0.0)
+        return value, np.array([[0.0 if below else 1.0]], dtype=complex), np.array([-1.0 + 0j])
+
+
+def test_endgame_reports_a_singular_jacobian_as_divergence():
+    with pytest.raises(EndgameDivergence):
+        endgame(_FlatBelowBoundary(), np.array([0.1 + 1e-10], dtype=complex))
+
+
+def test_singular_jacobian_in_the_endgame_is_a_step_failure():
+    # an Euler step takes its tangent at the start of the step, so the main
+    # phase never solves with the singular Jacobian at t = 0.1
+    res = track_path(_FlatBelowBoundary(), np.array([1.0], dtype=complex),
+                     TrackerConfig(predictor="euler"))
+    assert res.status is PathStatus.STEP_FAILURE
+    assert res.last_t == 0.1
+    assert abs(res.endpoint[0] - 0.1) <= 1e-9
+
+
+def test_reused_evaluation_keeps_paths_bitwise_identical(circles, monkeypatch):
+    start = total_degree_start(circles)
+    base = straight_line_homotopy(circles, start.start_system, GAMMA)
+
+    class Counting(Homotopy):
+        num_vars = 2
+        calls = 0
+
+        def eval(self, z, t):
+            Counting.calls += 1
+            return base.eval(z, t)
+
+    reused = [track_path(Counting(), p) for p in start.start_points]
+    with_reuse = Counting.calls
+    Counting.calls = 0
+    monkeypatch.setattr(_Advancer, "eval", lambda self, z, t: self.h.eval(z, t))
+    fresh = [track_path(Counting(), p) for p in start.start_points]
+    for a, b in zip(reused, fresh):
+        assert a.status == b.status and a.steps_taken == b.steps_taken
+        assert np.array_equal(a.endpoint, b.endpoint)
+        assert a.function_residual == b.function_residual
+    # reuse saves an evaluation on at least every other step
+    assert Counting.calls - with_reuse >= sum(r.steps_taken for r in fresh) // 2
