@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
@@ -50,26 +49,6 @@ SCHEMA_VERSION = 1
 _USAGE_ERRORS = (ParseError, CorruptFile, SchemaVersionMismatch, DimensionMismatch,
                  NotSquare, NotHomogeneous, ValueError)
 _NUMERIC_ERRORS = (RefinementDiverged, DecompositionIncomplete, PathFailure)
-
-
-@dataclass
-class RunRequest:
-    """One validated CLI invocation."""
-
-    mode: str
-    problem_path: str
-    seed: int = 0
-    out_path: str | None = None
-    projective_flag: bool = False
-    affine_flag: bool = False
-    digits: int | None = None
-    solutions_path: str | None = None
-    values: str | None = None
-    decomposition_path: str | None = None
-    points: list = field(default_factory=list)
-    dim: int | None = None
-    index: int | None = None
-    count: int | None = None
 
 
 # -- number formatting ---------------------------------------------------------
@@ -220,17 +199,17 @@ def _dumps(obj) -> str:
 
 # -- request handling ------------------------------------------------------------
 
-def _load_problem(req: RunRequest):
+def _load_problem(path: str, projective_flag=False, affine_flag=False):
     try:
-        with open(req.problem_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CorruptFile(f"cannot read {req.problem_path}: {exc}") from exc
-    spec = parse_input_file(text, req.problem_path)
-    if req.affine_flag and spec.declared_projective:
+        raise CorruptFile(f"cannot read {path}: {exc}") from exc
+    spec = parse_input_file(text, path)
+    if affine_flag and spec.declared_projective:
         raise DimensionMismatch(
             "--affine conflicts with the file's 'projective;' statement")
-    projective = req.projective_flag or (spec.declared_projective and not req.affine_flag)
+    projective = projective_flag or (spec.declared_projective and not affine_flag)
     return spec, projective
 
 
@@ -248,111 +227,113 @@ def _parse_point(text: str, expected_len: int):
     return [parse_complex_literal(s.strip()) for s in parts]
 
 
-def dispatch(req: RunRequest) -> tuple[int, str]:
-    """Run one request; returns (exit code, JSON output)."""
-    if req.mode == "solve":
-        spec, projective = _load_problem(req)
-        sols = zero_dim_solve(spec.system, projective=projective, seed=req.seed)
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "mode": "solve",
-            "seed": req.seed,
-            "projective": projective,
-            "solutions": [_solution_json(sp) for sp in sols],
-        }
-        return 0, _dumps(payload)
+def _matching_decomposition(args) -> NumericalVariety:
+    spec, _ = _load_problem(args.file)
+    nv = read_decomposition(args.decomposition)
+    if not _systems_match(spec.system, nv.system):
+        raise DimensionMismatch(
+            "decomposition was computed from a different system than FILE")
+    return nv
 
-    if req.mode == "posdim":
-        spec, projective = _load_problem(req)
-        nv = numerical_irreducible_decomposition(
-            spec.system, projective=projective, seed=req.seed)
-        return 0, _dumps(decomposition_to_json(nv))
 
-    if req.mode == "refine":
-        spec, _ = _load_problem(req)
-        try:
-            with open(req.solutions_path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptFile(f"cannot read solutions: {exc}") from exc
-        if not isinstance(data, dict) or "solutions" not in data:
-            raise CorruptFile("solutions file has no 'solutions' array")
-        points = [_solution_from_json(d) for d in data["solutions"]]
-        refined = refine_solutions(spec.system, points, req.digits)
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "mode": "refine",
-            "digits": req.digits,
-            "solutions": [_solution_json(sp) for sp in refined],
-        }
-        return 0, _dumps(payload)
+# Each handler takes the parsed command line and returns the JSON payload.
 
-    if req.mode == "param":
-        spec, _ = _load_problem(req)
-        if not spec.system.parameters:
-            raise DimensionMismatch("param mode needs a file with a 'params' statement")
-        tuples = []
-        for chunk in req.values.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                tuples.append([parse_complex_literal(s.strip())
-                               for s in chunk.split(",")])
-        if not tuples:
-            raise DimensionMismatch("--values contained no parameter tuples")
-        result = parameter_homotopy(spec.system, list(spec.system.parameters),
-                                    tuples, seed=req.seed)
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "mode": "param",
-            "seed": req.seed,
-            "parameterTuples": [[_fmt_complex(v) for v in t] for t in tuples],
-            "startParameters": [_fmt_complex(v) for v in result.start_parameters],
-            "pathsPerTuple": result.paths_per_tuple,
-            "solutionSets": [[_solution_json(sp) for sp in sols]
-                             for sols in result.solution_sets],
-        }
-        return 0, _dumps(payload)
+def _solve(args) -> dict:
+    spec, projective = _load_problem(args.file, args.projective, args.affine)
+    sols = zero_dim_solve(spec.system, projective=projective, seed=args.seed)
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "mode": "solve",
+        "seed": args.seed,
+        "projective": projective,
+        "solutions": [_solution_json(sp) for sp in sols],
+    }
 
-    if req.mode == "member":
-        spec, _ = _load_problem(req)
-        nv = read_decomposition(req.decomposition_path)
-        if not _systems_match(spec.system, nv.system):
-            raise DimensionMismatch(
-                "decomposition was computed from a different system than FILE")
-        pts = [_parse_point(p, nv.system.num_vars) for p in req.points]
-        memberships = membership_test(nv, pts)
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "mode": "member",
-            "points": [[_fmt_complex(c) for c in p] for p in pts],
-            "memberships": [[f"{dim}/{idx}" for dim, idx in hits]
-                            for hits in memberships],
-        }
-        return 0, _dumps(payload)
 
-    if req.mode == "sample":
-        spec, _ = _load_problem(req)
-        nv = read_decomposition(req.decomposition_path)
-        if not _systems_match(spec.system, nv.system):
-            raise DimensionMismatch(
-                "decomposition was computed from a different system than FILE")
-        sets = nv.components.get(req.dim, [])
-        if not 0 <= req.index < len(sets):
-            raise DimensionMismatch(
-                f"no component {req.dim}/{req.index} in the decomposition")
-        pts = sample_witness(sets[req.index], req.count, Rng(req.seed))
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "mode": "sample",
-            "seed": req.seed,
-            "dim": req.dim,
-            "index": req.index,
-            "count": req.count,
-            "points": [[_fmt_complex(c) for c in p] for p in pts],
-        }
-        return 0, _dumps(payload)
+def _posdim(args) -> dict:
+    spec, projective = _load_problem(args.file, args.projective, args.affine)
+    nv = numerical_irreducible_decomposition(
+        spec.system, projective=projective, seed=args.seed)
+    return decomposition_to_json(nv)
 
-    raise ValueError(f"unknown mode {req.mode!r}")
+
+def _refine(args) -> dict:
+    spec, _ = _load_problem(args.file)
+    try:
+        with open(args.solutions, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CorruptFile(f"cannot read solutions: {exc}") from exc
+    if not isinstance(data, dict) or "solutions" not in data:
+        raise CorruptFile("solutions file has no 'solutions' array")
+    points = [_solution_from_json(d) for d in data["solutions"]]
+    refined = refine_solutions(spec.system, points, args.digits)
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "mode": "refine",
+        "digits": args.digits,
+        "solutions": [_solution_json(sp) for sp in refined],
+    }
+
+
+def _param(args) -> dict:
+    spec, _ = _load_problem(args.file)
+    if not spec.system.parameters:
+        raise DimensionMismatch("param mode needs a file with a 'params' statement")
+    tuples = []
+    for chunk in args.values.split(";"):
+        chunk = chunk.strip()
+        if chunk:
+            tuples.append([parse_complex_literal(s.strip())
+                           for s in chunk.split(",")])
+    if not tuples:
+        raise DimensionMismatch("--values contained no parameter tuples")
+    result = parameter_homotopy(spec.system, list(spec.system.parameters),
+                                tuples, seed=args.seed)
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "mode": "param",
+        "seed": args.seed,
+        "parameterTuples": [[_fmt_complex(v) for v in t] for t in tuples],
+        "startParameters": [_fmt_complex(v) for v in result.start_parameters],
+        "pathsPerTuple": result.paths_per_tuple,
+        "solutionSets": [[_solution_json(sp) for sp in sols] for sols in result],
+    }
+
+
+def _member(args) -> dict:
+    nv = _matching_decomposition(args)
+    pts = [_parse_point(p, nv.system.num_vars) for p in args.point]
+    memberships = membership_test(nv, pts)
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "mode": "member",
+        "points": [[_fmt_complex(c) for c in p] for p in pts],
+        "memberships": [[f"{dim}/{idx}" for dim, idx in hits]
+                        for hits in memberships],
+    }
+
+
+def _sample(args) -> dict:
+    nv = _matching_decomposition(args)
+    sets = nv.components.get(args.dim, [])
+    if not 0 <= args.index < len(sets):
+        raise DimensionMismatch(
+            f"no component {args.dim}/{args.index} in the decomposition")
+    pts = sample_witness(sets[args.index], args.count, Rng(args.seed))
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "mode": "sample",
+        "seed": args.seed,
+        "dim": args.dim,
+        "index": args.index,
+        "count": args.count,
+        "points": [[_fmt_complex(c) for c in p] for p in pts],
+    }
+
+
+_HANDLERS = {"solve": _solve, "posdim": _posdim, "refine": _refine,
+             "param": _param, "member": _member, "sample": _sample}
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -412,25 +393,6 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _request_from_args(args) -> RunRequest:
-    return RunRequest(
-        mode=args.mode,
-        problem_path=args.file,
-        seed=getattr(args, "seed", 0),
-        out_path=getattr(args, "out", None),
-        projective_flag=getattr(args, "projective", False),
-        affine_flag=getattr(args, "affine", False),
-        digits=getattr(args, "digits", None),
-        solutions_path=getattr(args, "solutions", None),
-        values=getattr(args, "values", None),
-        decomposition_path=getattr(args, "decomposition", None),
-        points=getattr(args, "point", []),
-        dim=getattr(args, "dim", None),
-        index=getattr(args, "index", None),
-        count=getattr(args, "count", None),
-    )
-
-
 def _error_payload(exc) -> str:
     info = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, ParseError):
@@ -448,9 +410,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
-    req = _request_from_args(args)
     try:
-        code, output = dispatch(req)
+        output = _dumps(_HANDLERS[args.mode](args))
     except _NUMERIC_ERRORS as exc:
         sys.stdout.write(_error_payload(exc))
         return 2
@@ -458,12 +419,12 @@ def main(argv=None) -> int:
         sys.stdout.write(_error_payload(exc))
         return 1
 
-    if req.out_path:
-        with open(req.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output)
     else:
         sys.stdout.write(output)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

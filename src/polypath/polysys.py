@@ -8,8 +8,8 @@ evaluated together by a MonomialKernel: a table of the distinct monomials
 of the polynomials and of their partials, times a coefficient matrix with
 one column per output entry (the straight-line-program form used by
 Bertini and HomotopyContinuation.jl).  PolySystem.evaluate, jacobian and
-param_jacobian are slices of one such call, and the tracker's homotopies
-make one kernel call per evaluation.
+param_jacobian are slices of one such call, and every homotopy of the
+tracker evaluates as one call of its parameterized family's kernel.
 """
 
 from __future__ import annotations
@@ -154,23 +154,23 @@ class MonomialKernel:
     """Values and first partials of several polynomials at one point.
 
     Built once, with numpy: each polynomial and each of its partials with
-    respect to the first nwrt exponent columns becomes one column of a
-    coefficient matrix over the distinct exponent rows (monomials) they
-    use.  A call is one power table, one gather of every monomial's
-    factors, their product and one product mon @ C.  The result has shape
-    (len(polys), 1 + nwrt): column 0 holds the values, column 1 + j the
+    respect to every exponent column becomes one column of a coefficient
+    matrix over the distinct exponent rows (monomials) they use.  A call
+    is one power table, one gather of every monomial's factors, their
+    product and one product mon @ C.  The result has shape
+    (len(polys), 1 + width): column 0 holds the values, column 1 + j the
     partials by column j.
     """
 
     __slots__ = ("powers", "gather", "coeffs", "shape")
 
-    def __init__(self, polys, width: int, nwrt: int):
-        k = 1 + nwrt
+    def __init__(self, polys, width: int):
+        k = 1 + width
         exps = np.vstack([p.exps for p in polys])
         coeffs = np.concatenate([p.coeffs for p in polys])
         cols = np.repeat(np.arange(len(polys)) * k, [p.coeffs.size for p in polys])
         blocks = [(exps, coeffs, cols)]
-        for j in range(nwrt):
+        for j in range(width):
             keep = exps[:, j] > 0
             lowered = exps[keep]
             lowered[:, j] -= 1
@@ -242,12 +242,16 @@ class PolySystem:
             raise DimensionMismatch("system has no parameters")
         return z
 
+    @property
+    def kernel(self) -> MonomialKernel:
+        """The evaluator of values and all first partials, built on first use."""
+        if self._kernel is None:
+            self._kernel = MonomialKernel(self.polys, self.width)
+        return self._kernel
+
     def values_and_partials(self, z, params=None):
         """n x (1 + N + P): values, then partials by variables and parameters."""
-        point = self._point(z, params)
-        if self._kernel is None:
-            self._kernel = MonomialKernel(self.polys, self.width, self.width)
-        return self._kernel(point)
+        return self.kernel(self._point(z, params))
 
     def evaluate(self, z, params=None):
         return self.values_and_partials(z, params)[:, 0]

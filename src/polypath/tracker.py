@@ -1,5 +1,12 @@
 """Predictor-corrector path tracking with a geometric-sequence endgame.
 
+Every homotopy is a ParameterPathHomotopy: a parameterized family F(z; p)
+followed along the segment p(t) = t p_start + (1-t) p_target, so
+H(z,t) = F(z; p(t)), and dH/dt = dF/dp (p_start - p_target) comes from the
+family's parameter partials.  The gamma-trick straight line
+(1-t) f + gamma t g is the family u f + v g from (u, v) = (0, gamma) to
+(1, 0); a slice move does the same for the slice rows of a witness system.
+
 Paths are tracked from t = 1 to the endgame boundary with an RK4 predictor
 on the Davidenko ODE dz/dt = -(dH/dz)^-1 dH/dt and a short Newton corrector
 at fixed t.  From the boundary, the endgame samples the path at
@@ -23,7 +30,7 @@ from .errors import (
     SingularMatrix,
     StartPointInvalid,
 )
-from .polysys import LinearSlice, MonomialKernel, PolySystem
+from .polysys import LinearSlice, Polynomial, PolySystem
 
 
 class PathStatus(Enum):
@@ -82,35 +89,8 @@ class Homotopy:
         raise NotImplementedError
 
 
-class StraightLineHomotopy(Homotopy):
-    """H(z,t) = (1-t) f(z) + gamma t g(z)."""
-
-    kind = "straight-line"
-
-    def __init__(self, target: PolySystem, start: PolySystem, gamma: complex):
-        if target.variables != start.variables or target.n != start.n:
-            raise DimensionMismatch("target and start systems must share variables and size")
-        if target.parameters or start.parameters:
-            raise DimensionMismatch("straight-line homotopy needs parameter-free systems")
-        self.target = target
-        self.start = start
-        self.gamma = complex(gamma)
-        self.num_vars = target.num_vars
-        self._kernel = MonomialKernel(target.polys + start.polys, target.width,
-                                      target.num_vars)
-
-    def eval(self, z, t):
-        # rows [f | df/dz] then [g | dg/dz]
-        fg = self._kernel(z)
-        f, g = fg[:self.target.n], fg[self.target.n:]
-        both = (1.0 - t) * f + self.gamma * t * g
-        return both[:, 0], both[:, 1:], self.gamma * g[:, 0] - f[:, 0]
-
-
 class ParameterPathHomotopy(Homotopy):
     """H(z,t) = F(z; t p_start + (1-t) p_target) for a parameterized family."""
-
-    kind = "parameter-path"
 
     def __init__(self, family: PolySystem, p_start, p_target):
         if not family.parameters:
@@ -123,57 +103,74 @@ class ParameterPathHomotopy(Homotopy):
         self.p_start = p_start
         self.p_target = p_target
         self.num_vars = family.num_vars
+        self._kernel = family.kernel
+        self._dp = p_start - p_target
 
     def eval(self, z, t):
         p = t * self.p_start + (1.0 - t) * self.p_target
         # rows [F | dF/dz | dF/dp] of the family's kernel
-        out = self.family.values_and_partials(z, p)
-        nv = self.num_vars
-        return out[:, 0], out[:, 1:1 + nv], out[:, 1 + nv:] @ (self.p_start - self.p_target)
+        out = self._kernel(np.concatenate([z, p]))
+        nv = 1 + self.num_vars
+        return out[:, 0], out[:, 1:nv], out[:, nv:] @ self._dp
 
 
-class SliceMoveHomotopy(Homotopy):
+def _lift(p: Polynomial, a: int, b: int):
+    """Terms of p times u^a v^b, over two appended exponent columns (u, v)."""
+    uv = np.broadcast_to(np.array([a, b], dtype=np.int64), (p.exps.shape[0], 2))
+    return np.hstack([p.exps, uv]), p.coeffs
+
+
+def _gamma_path(variables, fixed, target, start, gamma) -> ParameterPathHomotopy:
+    """The path of [fixed; u target + v start] from (u, v) = (0, gamma) to (1, 0).
+
+    At path time t the parameters are (1 - t, gamma t), so
+    H = [fixed; (1-t) target + gamma t start] and dH/dt = [0; gamma start - target].
+    """
+    width = len(variables) + 2
+    rows = [Polynomial(*_lift(p, 0, 0), width=width) for p in fixed]
+    for f, g in zip(target, start):
+        (ef, cf), (eg, cg) = _lift(f, 1, 0), _lift(g, 0, 1)
+        rows.append(Polynomial(np.vstack([ef, eg]), np.concatenate([cf, cg]), width=width))
+    family = PolySystem(variables, rows, ("u", "v"))
+    return ParameterPathHomotopy(family, [0.0, gamma], [1.0, 0.0])
+
+
+def straight_line_homotopy(target: PolySystem, start: PolySystem,
+                           gamma: complex) -> ParameterPathHomotopy:
+    """H(z,t) = (1-t) f(z) + gamma t g(z): the gamma trick as a parameter path."""
+    if target.variables != start.variables or target.n != start.n:
+        raise DimensionMismatch("target and start systems must share variables and size")
+    if target.parameters or start.parameters:
+        raise DimensionMismatch("straight-line homotopy needs parameter-free systems")
+    return _gamma_path(target.variables, [], target.polys, start.polys, gamma)
+
+
+def slice_move_homotopy(fixed: PolySystem, source: LinearSlice,
+                        target: LinearSlice, gamma: complex) -> ParameterPathHomotopy:
     """Fixed polynomial rows plus an interpolating linear slice.
 
     H(z,t) = [ fixed(z) ; (1-t) L_target(z) + gamma t L_source(z) ].
     """
-
-    kind = "slice-move"
-
-    def __init__(self, fixed: PolySystem, source: LinearSlice,
-                 target: LinearSlice, gamma: complex):
-        if source.codim != target.codim:
-            raise DimensionMismatch("source and target slices must share codimension")
-        if fixed.n + target.codim != fixed.num_vars:
-            raise DimensionMismatch("fixed rows plus slice rows must be square")
-        self.fixed = fixed
-        self.source = source
-        self.target = target
-        self.gamma = complex(gamma)
-        self.num_vars = fixed.num_vars
-        width = fixed.width
-        self._kernel = MonomialKernel(
-            fixed.polys + target.as_polynomials(width) + source.as_polynomials(width),
-            width, fixed.num_vars)
-
-    def eval(self, z, t):
-        # rows [f | df/dz] of the fixed rows, then of L_target, then of L_source
-        out = self._kernel(z)
-        nf, c = self.fixed.n, self.target.codim
-        lt, ls = out[nf:nf + c], out[nf + c:]
-        both = np.vstack([out[:nf], (1.0 - t) * lt + self.gamma * t * ls])
-        dt = np.concatenate([np.zeros(nf, dtype=complex), self.gamma * ls[:, 0] - lt[:, 0]])
-        return both[:, 0], both[:, 1:], dt
+    if source.codim != target.codim:
+        raise DimensionMismatch("source and target slices must share codimension")
+    if fixed.n + target.codim != fixed.num_vars:
+        raise DimensionMismatch("fixed rows plus slice rows must be square")
+    width = fixed.num_vars
+    return _gamma_path(fixed.variables, fixed.polys, target.as_polynomials(width),
+                       source.as_polynomials(width), gamma)
 
 
-def straight_line_homotopy(target: PolySystem, start: PolySystem,
-                           gamma: complex) -> StraightLineHomotopy:
-    return StraightLineHomotopy(target, start, gamma)
+def _as_point(h: Homotopy, z):
+    """z as a complex vector of h's length; eval itself does not check it."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (h.num_vars,):
+        raise DimensionMismatch(f"point has shape {z.shape}, homotopy has {h.num_vars} variables")
+    return z
 
 
 def homotopy_eval(homotopy: Homotopy, z, t):
     """(value, dH/dz, dH/dt) at a point; t in [0, 1]."""
-    return homotopy.eval(np.asarray(z, dtype=complex), float(t))
+    return homotopy.eval(_as_point(homotopy, z), float(t))
 
 
 # -- stepping primitives -----------------------------------------------------
@@ -352,7 +349,7 @@ def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> Endgam
     adv.step_size = min(cfg.initial_step, cfg.endgame_start / 2.0)
 
     t = cfg.endgame_start
-    z, _, upd, ok = _endgame_correct(adv, np.asarray(z_boundary, complex), t,
+    z, _, upd, ok = _endgame_correct(adv, _as_point(h, z_boundary), t,
                                      cfg.corrector_tol, cfg.newton_iterations + 3)
     if not ok:
         raise EndgameDivergence("could not correct the boundary point")
@@ -430,7 +427,7 @@ def track_path(h: Homotopy, z_start, cfg: TrackerConfig | None = None) -> PathRe
     StepFailure, or MaxSteps.
     """
     cfg = cfg or TrackerConfig()
-    z0 = np.asarray(z_start, dtype=complex)
+    z0 = _as_point(h, z_start)
     start_res = vec_inf_norm(h.eval(z0, 1.0)[0])
     if start_res > 1e-8 * (1.0 + vec_inf_norm(z0)):
         raise StartPointInvalid(

@@ -26,8 +26,8 @@ from .errors import (
 from .polysys import LinearSlice, Polynomial, PolySystem, empty_slice, random_slice
 from .tracker import (
     PathStatus,
-    SliceMoveHomotopy,
     TrackerConfig,
+    slice_move_homotopy,
     straight_line_homotopy,
     track_path,
 )
@@ -191,7 +191,7 @@ def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None
         return replace(ws, slice=target_slice, points=list(ws.points))
     fixed = _fixed_rows(ws.system, ws.dimension, rng, ws.patch)
     gamma = random_unit_complex(rng)
-    homotopy = SliceMoveHomotopy(fixed, ws.slice, target_slice, gamma)
+    homotopy = slice_move_homotopy(fixed, ws.slice, target_slice, gamma)
     moved = []
     for p in ws.points:
         res = track_path(homotopy, p, config)

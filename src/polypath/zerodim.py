@@ -312,12 +312,10 @@ def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPo
 class ParameterHomotopyResult(list):
     """Per-tuple solution lists plus the stage-1 bookkeeping."""
 
-    def __init__(self, solution_sets, start_parameters, start_solutions):
+    def __init__(self, solution_sets, start_parameters, paths_per_tuple):
         super().__init__(solution_sets)
-        self.solution_sets = solution_sets
         self.start_parameters = start_parameters
-        self.start_solutions = start_solutions
-        self.paths_per_tuple = len(start_solutions)
+        self.paths_per_tuple = paths_per_tuple
 
 
 def parameter_homotopy(family: PolySystem, param_names, value_tuples,
@@ -372,4 +370,4 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
                 solution_number=i,
             ))
         solution_sets.append(enriched)
-    return ParameterHomotopyResult(solution_sets, p0, stage1)
+    return ParameterHomotopyResult(solution_sets, p0, len(stage1))

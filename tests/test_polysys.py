@@ -216,7 +216,7 @@ def test_kernel_on_one_variable_system():
 
 def test_kernel_of_an_all_zero_system():
     zero = Polynomial(np.zeros((0, 2), np.int64), [], width=2)
-    kernel = MonomialKernel([zero, zero], 2, 2)
+    kernel = MonomialKernel([zero, zero], 2)
     assert np.array_equal(kernel(np.array([1.0 + 2j, -3.0])), np.zeros((2, 3)))
 
 

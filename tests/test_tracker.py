@@ -11,12 +11,12 @@ from polypath.tracker import (
     Homotopy,
     ParameterPathHomotopy,
     PathStatus,
-    SliceMoveHomotopy,
     TrackerConfig,
     _Advancer,
     _predict,
     endgame,
     homotopy_eval,
+    slice_move_homotopy,
     straight_line_homotopy,
     track_path,
 )
@@ -53,6 +53,13 @@ def test_homotopy_t_derivative_formula(circles):
     z = np.asarray(rng.unit_complex(2))
     _, _, dt = homotopy_eval(h, z, 0.37)
     assert vec_inf_norm(dt - (GAMMA * start.evaluate(z) - circles.evaluate(z))) <= 1e-14
+    # f and the start system share the monomials x^2, y^2 and 1
+    for t in (0.1, 0.37, 0.5, 0.93):
+        value, dz, _ = homotopy_eval(h, z, t)
+        expect = (1.0 - t) * circles.evaluate(z) + GAMMA * t * start.evaluate(z)
+        assert vec_inf_norm(value - expect) <= 1e-14
+        expect_dz = (1.0 - t) * circles.jacobian(z) + GAMMA * t * start.jacobian(z)
+        assert vec_inf_norm((dz - expect_dz).ravel()) <= 1e-14
 
 
 def test_homotopy_t_derivative_finite_difference(circles):
@@ -72,6 +79,12 @@ def test_homotopy_requires_matching_shapes(circles):
     other = _sys(["x^2 - 1"], ["x"])
     with pytest.raises(DimensionMismatch):
         straight_line_homotopy(circles, other, GAMMA)
+    h = straight_line_homotopy(circles, total_degree_start(circles).start_system, GAMMA)
+    for z in ([0.5], [0.5, 0.2, 0.1]):
+        with pytest.raises(DimensionMismatch):
+            homotopy_eval(h, z, 0.5)
+        with pytest.raises(DimensionMismatch):
+            track_path(h, z)
 
 
 def test_parameter_path_endpoints(family):
@@ -252,7 +265,7 @@ def test_slice_move_eval_matches_its_formula(sphere_line):
     rng = Rng(15)
     fixed = PolySystem(sphere_line.variables, sphere_line.polys[:1])
     source, target = random_slice(3, 2, rng), random_slice(3, 2, rng)
-    h = SliceMoveHomotopy(fixed, source, target, GAMMA)
+    h = slice_move_homotopy(fixed, source, target, GAMMA)
     for _ in range(10):
         z = np.asarray(rng.unit_complex(3)) * 0.9
         t = float(rng.uniform(0.0, 1.0))
@@ -264,6 +277,29 @@ def test_slice_move_eval_matches_its_formula(sphere_line):
         assert vec_inf_norm((dz - expect_dz).ravel()) <= 1e-14
         expect_dt = np.concatenate([[0.0], GAMMA * source.evaluate(z) - target.evaluate(z)])
         assert vec_inf_norm(dt - expect_dt) <= 1e-14
+
+
+def test_every_homotopy_evaluates_as_a_parameter_path(circles, family, sphere_line,
+                                                     monkeypatch):
+    calls = []
+    original = ParameterPathHomotopy.eval
+
+    def counted(self, z, t):
+        calls.append(self)
+        return original(self, z, t)
+
+    monkeypatch.setattr(ParameterPathHomotopy, "eval", counted)
+    rng = Rng(16)
+    fixed = PolySystem(sphere_line.variables, sphere_line.polys[:1])
+    homotopies = [
+        straight_line_homotopy(circles, total_degree_start(circles).start_system, GAMMA),
+        slice_move_homotopy(fixed, random_slice(3, 2, rng), random_slice(3, 2, rng), GAMMA),
+        ParameterPathHomotopy(family, [1.0, 2.0, 3.0], [3.0, 2.0, 1.0]),
+    ]
+    for h in homotopies:
+        assert type(h) is ParameterPathHomotopy
+        homotopy_eval(h, np.ones(h.num_vars), 0.5)
+    assert calls == homotopies
 
 
 class _FlatBelowBoundary(Homotopy):
