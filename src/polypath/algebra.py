@@ -14,12 +14,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 
-# Working precision for refinement arithmetic.  106 bits (double-double) is
-# the floor needed for 30-digit output; 160 leaves headroom for Newton.
+# Working precision of refinement residuals and iterates.  106 bits
+# (double-double) is the floor needed for 30-digit output; 160 leaves
+# headroom for the residuals.
 EXTENDED_PREC_BITS = 160
-
-# Scalar type of refined coordinates.
-ExtendedComplex = mpmath.mpc
 
 # lin_solve treats a matrix whose infinity-norm condition reaches
 # 1 / _PIVOT_RTOL as singular.

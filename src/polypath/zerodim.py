@@ -4,7 +4,8 @@ The solver builds the total-degree start system g_i = z_i^(d_i) - 1, tracks
 every product of roots of unity through the gamma-twisted straight-line
 homotopy, then clusters finite endpoints into solutions with diagnostics.
 Projective systems are solved on a random affine chart appended as an extra
-equation.  Refinement reruns Newton in extended precision.
+equation.  Refinement is mixed-precision Newton: residuals in 160-bit
+arithmetic, corrections from the hardware-precision Jacobian solve.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -21,6 +24,7 @@ from .algebra import (
     Rng,
     condition_estimate,
     extended_precision,
+    lin_solve,
     random_unit_complex,
     to_extended,
     vec_inf_norm,
@@ -30,6 +34,7 @@ from .errors import (
     NotHomogeneous,
     NotSquare,
     RefinementDiverged,
+    SingularMatrix,
 )
 from .polysys import Polynomial, PolySystem, affine_patch
 from .tracker import (
@@ -218,92 +223,88 @@ def zero_dim_solve(system: PolySystem, *, projective: bool = False,
 # -- refinement ---------------------------------------------------------------
 
 class _ExtendedSystem:
-    """mpmath twin of a parameter-free square system for Newton sharpening."""
+    """160-bit values of a parameter-free square system: refinement residuals.
+
+    A call forms each distinct monomial of the system once, from a table of
+    coordinate powers, and each polynomial is one dot product of its
+    coefficients with its monomials (mpmath.fdot, rounded once).
+    """
 
     def __init__(self, system: PolySystem):
         if system.parameters:
             raise DimensionMismatch("refinement needs a parameter-free system")
         if system.n != system.num_vars:
             raise NotSquare("refinement needs a square system")
-        self.nv = system.num_vars
-        self.polys = [[(to_extended(c), tuple(int(e) for e in row))
-                       for row, c in zip(p.exps, p.coeffs)]
-                      for p in system.polys]
-        self.jacs = [[[(to_extended(c), tuple(int(e) for e in row))
-                       for row, c in zip(dp.exps, dp.coeffs)]
-                      for dp in (p.diff(j) for j in range(self.nv))]
-                     for p in system.polys]
-
-    @staticmethod
-    def _eval_terms(terms, z):
-        total = mpmath.mpc(0)
-        for coeff, exps in terms:
-            val = coeff
-            for zj, e in zip(z, exps):
-                if e:
-                    val *= zj ** e
-            total += val
-        return total
+        mons, where = np.unique(np.vstack([p.exps for p in system.polys]),
+                                axis=0, return_inverse=True)
+        self.degrees = np.max(mons, axis=0, initial=0).tolist()
+        # (variable, power) factors; the constant monomial is z_0^0 = 1
+        self.monomials = [[(j, e) for j, e in enumerate(row) if e] or [(0, 0)]
+                          for row in mons.tolist()]
+        bounds = np.cumsum([0] + [p.coeffs.size for p in system.polys]).tolist()
+        self.rows = [([to_extended(c) for c in p.coeffs], where.ravel()[lo:hi].tolist())
+                     for p, lo, hi in zip(system.polys, bounds, bounds[1:])]
 
     def evaluate(self, z):
-        return [self._eval_terms(terms, z) for terms in self.polys]
-
-    def jacobian(self, z):
-        return mpmath.matrix([[self._eval_terms(cell, z) for cell in row]
-                              for row in self.jacs])
+        powers = [[1, zj] for zj in z]
+        for pw, d in zip(powers, self.degrees):
+            while len(pw) <= d:
+                pw.append(pw[-1] * pw[1])
+        mons = [reduce(mul, [powers[j][e] for j, e in factors])
+                for factors in self.monomials]
+        return [mpmath.fdot(coeffs, [mons[k] for k in idx])
+                for coeffs, idx in self.rows]
 
 
 def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPoint]:
-    """Sharpen solutions to the requested number of digits by Newton's method.
+    """Sharpen solutions (SolutionPoints or coordinate lists) to 10^-digits.
 
-    Iterates in fixed 160-bit arithmetic until successive iterates agree to
-    10^-digits relative in every coordinate (coordinates below 1 are held to
-    the same absolute tolerance).  Raises RefinementDiverged when Newton
-    stops contracting, which signals a singular or wrong input point.
+    Mixed-precision Newton: each correction solves J(z) delta = -f(z) by
+    lin_solve, with f evaluated at 160 bits and rounded to complex128 and J
+    the hardware-precision Jacobian, and adds delta to the 160-bit iterate.
+    A correction shrinks the error by about kappa_inf * 2^-53.  Stops when
+    an update is at most 10^-digits relative in every coordinate (absolute
+    below 1).  Raises RefinementDiverged when the Jacobian counts as
+    singular (kappa_inf >= 1e14, see lin_solve) or the updates stop
+    contracting, which signals a singular or wrong input point.
     """
     if not 1 <= digits <= 30:
         raise ValueError("digits must be between 1 and 30")
-    tol = mpmath.mpf(10) ** (-digits)
+    tol = 10.0 ** -digits
     out = []
     with extended_precision():
         ext = _ExtendedSystem(system)
         for sp in points:
-            coords = sp.coordinates if isinstance(sp, SolutionPoint) else sp
-            z = [to_extended(c) for c in coords]
+            if not isinstance(sp, SolutionPoint):
+                sp = SolutionPoint(
+                    coordinates=tuple(sp), condition_number=math.nan, cycle_number=1,
+                    function_residual=math.nan, last_t=0.0, max_precision_bits=53,
+                    newton_residual=math.nan, solution_number=len(out))
+            z = [to_extended(c) for c in sp.coordinates]
             updates = []
-            converged = False
-            for it in range(30):
+            for _ in range(30):
+                fval = [complex(v) for v in ext.evaluate(z)]
                 try:
-                    jac = ext.jacobian(z)
-                    fval = mpmath.matrix(ext.evaluate(z))
-                    delta = mpmath.lu_solve(jac, -fval)
-                except ZeroDivisionError as exc:
-                    raise RefinementDiverged("singular Jacobian during sharpening") from exc
+                    delta = lin_solve(system.jacobian([complex(zi) for zi in z]),
+                                      np.negative(fval)).tolist()
+                except SingularMatrix as exc:
+                    raise RefinementDiverged(
+                        "singular Jacobian during sharpening (refinement needs "
+                        f"kappa_inf < 1e14 at hardware precision): {exc}") from exc
                 z = [zi + di for zi, di in zip(z, delta)]
-                rel = max(abs(di) / max(1, abs(zi)) for zi, di in zip(z, delta))
                 updates.append(max(abs(di) for di in delta))
-                if rel <= tol:
-                    converged = True
+                if max(abs(di) / max(1.0, abs(complex(zi)))
+                       for zi, di in zip(z, delta)) <= tol:
                     break
                 if len(updates) >= 5 and updates[-1] > updates[-2] >= updates[-3]:
                     raise RefinementDiverged("Newton updates stopped contracting")
-            if not converged:
+            else:
                 raise RefinementDiverged(
                     f"no agreement to {digits} digits within 30 iterations")
-            residual = max(abs(v) for v in ext.evaluate(z))
-            base = sp if isinstance(sp, SolutionPoint) else None
-            out.append(SolutionPoint(
-                coordinates=tuple(z),
-                condition_number=base.condition_number if base else float("nan"),
-                cycle_number=base.cycle_number if base else 1,
-                function_residual=float(residual),
-                last_t=base.last_t if base else 0.0,
-                max_precision_bits=EXTENDED_PREC_BITS,
-                newton_residual=float(updates[-1]) if updates else 0.0,
-                solution_number=base.solution_number if base else len(out),
-                multiplicity=base.multiplicity if base else 1,
-                is_projective=base.is_projective if base else False,
-            ))
+            out.append(replace(
+                sp, coordinates=tuple(z), max_precision_bits=EXTENDED_PREC_BITS,
+                function_residual=float(max(abs(v) for v in ext.evaluate(z))),
+                newton_residual=updates[-1]))
     return out
 
 

@@ -4,10 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from polypath.algebra import vec_inf_norm
+from polypath import zerodim
+from polypath.algebra import lin_solve, vec_inf_norm
 from polypath.errors import NotHomogeneous, NotSquare, RefinementDiverged
 from polypath.parser import parse_polynomial
-from polypath.polysys import PolySystem
+from polypath.polysys import Polynomial, PolySystem
 from polypath.tracker import PathResult, PathStatus
 from polypath.zerodim import (
     dedupe,
@@ -238,6 +239,85 @@ def test_refine_diverges_on_singular_root():
 def test_refine_rejects_bad_digit_counts(circles):
     with pytest.raises(ValueError):
         refine_solutions(circles, [], 31)
+
+
+def _katsura3(z):
+    """katsura-3 from its formula: sum_l x_|l| x_|m-l| - x_m for m = 0..2,
+    and x0 + 2 (x1 + x2 + x3) - 1."""
+    eqs = [sum(z[abs(l)] * z[abs(m - l)] for l in range(-3, 4) if abs(m - l) <= 3)
+           - z[m] for m in range(3)]
+    return eqs + [z[0] + 2 * (z[1] + z[2] + z[3]) - 1]
+
+
+def _katsura3_jacobian(z):
+    jac = [[sum(z[abs(m - l)] * (abs(l) == k) + z[abs(l)] * (abs(m - l) == k)
+                for l in range(-3, 4) if abs(m - l) <= 3) - (m == k)
+            for k in range(4)] for m in range(3)]
+    return jac + [[1, 2, 2, 2]]
+
+
+def test_refine_matches_a_300_bit_newton_on_katsura3():
+    system = _sys(["x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0",
+                   "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1",
+                   "2*x0*x2 + x1^2 + 2*x1*x3 - x2",
+                   "x0 + 2*x1 + 2*x2 + 2*x3 - 1"], ["x0", "x1", "x2", "x3"])
+    sols = zero_dim_solve(system, seed=0)
+    assert len(sols) == 8
+    refined = refine_solutions(system, sols, 30)
+    with mpmath.workprec(300):
+        for sp, ref in zip(sols, refined):
+            z = mpmath.matrix([mpmath.mpc(c) for c in sp.coordinates])
+            for _ in range(12):
+                z -= mpmath.lu_solve(mpmath.matrix(_katsura3_jacobian(z)),
+                                     mpmath.matrix(_katsura3(z)))
+            assert max(abs(v) for v in _katsura3(z)) < mpmath.mpf(10) ** -80
+            for zi, ri in zip(z, ref.coordinates):
+                assert abs(ri - zi) <= mpmath.mpf(10) ** -30 * (1 + abs(zi))
+            assert ref.function_residual <= 1e-29
+            assert ref.newton_residual <= 1e-30 * (1 + max(abs(c) for c in ref.coordinates))
+
+
+def _near_singular_line_pair(eps):
+    """x + y - 2 and x + (1 + eps) y - (2 + eps): root (1, 1), kappa_inf ~ 4/eps."""
+    return PolySystem(["x", "y"], [Polynomial.linear([1, 1], -2, 2),
+                                   Polynomial.linear([1, 1 + eps], -(2 + eps), 2)])
+
+
+def test_refine_contracts_slowly_but_converges_when_ill_conditioned(monkeypatch):
+    # eps = 2^-30 (about 1e-9) keeps every coefficient and the root exact
+    # in binary; kappa_inf ~ 4.3e9, so a correction shrinks the error by
+    # only about kappa_inf * 2^-53 ~ 5e-7.  The start is given to 35
+    # digits, so the residuals do not round exactly to complex128.
+    system = _near_singular_line_pair(2.0 ** -30)
+    start = [("1.0031415926535897932384626433832795", "0"),
+             ("0.99728171817154095235360287471352662", "0")]
+    solves = []
+
+    def counting_solve(a, b):
+        solves.append(1)
+        return lin_solve(a, b)
+
+    monkeypatch.setattr(zerodim, "lin_solve", counting_solve)
+    (sp,) = refine_solutions(system, [start], 30)
+    assert 4 <= len(solves) < 30
+    for c in sp.coordinates:
+        assert abs(c - 1) <= mpmath.mpf(10) ** -30
+    assert sp.newton_residual <= 2e-30
+
+
+def test_refine_reports_a_jacobian_past_the_singular_bound():
+    # eps = 2^-50 (about 1e-15): kappa_inf ~ 4.5e15 >= 1e14, so lin_solve
+    # counts the Jacobian as singular and refinement cannot correct
+    system = _near_singular_line_pair(2.0 ** -50)
+    with pytest.raises(RefinementDiverged, match="kappa_inf < 1e14"):
+        refine_solutions(system, [[1.25, 0.75]], 30)
+
+
+def test_refine_reports_a_residual_beyond_hardware_range():
+    # f(1e200) = 1e400 overflows complex128, so no correction is defined
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RefinementDiverged, match="kappa_inf < 1e14"):
+        refine_solutions(_sys(["x^2 - 1"], ["x"]), [[1e200]], 10)
 
 
 # -- parameter homotopy ---------------------------------------------------------
