@@ -19,6 +19,7 @@ from .tracker import (
     homotopy_eval,
     straight_line_homotopy,
     track_path,
+    track_paths,
 )
 from .zerodim import (
     SolutionPoint,
@@ -64,6 +65,7 @@ __all__ = [
     "homotopy_eval",
     "straight_line_homotopy",
     "track_path",
+    "track_paths",
     "SolutionPoint",
     "StartData",
     "dedupe",

@@ -61,12 +61,43 @@ def vec_inf_norm(v) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def _solve_and_condition(a, b):
-    """x = A^-1 b and the infinity-norm condition of A from one LAPACK call.
+def solve_stack(a, b):
+    """x[i] = a[i]^-1 b[i] and kappa_inf(a[i]) for a stack of square systems.
 
-    Solving against [b | I] yields x and A^-1 together.  Raises
-    SingularMatrix when LAPACK meets an exactly zero pivot, when
-    kappa_inf(A) >= 1 / _PIVOT_RTOL, or when anything is not finite.
+    a is (m, n, n) and b is (m, n, k).  Solving against [b | I] yields x
+    and the inverses from one LAPACK call.  Returns x, kappa and a mask
+    ok: row i is singular, as for lin_solve, when a[i] is exactly singular
+    (kappa[i] is then inf), kappa[i] >= 1 / _PIVOT_RTOL, or anything in
+    row i is not finite.  One exactly singular matrix makes LAPACK reject
+    the whole stack, which is then solved one matrix at a time.
+    """
+    m, n, k = b.shape
+    rhs = np.empty((m, n, k + n), dtype=complex)
+    rhs[:, :, :k] = b
+    rhs[:, :, k:] = np.eye(n)
+    exact = []
+    try:
+        sol = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full(rhs.shape, np.nan, dtype=complex)
+        for i in range(m):
+            try:
+                sol[i] = np.linalg.solve(a[i], rhs[i])
+            except np.linalg.LinAlgError:
+                exact.append(i)
+    x = sol[:, :, :k]
+    kappa = np.abs(a).sum(2).max(1) * np.abs(sol[:, :, k:]).sum(2).max(1)
+    if exact:
+        kappa[exact] = np.inf
+    # NaN compares false, so non-finite A or A^-1 fails the bound too
+    ok = (kappa < 1.0 / _PIVOT_RTOL) & np.isfinite(x).all(axis=(1, 2))
+    return x, kappa, ok
+
+
+def _solve_and_condition(a, b):
+    """x = A^-1 b and the infinity-norm condition of A: solve_stack for one A.
+
+    Raises SingularMatrix when A counts as singular.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -76,19 +107,11 @@ def _solve_and_condition(a, b):
     if b.shape[:1] != (n,):
         raise DimensionMismatch(f"A is {a.shape}, b has shape {b.shape}")
     k = b.size // n if n else 0
-    rhs = np.eye(n, k + n, k, dtype=complex)
-    rhs[:, :k] = b.reshape(n, k)
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("LAPACK reports an exactly singular matrix") from None
-    x = sol[:, :k]
-    # NaN compares false, so non-finite A or A^-1 fails the bound too
-    kappa = abs(a).sum(1).max() * abs(sol[:, k:]).sum(1).max()
-    if not (kappa < 1.0 / _PIVOT_RTOL and np.isfinite(x).all()):
-        raise SingularMatrix(f"condition {kappa:.3e} (singular from "
+    x, kappa, ok = solve_stack(a[None], b.reshape(1, n, k))
+    if not ok[0]:
+        raise SingularMatrix(f"condition {kappa[0]:.3e} (singular from "
                              f"{1.0 / _PIVOT_RTOL:.0e}) or a non-finite solution")
-    return x.reshape(b.shape), float(kappa)
+    return x[0].reshape(b.shape), float(kappa[0])
 
 
 def lin_solve(a, b):

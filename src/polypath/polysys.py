@@ -88,9 +88,6 @@ class Polynomial:
         exps[:, j] -= 1
         return Polynomial(exps, coeffs, width=self.width)
 
-    def scaled(self, c: complex) -> "Polynomial":
-        return Polynomial(self.exps, self.coeffs * c, width=self.width)
-
     def value(self, point) -> complex:
         point = np.asarray(point, dtype=complex)
         if point.shape[0] != self.width:
@@ -151,15 +148,16 @@ def _distinct_rows(exps):
 
 
 class MonomialKernel:
-    """Values and first partials of several polynomials at one point.
+    """Values and first partials of several polynomials at a point or a stack.
 
     Built once, with numpy: each polynomial and each of its partials with
     respect to every exponent column becomes one column of a coefficient
     matrix over the distinct exponent rows (monomials) they use.  A call
     is one power table, one gather of every monomial's factors, their
     product and one product mon @ C.  The result has shape
-    (len(polys), 1 + width): column 0 holds the values, column 1 + j the
-    partials by column j.
+    (len(polys), 1 + width), or (points, len(polys), 1 + width) for a
+    stack of points: column 0 holds the values, column 1 + j the partials
+    by column j.
     """
 
     __slots__ = ("powers", "gather", "coeffs", "shape")
@@ -187,9 +185,17 @@ class MonomialKernel:
         self.shape = (len(polys), k)
 
     def __call__(self, point):
-        pw = point[:, None] ** self.powers
-        mon = pw.ravel()[self.gather].prod(axis=0)
-        return (mon @ self.coeffs).reshape(self.shape)
+        """The table at one point, or a stack of tables, one per row of a
+        (points, width) array."""
+        if point.ndim == 1:
+            pw = point[:, None] ** self.powers
+            mon = pw.ravel()[self.gather].prod(axis=0)
+            return (mon @ self.coeffs).reshape(self.shape)
+        pw = point[:, :, None] ** self.powers
+        mon = pw.reshape(point.shape[0], -1)[:, self.gather].prod(axis=1)
+        # a stack of one-row products: each equals the one-point product bit
+        # for bit, and none goes to the threaded BLAS matrix product
+        return (mon[:, None, :] @ self.coeffs).reshape((point.shape[0],) + self.shape)
 
 
 class PolySystem:

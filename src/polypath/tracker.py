@@ -7,9 +7,16 @@ family's parameter partials.  The gamma-trick straight line
 (1-t) f + gamma t g is the family u f + v g from (u, v) = (0, gamma) to
 (1, 0); a slice move does the same for the slice rows of a witness system.
 
+track_paths advances all paths of one homotopy in lock-step.  Each path
+keeps its own t, step size, success count, step count and status; the
+paths share the work, so a predictor stage or a Newton iteration is one
+evaluation of H on the stack of their points and one stacked LAPACK
+solve.  A path that finishes or fails leaves the stack, and track_path
+and endgame are the one-path case.
+
 Paths are tracked from t = 1 to the endgame boundary with an RK4 predictor
 on the Davidenko ODE dz/dt = -(dH/dz)^-1 dH/dt and a short Newton corrector
-at fixed t.  From the boundary, the endgame samples the path at
+at fixed t.  From the boundary, the endgame samples every path at the same
 t_k = t_EG * 2^-k, estimates the winding (cycle) number from the geometric
 convergence rate of the samples, and Richardson-extrapolates in t^(1/c) to
 the limit point.  Tracking runs entirely at hardware precision.
@@ -23,11 +30,10 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import lin_solve, condition_estimate, vec_inf_norm
+from .algebra import solve_stack
 from .errors import (
     DimensionMismatch,
     EndgameDivergence,
-    SingularMatrix,
     StartPointInvalid,
 )
 from .polysys import LinearSlice, Polynomial, PolySystem
@@ -38,6 +44,17 @@ class PathStatus(Enum):
     AT_INFINITY = "AtInfinity"
     STEP_FAILURE = "StepFailure"
     MAX_STEPS = "MaxSteps"
+
+
+# PathResult.reason of a path that did not succeed
+MAIN_COLLAPSE = "main-phase step collapse"
+ENDGAME_COLLAPSE = "endgame step collapse"
+BOUNDARY_FAILED = "boundary correction failed"
+NOT_CAUCHY = "endgame samples not Cauchy"
+ENDGAME_SINGULAR = "singular Jacobian in the endgame"
+BEYOND_INFINITY = "beyond the infinity threshold"
+STEP_BUDGET = "step budget"
+ABOVE_GATE = "residual above the success gate"
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,10 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class PathResult:
+    """One tracked path.  A path that did not succeed names why in reason:
+    one of the module's reason strings, from MAIN_COLLAPSE to ABOVE_GATE.
+    Its endpoint and last_t are then the last point the path reached."""
+
     status: PathStatus
     endpoint: np.ndarray
     last_t: float
@@ -77,6 +98,7 @@ class PathResult:
     condition_number: float
     steps_taken: int
     max_precision_bits: int = 53
+    reason: str | None = None
 
 
 class Homotopy:
@@ -87,6 +109,15 @@ class Homotopy:
     def eval(self, z, t):
         """Return (H(z,t), dH/dz, dH/dt)."""
         raise NotImplementedError
+
+    def eval_batch(self, z, t):
+        """eval at each point z[i] and time t[i], stacked along a first axis.
+
+        This default calls eval once per point; subclasses that can
+        evaluate a stack at once override it.
+        """
+        out = [self.eval(zi, float(ti)) for zi, ti in zip(z, t)]
+        return tuple(np.array(part, dtype=complex) for part in zip(*out))
 
 
 class ParameterPathHomotopy(Homotopy):
@@ -107,11 +138,16 @@ class ParameterPathHomotopy(Homotopy):
         self._dp = p_start - p_target
 
     def eval(self, z, t):
-        p = t * self.p_start + (1.0 - t) * self.p_target
-        # rows [F | dF/dz | dF/dp] of the family's kernel
-        out = self._kernel(np.concatenate([z, p]))
+        value, dz, dt = self.eval_batch(np.asarray(z, dtype=complex)[None],
+                                        np.array([t], dtype=float))
+        return value[0], dz[0], dt[0]
+
+    def eval_batch(self, z, t):
+        p = self.p_target + t[:, None] * self._dp
+        # rows [F | dF/dz | dF/dp] of the family's kernel, one block per point
+        out = self._kernel(np.concatenate([z, p], axis=1))
         nv = 1 + self.num_vars
-        return out[:, 0], out[:, 1:nv], out[:, nv:] @ self._dp
+        return out[:, :, 0], out[:, :, 1:nv], out[:, :, nv:] @ self._dp
 
 
 def _lift(p: Polynomial, a: int, b: int):
@@ -173,49 +209,106 @@ def homotopy_eval(homotopy: Homotopy, z, t):
     return homotopy.eval(_as_point(homotopy, z), float(t))
 
 
-# -- stepping primitives -----------------------------------------------------
+# -- stacked primitives --------------------------------------------------------
+
+def _norms(v):
+    """Infinity norm of every row of a (rows, n) array."""
+    return np.abs(v).max(axis=1)
+
+
+def _solve_rows(a, b):
+    """x[i] = a[i]^-1 b[i] for every row, NaN where lin_solve would raise;
+    and the mask of rows that solved."""
+    x, _, ok = solve_stack(a, b[:, :, None])
+    x = x[:, :, 0]
+    if not ok.all():
+        x[~ok] = np.nan
+    return x, ok
+
 
 def _tangent(h: Homotopy, z, t):
-    _, dz, dt = h.eval(z, t)
-    return lin_solve(dz, -dt)
+    _, dz, dt = h.eval_batch(z, t)
+    return _solve_rows(dz, -dt)[0]
 
 
-def _predict(h: Homotopy, z, t, step, scheme):
-    """One explicit predictor step of signed size `step` in t."""
-    if scheme == "euler":
-        return z + step * _tangent(h, z, t)
-    k1 = _tangent(h, z, t)
-    k2 = _tangent(h, z + 0.5 * step * k1, t + 0.5 * step)
-    k3 = _tangent(h, z + 0.5 * step * k2, t + 0.5 * step)
-    k4 = _tangent(h, z + step * k3, t + step)
-    return z + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+_CONVERGED, _STALLED, _SINGULAR = 0, 1, 2
 
 
-def _correct(h: Homotopy, z, t, tol, max_iters):
-    """Newton at fixed t.  Returns (point, residual, last_update, converged)."""
-    z = np.array(z, dtype=complex)
-    update = 0.0
-    for _ in range(max_iters):
-        value, dz, _ = h.eval(z, t)
-        res = vec_inf_norm(value)
-        if not math.isfinite(res):
-            return z, res, update, False
-        if res <= tol:
-            return z, res, update, True
-        delta = lin_solve(dz, -value)
-        z = z + delta
-        update = vec_inf_norm(delta)
-    value, _, _ = h.eval(z, t)
-    res = vec_inf_norm(value)
-    return z, res, update, res <= tol
+def _newton(h: Homotopy, z, t, tol, iters):
+    """Newton at fixed t on every row of z (updated in place), stopping each
+    row as soon as its residual is at most tol (a scalar or one per row).
+
+    Returns the points, the size of each row's last update, a code per row
+    (_CONVERGED; _STALLED: residual above tol after iters updates, or not
+    finite; _SINGULAR: a singular Jacobian, the row keeps its last point)
+    and the Jacobian and dH/dt of the last evaluation at each returned point.
+    """
+    m, n = z.shape
+    update = np.zeros(m)
+    code = np.full(m, _STALLED)
+    if not m:
+        return z, update, code, np.empty((0, n, n), complex), np.empty((0, n), complex)
+    value, jac, dt = h.eval_batch(z, t)
+    rows = slice(None)      # the rows still iterating: all, until one stops
+    for it in range(iters + 1):
+        res = _norms(value)
+        done = res <= (tol if np.ndim(tol) == 0 else tol[rows])
+        go = ~done & np.isfinite(res)
+        if done.any():
+            code[_pick(rows, done)] = _CONVERGED
+        if it == iters or not go.any():
+            break
+        if not go.all():
+            rows, value = _pick(rows, go), value[go]
+        delta, ok = _solve_rows(jac[rows], -value)
+        if not ok.all():
+            code[_pick(rows, ~ok)] = _SINGULAR
+            rows, delta = _pick(rows, ok), delta[ok]
+            if not rows.size:
+                break
+        z[rows] += delta
+        update[rows] = _norms(delta)
+        value, jac[rows], dt[rows] = h.eval_batch(z[rows], t[rows])
+    return z, update, code, jac, dt
 
 
-def _endgame_correct(h, z, t, tol, max_iters):
-    """_correct inside the endgame, where a singular Jacobian ends the path."""
-    try:
-        return _correct(h, z, t, tol, max_iters)
-    except SingularMatrix as exc:
-        raise EndgameDivergence(f"singular Jacobian at t = {t:.3g}") from exc
+def _pick(rows, mask):
+    """The rows (a slice of all rows or an index array) where mask holds."""
+    return np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
+
+
+def _cycle_numbers(samples, final_tol):
+    """Winding number of every row from the geometric decay of its samples.
+
+    Consecutive samples halve t, so differences of a cycle-c path shrink by
+    2^(-1/c); the inverse map of the median of the last three usable decay
+    ratios (the larger of two) recovers c.  Converged (tiny) differences
+    mean a regular endpoint, cycle 1.
+    """
+    diffs = np.abs(np.diff(samples, axis=1)).max(axis=2)
+    if diffs.shape[1] < 2:
+        return np.ones(samples.shape[0], dtype=int)
+    a, b = diffs[:, :-1], diffs[:, 1:]
+    r = b / a
+    usable = (a > final_tol) & (b > final_tol) & (r > 0.0) & (r < 0.95)
+    usable &= np.cumsum(usable[:, ::-1], axis=1)[:, ::-1] <= 3
+    count = usable.sum(axis=1)
+    tail = np.sort(np.where(usable, r, np.inf), axis=1)
+    mid = np.take_along_axis(tail, (count // 2)[:, None], axis=1)[:, 0]
+    c = np.clip(np.round(np.log(2.0) / -np.log(mid)), 1, 8)
+    return np.where(count > 0, c, 1).astype(int)
+
+
+def _extrapolate(samples, cycles, max_level=4):
+    """Richardson extrapolation in s = t^(1/cycle) over each row's geometric samples."""
+    r = (0.5 ** (1.0 / cycles))[:, None, None]
+    tab = samples[:, -(max_level + 1):]
+    level = 1
+    while tab.shape[1] > 1:
+        rm = r ** level
+        tab = (tab[:, 1:] - rm * tab[:, :-1]) / (1.0 - rm)
+        level += 1
+    return tab[:, 0]
 
 
 class _AtInfinity(EndgameDivergence):
@@ -226,65 +319,272 @@ class _StepBudgetExhausted(Exception):
     pass
 
 
-class _Advancer:
-    """Adaptive stepping shared by the main phase and the endgame legs.
+# -- the lock-step tracker -------------------------------------------------------
 
-    Stands in for the homotopy in the stepping primitives: its eval
-    remembers the last evaluation, so the predictor's first tangent after
-    an accepted step reuses the corrector's final evaluation at the same
-    (z, t) instead of evaluating H again.
+class _Paths:
+    """The live paths of one homotopy, one row each, advanced in lock-step.
+
+    Per row: point z, time t, step size, consecutive successes, steps taken
+    (limit: where the phase's step budget runs out, each phase has its own),
+    the Jacobian and dH/dt of the last evaluation at (z, t), so the next
+    predictor step needs no new one, and in the endgame the samples, the
+    growth count of their differences, the last extrapolant, cycle number
+    and Newton update.  A path that finishes or fails leaves the stack;
+    its outcome goes to the per-path arrays at its index idx.
     """
 
-    def __init__(self, h: Homotopy, cfg: TrackerConfig):
-        self.h = h
-        self.cfg = cfg
-        self.steps = 0
-        self.step_size = cfg.initial_step
-        self.successes = 0
-        self._last_key = None
-        self._last = None
+    _ROWS = ("idx", "z", "t", "step", "succ", "steps", "limit", "jac", "dt",
+             "samples", "grew", "extrap", "cycle", "newton")
 
-    def eval(self, z, t):
-        key = (z.tobytes(), t)
-        if key != self._last_key:
-            self._last_key, self._last = key, self.h.eval(z, t)
-        return self._last
+    def __init__(self, h: Homotopy, cfg: TrackerConfig, z, t):
+        m, n = z.shape
+        self.h, self.cfg = h, cfg
+        self.idx = np.arange(m)
+        self.z = z
+        self.t = np.full(m, float(t))
+        self.step = np.full(m, cfg.initial_step)
+        self.succ = np.zeros(m, dtype=int)
+        self.steps = np.zeros(m, dtype=int)
+        self.limit = np.full(m, cfg.max_steps)
+        self.jac = np.full((m, n, n), np.nan, dtype=complex)
+        self.dt = np.full((m, n), np.nan, dtype=complex)
+        self.samples = np.empty((m, 0, n), dtype=complex)
+        self.grew = np.zeros(m, dtype=int)
+        self.extrap = z
+        self.cycle = np.ones(m, dtype=int)
+        self.newton = np.zeros(m)
+        # outcomes by path index; status None marks a path that finished
+        # the endgame and awaits the success gate
+        self.out_z = z.copy()
+        self.out_t = self.t.copy()
+        self.out_cycle = np.ones(m, dtype=int)
+        self.out_newton = np.zeros(m)
+        self.out_fres = np.full(m, math.inf)
+        self.out_steps = np.zeros(m, dtype=int)
+        self.status = [None] * m
+        self.reason = [None] * m
 
-    def advance(self, z, t_from, t_to):
+    def _split(self, mask):
+        """Drop the rows in mask from the stack and return them."""
+        out = {}
+        keep = ~mask
+        for name in self._ROWS:
+            rows = getattr(self, name)
+            out[name] = rows[mask]
+            setattr(self, name, rows[keep])
+        return out
+
+    def _join(self, parts):
+        """Put rows returned by _split back on the stack."""
+        for name in self._ROWS:
+            setattr(self, name, np.concatenate([getattr(self, name)]
+                                               + [p[name] for p in parts]))
+
+    def _leave(self, mask, status=None, reason=None):
+        """Record the rows in mask as finished (status None) or failed, and drop them."""
+        if not mask.any():
+            return
+        rows = self.idx[mask]
+        self.out_z[rows] = self.extrap[mask] if status is None else self.z[mask]
+        self.out_t[rows] = self.t[mask]
+        self.out_steps[rows] = self.steps[mask]
+        if status is None:
+            self.out_cycle[rows] = self.cycle[mask]
+            self.out_newton[rows] = self.newton[mask]
+        for i in rows.tolist():
+            self.status[i], self.reason[i] = status, reason
+        self._split(mask)
+
+    def _first_tangent(self):
+        """The predictor's first tangent, from the evaluation kept at (z, t)."""
+        return _solve_rows(self.jac, -self.dt)[0]
+
+    def _predict(self, s):
+        """One explicit predictor step of signed size s[i] in t for every row."""
+        z, t, h = self.z, self.t, self.h
+        k1 = self._first_tangent()
+        sc = s[:, None]
+        if self.cfg.predictor == "euler":
+            return z + sc * k1
+        half, t_half = 0.5 * sc, t + 0.5 * s
+        k2 = _tangent(h, z + half * k1, t_half)
+        k3 = _tangent(h, z + half * k2, t_half)
+        k4 = _tangent(h, z + sc * k3, t + s)
+        return z + (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def advance(self, t_to, collapse):
+        """Adaptive steps of every row from its t down to t_to.
+
+        A step is accepted when the corrector converges; every
+        growth_successes accepted steps in a row grow the step size, and a
+        rejected step shrinks it.  A row leaves on collapse (its step size
+        below min_step), past the infinity threshold, or at the step budget.
+        Rows that reach t_to wait aside until every row has.
+        """
         cfg = self.cfg
-        t = t_from
-        z = np.asarray(z, dtype=complex)
-        while t > t_to + 1e-16:
-            if self.steps >= cfg.max_steps:
-                raise _StepBudgetExhausted
+        arrived = []
+        while self.idx.size:
+            spent = self.steps >= self.limit
+            if spent.any():
+                self._leave(spent, PathStatus.MAX_STEPS, STEP_BUDGET)
+                continue
             self.steps += 1
-            h_step = min(self.step_size, t - t_to)
-            ok = False
-            try:
-                zp = _predict(self, z, t, -h_step, cfg.predictor)
-                if np.all(np.isfinite(zp)):
-                    zc, _, _, ok = _correct(self, zp, t - h_step,
-                                            cfg.corrector_tol, cfg.newton_iterations)
-            except SingularMatrix:
-                ok = False
-            if ok:
-                z = zc
-                t -= h_step
-                if vec_inf_norm(z) > cfg.infinity_threshold:
-                    raise _AtInfinity
-                self.successes += 1
-                if self.successes >= cfg.growth_successes:
-                    self.step_size = min(self.step_size * cfg.step_growth, cfg.max_step)
-                    self.successes = 0
+            s = np.minimum(self.step, self.t - t_to)
+            t1 = self.t - s
+            zp = self._predict(-s)
+            ok = np.isfinite(zp).all(axis=1)
+            some = not ok.all()
+            zc, _, code, jac, dt = _newton(self.h, zp[ok] if some else zp, t1[ok] if some else t1,
+                                           cfg.corrector_tol, cfg.newton_iterations)
+            conv = code == _CONVERGED
+            ok[ok] = conv
+            if ok.all():
+                self.z, self.t, self.jac, self.dt = zc, t1, jac, dt
+                self.succ += 1
+                gone = _norms(self.z) > cfg.infinity_threshold
             else:
-                self.successes = 0
-                self.step_size *= cfg.step_shrink
-                if self.step_size < cfg.min_step:
-                    raise EndgameDivergence("step size fell below the minimum")
-        return z
+                self.z[ok], self.t[ok] = zc[conv], t1[ok]
+                self.jac[ok], self.dt[ok] = jac[conv], dt[conv]
+                self.succ[ok] += 1
+                self.succ[~ok] = 0
+                self.step[~ok] *= cfg.step_shrink
+                gone = ok & (_norms(self.z) > cfg.infinity_threshold)
+                gone |= ~ok & (self.step < cfg.min_step)
+            grow = self.succ >= cfg.growth_successes
+            if grow.any():
+                grow &= ok
+                self.step[grow] = np.minimum(self.step[grow] * cfg.step_growth, cfg.max_step)
+                self.succ[grow] = 0
+            if gone.any():
+                far = ok & gone
+                self._leave(far, PathStatus.AT_INFINITY, BEYOND_INFINITY)
+                self._leave(gone[~far], PathStatus.STEP_FAILURE, collapse)
+            done = self.t <= t_to + 1e-16
+            if done.all():
+                break
+            if done.any():
+                arrived.append(self._split(done))
+        if arrived:
+            self._join(arrived)
+
+    def _correct(self, tol, iters):
+        """Newton on every row at its t; rows take the result and the code of
+        a singular Jacobian fails the path in the endgame."""
+        self.z, self.newton, code, self.jac, self.dt = _newton(
+            self.h, self.z, self.t, tol, iters)
+        return code
+
+    def _polish(self):
+        """Newton beyond the tracking tolerance, so extrapolation sees tracking
+        noise well below final_tol.  A singular Jacobian fails the path."""
+        code = self._correct(1e-13 * (1.0 + _norms(self.z)), 6)
+        self._leave(code == _SINGULAR, PathStatus.STEP_FAILURE, ENDGAME_SINGULAR)
+
+    def endgame(self):
+        """Drive every row from the endgame boundary to its limit at t = 0.
+
+        Samples the rows at t_k = t_EG * 2^-k together; a row stops once two
+        consecutive extrapolants agree within final_tol (never before t_k is
+        at or below endgame_last_t_max) or at the halving cap.  Then each
+        limit is polished against H(. , 0) when Newton stays consistent
+        with the extrapolation.
+        """
+        cfg = self.cfg
+        self.t[:] = cfg.endgame_start
+        self.step[:] = min(cfg.initial_step, cfg.endgame_start / 2.0)
+        self.succ[:] = 0
+        self.limit = self.steps + cfg.max_steps
+        code = self._correct(cfg.corrector_tol, cfg.newton_iterations + 3)
+        self._leave(code == _SINGULAR, PathStatus.STEP_FAILURE, ENDGAME_SINGULAR)
+        self._leave((code == _STALLED)[code != _SINGULAR], PathStatus.STEP_FAILURE,
+                    BOUNDARY_FAILED)
+        self._polish()
+        self.samples = self.z[:, None, :].copy()
+        self.extrap = self.samples[:, 0]
+        for k in range(1, cfg.endgame_max_halvings + 1):
+            t_next = cfg.endgame_start * 0.5 ** k
+            self.advance(t_next, ENDGAME_COLLAPSE)
+            self.t[:] = t_next
+            self._polish()
+            self._leave(_norms(self.z) > cfg.infinity_threshold,
+                        PathStatus.AT_INFINITY, BEYOND_INFINITY)
+            self.samples = np.concatenate([self.samples, self.z[:, None, :]], axis=1)
+            if k >= 2:
+                d = np.abs(self.samples[:, -2:] - self.samples[:, -3:-1]).max(axis=2)
+                grew = (d[:, 1] > d[:, 0]) & (d[:, 0] > cfg.final_tol)
+                self.grew = np.where(grew, self.grew + 1, 0)
+                self._leave(self.grew >= 3, PathStatus.STEP_FAILURE, NOT_CAUCHY)
+            self.cycle = _cycle_numbers(self.samples, cfg.final_tol)
+            extrap = _extrapolate(self.samples, self.cycle)
+            stop = np.zeros(extrap.shape[0], dtype=bool)
+            if k >= 2 and t_next <= cfg.endgame_last_t_max:
+                stop = (_norms(extrap - self.extrap)
+                        <= cfg.final_tol * (1.0 + _norms(extrap)))
+            self.extrap = extrap
+            self._leave(stop)
+            if not self.idx.size:
+                break
+        self._leave(np.ones(self.idx.size, dtype=bool))
+        self._polish_limits()
+
+    def _polish_limits(self):
+        """Guarded Newton at t = 0 on every finished path's limit: keep the
+        polished point only if it stays near the extrapolant and lowers the
+        residual.  Sets every finished path's function residual."""
+        done = np.array([i for i, s in enumerate(self.status) if s is None], dtype=int)
+        if not done.size:
+            return
+        ends = self.out_z[done]
+        zero = np.zeros(done.size)
+        value, jac, _ = self.h.eval_batch(ends, zero)
+        res0 = _norms(value)
+        zp = ends.copy()
+        rows = np.arange(done.size)
+        for it in range(3):
+            if it:
+                value, jac, _ = self.h.eval_batch(zp[rows], zero[rows])
+            delta, ok = _solve_rows(jac, -value)
+            rows, delta = rows[ok], delta[ok]
+            if not rows.size:
+                break
+            zp[rows] += delta
+        if rows.size:
+            res_p = _norms(self.h.eval_batch(zp[rows], zero[rows])[0])
+            moved = _norms(zp[rows] - ends[rows])
+            keep = (res_p < res0[rows]) & (moved <= 1e-4 * (1.0 + _norms(ends[rows])))
+            rows = rows[keep]
+            ends[rows], res0[rows] = zp[rows], res_p[keep]
+            self.out_newton[done[rows]] = _norms(delta[keep])
+        self.out_z[done] = ends
+        self.out_fres[done] = res0
+
+    def results(self) -> list[PathResult]:
+        """PathResults, with the success gate applied to every finished path."""
+        out_z = self.out_z
+        gate = 1e-8 * np.maximum(1.0, _norms(out_z))
+        for i, status in enumerate(self.status):
+            if status is None:
+                ok = self.out_fres[i] <= gate[i]
+                self.status[i] = PathStatus.SUCCESS if ok else PathStatus.STEP_FAILURE
+                self.reason[i] = None if ok else ABOVE_GATE
+        cond = _endpoint_conditions(self.h, out_z)
+        return [PathResult(status=self.status[i], endpoint=out_z[i].copy(),
+                           last_t=float(self.out_t[i]), cycle_number=int(self.out_cycle[i]),
+                           newton_residual=float(self.out_newton[i]),
+                           function_residual=float(self.out_fres[i]),
+                           condition_number=float(cond[i]),
+                           steps_taken=int(self.out_steps[i]), reason=self.reason[i])
+                for i in range(out_z.shape[0])]
 
 
-# -- endgame -----------------------------------------------------------------
+def _endpoint_conditions(h: Homotopy, z):
+    """condition_estimate of dH/dz at (z[i], 0) for every row."""
+    _, jac, _ = h.eval_batch(z, np.zeros(z.shape[0]))
+    _, kappa, ok = solve_stack(jac, np.zeros(jac.shape[:2] + (0,), dtype=complex))
+    return np.where(ok, np.maximum(kappa, 1.0), math.inf)
+
+
+# -- entry points ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EndgameResult:
@@ -294,43 +594,6 @@ class EndgameResult:
     newton_residual: float
     function_residual: float
     steps_taken: int
-
-
-def _estimate_cycle(samples, final_tol):
-    """Winding number from the geometric decay ratio of sample differences.
-
-    Consecutive samples halve t, so differences of a cycle-c path shrink by
-    2^(-1/c); the inverse map recovers c.  Converged (tiny) differences mean
-    a regular endpoint, cycle 1.
-    """
-    diffs = [vec_inf_norm(samples[i + 1] - samples[i])
-             for i in range(len(samples) - 1)]
-    ratios = []
-    for a, b in zip(diffs[:-1], diffs[1:]):
-        if a <= final_tol or b <= final_tol:
-            continue
-        r = b / a
-        if 0.0 < r < 0.95:
-            ratios.append(r)
-    if not ratios:
-        return 1
-    tail = ratios[-3:]
-    tail.sort()
-    r = tail[len(tail) // 2]
-    c = math.log(2.0) / -math.log(r)
-    return min(max(1, round(c)), 8)
-
-
-def _extrapolate(samples, cycle, max_level=4):
-    """Richardson extrapolation in s = t^(1/cycle) over geometric samples."""
-    r = 0.5 ** (1.0 / cycle)
-    tab = [np.array(s) for s in samples[-(max_level + 1):]]
-    level = 1
-    while len(tab) > 1:
-        rm = r ** level
-        tab = [(tab[i + 1] - rm * tab[i]) / (1.0 - rm) for i in range(len(tab) - 1)]
-        level += 1
-    return tab[0]
 
 
 def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> EndgameResult:
@@ -345,136 +608,63 @@ def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> Endgam
     correction meets a singular Jacobian.
     """
     cfg = cfg or TrackerConfig()
-    adv = _Advancer(h, cfg)
-    adv.step_size = min(cfg.initial_step, cfg.endgame_start / 2.0)
-
-    t = cfg.endgame_start
-    z, _, upd, ok = _endgame_correct(adv, _as_point(h, z_boundary), t,
-                                     cfg.corrector_tol, cfg.newton_iterations + 3)
-    if not ok:
-        raise EndgameDivergence("could not correct the boundary point")
-    z, _, upd, _ = _endgame_correct(adv, z, t, 1e-13 * (1.0 + vec_inf_norm(z)), 6)
-    samples = [z]
-    newton_res = upd
-    extrap = z
-    extrap_prev = None
-    cycle = 1
-    grew = 0
-
-    for k in range(1, cfg.endgame_max_halvings + 1):
-        t_next = cfg.endgame_start * 0.5 ** k
-        z = adv.advance(z, t, t_next)
-        # polish the sample beyond the tracking tolerance so extrapolation
-        # sees tracking noise well below final_tol
-        z, _, upd, _ = _endgame_correct(adv, z, t_next, 1e-13 * (1.0 + vec_inf_norm(z)), 6)
-        t = t_next
-        if vec_inf_norm(z) > cfg.infinity_threshold:
-            raise _AtInfinity
-        newton_res = upd
-        samples.append(z)
-
-        d_prev = vec_inf_norm(samples[-2] - samples[-3]) if len(samples) > 2 else None
-        d_cur = vec_inf_norm(samples[-1] - samples[-2])
-        grew = grew + 1 if (d_prev is not None and d_cur > d_prev > cfg.final_tol) else 0
-        if grew >= 3:
-            raise EndgameDivergence("endgame samples are not Cauchy")
-
-        cycle = _estimate_cycle(samples, cfg.final_tol)
-        extrap = _extrapolate(samples, cycle)
-        if (extrap_prev is not None and t <= cfg.endgame_last_t_max
-                and vec_inf_norm(extrap - extrap_prev)
-                <= cfg.final_tol * (1.0 + vec_inf_norm(extrap))):
-            break
-        extrap_prev = extrap
-
-    endpoint = extrap
-    # guarded polish at t = 0: keep it only if Newton stays near the
-    # extrapolant and actually reduces the residual
-    res0 = vec_inf_norm(h.eval(endpoint, 0.0)[0])
-    zp = np.array(endpoint)
-    try:
-        for _ in range(3):
-            value, dz, _ = h.eval(zp, 0.0)
-            delta = lin_solve(dz, -value)
-            zp = zp + delta
-        res_p = vec_inf_norm(h.eval(zp, 0.0)[0])
-        moved = vec_inf_norm(zp - endpoint)
-        if res_p < res0 and moved <= 1e-4 * (1.0 + vec_inf_norm(endpoint)):
-            newton_res = vec_inf_norm(delta)
-            endpoint = zp
-            res0 = res_p
-    except SingularMatrix:
-        pass
-
+    paths = _Paths(h, cfg, _as_point(h, z_boundary)[None].copy(), cfg.endgame_start)
+    with np.errstate(all="ignore"):
+        paths.endgame()
+    if paths.status[0] is not None:
+        reason = paths.reason[0]
+        error = {BEYOND_INFINITY: _AtInfinity, STEP_BUDGET: _StepBudgetExhausted}
+        raise error.get(reason, EndgameDivergence)(reason)
     return EndgameResult(
-        endpoint=endpoint,
-        cycle_number=cycle,
-        last_t=t,
-        newton_residual=newton_res,
-        function_residual=res0,
-        steps_taken=adv.steps,
+        endpoint=paths.out_z[0].copy(),
+        cycle_number=int(paths.out_cycle[0]),
+        last_t=float(paths.out_t[0]),
+        newton_residual=float(paths.out_newton[0]),
+        function_residual=float(paths.out_fres[0]),
+        steps_taken=int(paths.out_steps[0]),
     )
 
 
-# -- full path ---------------------------------------------------------------
+def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None) -> list[PathResult]:
+    """Track every start point's path of H from t = 1 to t = 0, in lock-step.
+
+    Each start point must be finite and satisfy the start system (H at
+    t = 1); otherwise StartPointInvalid is raised before any tracking.
+    Results come in the order of the starts; a path's status classifies
+    it: Success (finite endpoint with small target residual), AtInfinity,
+    StepFailure, or MaxSteps, with the reason of a non-success.
+    """
+    cfg = cfg or TrackerConfig()
+    try:
+        z = np.array(starts, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch(f"start points of different lengths: {exc}") from None
+    if not z.size:
+        return []
+    if z.ndim != 2 or z.shape[1] != h.num_vars:
+        raise DimensionMismatch(f"starts have shape {z.shape}, homotopy has {h.num_vars} variables")
+    with np.errstate(all="ignore"):
+        value, jac, dt = h.eval_batch(z, np.ones(z.shape[0]))
+        start_res = _norms(value)
+        valid = np.isfinite(z).all(axis=1) & (start_res <= 1e-8 * (1.0 + _norms(z)))
+        if not valid.all():
+            i = int(np.flatnonzero(~valid)[0])
+            raise StartPointInvalid(
+                f"start point {i}: residual {start_res[i]:.3e} too large for a "
+                "start-system solution")
+        paths = _Paths(h, cfg, z, 1.0)
+        paths.jac, paths.dt = jac, dt
+        paths.advance(cfg.endgame_start, MAIN_COLLAPSE)
+        paths.endgame()
+        return paths.results()
+
 
 def track_path(h: Homotopy, z_start, cfg: TrackerConfig | None = None) -> PathResult:
-    """Track one solution path of H from t = 1 to t = 0.
+    """Track one solution path of H from t = 1 to t = 0: track_paths of one start.
 
     The start point must satisfy the start system (H at t = 1); otherwise
     StartPointInvalid is raised.  The result status classifies the path:
     Success (finite endpoint with small target residual), AtInfinity,
     StepFailure, or MaxSteps.
     """
-    cfg = cfg or TrackerConfig()
-    z0 = _as_point(h, z_start)
-    start_res = vec_inf_norm(h.eval(z0, 1.0)[0])
-    if start_res > 1e-8 * (1.0 + vec_inf_norm(z0)):
-        raise StartPointInvalid(
-            f"start residual {start_res:.3e} too large for a start-system solution"
-        )
-
-    adv = _Advancer(h, cfg)
-
-    def _result(status, z, last_t, cyc=1, newt=0.0, fres=math.inf):
-        cond = _endpoint_condition(h, z)
-        return PathResult(status=status, endpoint=np.asarray(z, complex),
-                          last_t=float(last_t), cycle_number=int(cyc),
-                          newton_residual=float(newt), function_residual=float(fres),
-                          condition_number=cond, steps_taken=adv.steps)
-
-    z = z0
-    try:
-        z = adv.advance(z, 1.0, cfg.endgame_start)
-    except _AtInfinity:
-        return _result(PathStatus.AT_INFINITY, z, cfg.endgame_start)
-    except _StepBudgetExhausted:
-        return _result(PathStatus.MAX_STEPS, z, cfg.endgame_start)
-    except EndgameDivergence:
-        return _result(PathStatus.STEP_FAILURE, z, cfg.endgame_start)
-
-    try:
-        eg = endgame(h, z, cfg)
-    except _AtInfinity:
-        return _result(PathStatus.AT_INFINITY, z, cfg.endgame_start)
-    except _StepBudgetExhausted:
-        return _result(PathStatus.MAX_STEPS, z, cfg.endgame_start)
-    except EndgameDivergence:
-        return _result(PathStatus.STEP_FAILURE, z, cfg.endgame_start)
-    adv.steps += eg.steps_taken
-
-    endpoint = eg.endpoint
-    gate = 1e-8 * max(1.0, vec_inf_norm(endpoint))
-    status = PathStatus.SUCCESS if eg.function_residual <= gate else PathStatus.STEP_FAILURE
-    return _result(status, endpoint, eg.last_t, eg.cycle_number,
-                   eg.newton_residual, eg.function_residual)
-
-
-def _endpoint_condition(h: Homotopy, z) -> float:
-    try:
-        _, dz, _ = h.eval(np.asarray(z, complex), 0.0)
-    except (ValueError, FloatingPointError):
-        return math.inf
-    if not np.all(np.isfinite(dz)):
-        return math.inf
-    return condition_estimate(dz)
+    return track_paths(h, _as_point(h, z_start)[None], cfg)[0]

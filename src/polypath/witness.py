@@ -29,7 +29,7 @@ from .tracker import (
     TrackerConfig,
     slice_move_homotopy,
     straight_line_homotopy,
-    track_path,
+    track_paths,
 )
 from .zerodim import DEDUPE_TOL, total_degree_start
 
@@ -124,8 +124,7 @@ def _superset_once(system, dim, rng, patch, config):
     homotopy = straight_line_homotopy(square, start.start_system, gamma)
     points = []
     failures = 0
-    for sp in start.start_points:
-        res = track_path(homotopy, sp, config)
+    for res in track_paths(homotopy, start.start_points, config):
         if res.status is PathStatus.SUCCESS and _on_variety(system, res.endpoint, patch):
             points.append(res.endpoint)
         elif res.status is not PathStatus.AT_INFINITY:
@@ -193,8 +192,7 @@ def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None
     gamma = random_unit_complex(rng)
     homotopy = slice_move_homotopy(fixed, ws.slice, target_slice, gamma)
     moved = []
-    for p in ws.points:
-        res = track_path(homotopy, p, config)
+    for res in track_paths(homotopy, ws.points, config):
         if res.status is not PathStatus.SUCCESS:
             raise PathFailure(f"witness point failed to move ({res.status.value})")
         q = res.endpoint

@@ -36,14 +36,14 @@ from .errors import (
     RefinementDiverged,
     SingularMatrix,
 )
-from .polysys import Polynomial, PolySystem, affine_patch
+from .polysys import Polynomial, PolySystem, _distinct_rows, affine_patch
 from .tracker import (
     ParameterPathHomotopy,
     PathResult,
     PathStatus,
     TrackerConfig,
     straight_line_homotopy,
-    track_path,
+    track_paths,
 )
 
 DEDUPE_TOL = 1e-6
@@ -208,7 +208,7 @@ def zero_dim_solve(system: PolySystem, *, projective: bool = False,
     gamma = random_unit_complex(rng)
     start = total_degree_start(solved)
     homotopy = straight_line_homotopy(solved, start.start_system, gamma)
-    results = [track_path(homotopy, p, config) for p in start.start_points]
+    results = track_paths(homotopy, start.start_points, config)
     sols = dedupe(results, dedupe_tol, projective=projective)
     enriched = []
     for sp in sols:
@@ -235,14 +235,13 @@ class _ExtendedSystem:
             raise DimensionMismatch("refinement needs a parameter-free system")
         if system.n != system.num_vars:
             raise NotSquare("refinement needs a square system")
-        mons, where = np.unique(np.vstack([p.exps for p in system.polys]),
-                                axis=0, return_inverse=True)
+        mons, where = _distinct_rows(np.vstack([p.exps for p in system.polys]))
         self.degrees = np.max(mons, axis=0, initial=0).tolist()
         # (variable, power) factors; the constant monomial is z_0^0 = 1
         self.monomials = [[(j, e) for j, e in enumerate(row) if e] or [(0, 0)]
                           for row in mons.tolist()]
         bounds = np.cumsum([0] + [p.coeffs.size for p in system.polys]).tolist()
-        self.rows = [([to_extended(c) for c in p.coeffs], where.ravel()[lo:hi].tolist())
+        self.rows = [([to_extended(c) for c in p.coeffs], where[lo:hi].tolist())
                      for p, lo, hi in zip(system.polys, bounds, bounds[1:])]
 
     def evaluate(self, z):
@@ -357,8 +356,7 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     solution_sets = []
     for p1 in tuples:
         homotopy = ParameterPathHomotopy(family, p0, p1)
-        results = [track_path(homotopy, sp.coordinate_array(), config)
-                   for sp in stage1]
+        results = track_paths(homotopy, [sp.coordinate_array() for sp in stage1], config)
         sols = dedupe(results)
         target = family.specialize(p1)
         enriched = []

@@ -46,6 +46,24 @@ vars x, y;
 f1 = x*y;
 """
 
+KATSURA4 = """
+vars x0, x1, x2, x3, x4;
+f1 = x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 - x0;
+f2 = 2*x0*x1 + 2*x1*x2 + 2*x2*x3 + 2*x3*x4 - x1;
+f3 = 2*x0*x2 + x1^2 + 2*x1*x3 + 2*x2*x4 - x2;
+f4 = 2*x0*x3 + 2*x1*x2 + 2*x1*x4 - x3;
+f5 = x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 - 1;
+"""
+
+CYCLIC5 = """
+vars z0, z1, z2, z3, z4;
+f1 = z0 + z1 + z2 + z3 + z4;
+f2 = z0*z1 + z1*z2 + z2*z3 + z3*z4 + z4*z0;
+f3 = z0*z1*z2 + z1*z2*z3 + z2*z3*z4 + z3*z4*z0 + z4*z0*z1;
+f4 = z0*z1*z2*z3 + z1*z2*z3*z4 + z2*z3*z4*z0 + z3*z4*z0*z1 + z4*z0*z1*z2;
+f5 = z0*z1*z2*z3*z4 - 1;
+"""
+
 
 def _system(text):
     return parse_input_file(text).system
@@ -84,3 +102,13 @@ def conic_point():
 @pytest.fixture(scope="session")
 def xy_lines():
     return _system(XY_LINES)
+
+
+@pytest.fixture(scope="session")
+def katsura4():
+    return _system(KATSURA4)
+
+
+@pytest.fixture(scope="session")
+def cyclic5():
+    return _system(CYCLIC5)

@@ -12,13 +12,14 @@ from polypath.tracker import (
     ParameterPathHomotopy,
     PathStatus,
     TrackerConfig,
-    _Advancer,
-    _predict,
+    _Paths,
+    _tangent,
     endgame,
     homotopy_eval,
     slice_move_homotopy,
     straight_line_homotopy,
     track_path,
+    track_paths,
 )
 from polypath.zerodim import total_degree_start
 
@@ -103,8 +104,9 @@ def test_rk4_predictor_exact_on_linear_path():
     f = _sys(["x - 1"], ["x"])
     g = _sys(["x - 2"], ["x"])
     h = straight_line_homotopy(f, g, 1.0)
-    z = np.array([2.0 + 0.0j])
-    predicted = _predict(h, z, 1.0, -0.5, "rk4")
+    paths = _Paths(h, TrackerConfig(), np.array([[2.0 + 0.0j]]), 1.0)
+    _, paths.jac, paths.dt = h.eval_batch(paths.z, paths.t)
+    predicted = paths._predict(np.array([-0.5]))[0]
     assert abs(predicted[0] - 1.5) <= 1e-12
 
 
@@ -346,7 +348,8 @@ def test_reused_evaluation_keeps_paths_bitwise_identical(circles, monkeypatch):
     reused = [track_path(Counting(), p) for p in start.start_points]
     with_reuse = Counting.calls
     Counting.calls = 0
-    monkeypatch.setattr(_Advancer, "eval", lambda self, z, t: self.h.eval(z, t))
+    monkeypatch.setattr(_Paths, "_first_tangent",
+                        lambda self: _tangent(self.h, self.z, self.t))
     fresh = [track_path(Counting(), p) for p in start.start_points]
     for a, b in zip(reused, fresh):
         assert a.status == b.status and a.steps_taken == b.steps_taken
@@ -354,3 +357,133 @@ def test_reused_evaluation_keeps_paths_bitwise_identical(circles, monkeypatch):
         assert a.function_residual == b.function_residual
     # reuse saves an evaluation on at least every other step
     assert Counting.calls - with_reuse >= sum(r.steps_taken for r in fresh) // 2
+
+
+def test_non_finite_start_points_are_rejected(circle_line):
+    # NaN compares false against the start-residual bound, so these used to
+    # run 20 rejected steps and end as StepFailure
+    start = total_degree_start(circle_line)
+    h = straight_line_homotopy(circle_line, start.start_system, GAMMA)
+    for bad in ([math.nan, 1.0], [math.inf, 1.0]):
+        point = np.array(bad, dtype=complex)
+        with pytest.raises(StartPointInvalid):
+            track_path(h, point)
+        with pytest.raises(StartPointInvalid):
+            track_paths(h, [start.start_points[0], point])
+
+
+def test_track_paths_of_no_starts_is_empty(circles):
+    h = straight_line_homotopy(circles, total_degree_start(circles).start_system, GAMMA)
+    assert track_paths(h, []) == []
+    with pytest.raises(DimensionMismatch):
+        track_paths(h, [[0.5, 0.2, 0.1]])
+
+
+def test_reason_names_a_singular_jacobian_in_the_endgame():
+    res = track_path(_FlatBelowBoundary(), np.array([1.0], dtype=complex),
+                     TrackerConfig(predictor="euler"))
+    assert res.status is PathStatus.STEP_FAILURE
+    assert res.reason == "singular Jacobian in the endgame"
+
+
+def _cyclic5_seed1_homotopy(cyclic5):
+    # the gamma that zero_dim_solve draws at seed 1
+    rng = Rng(1)
+    rng.integers(2**63)
+    start = total_degree_start(cyclic5)
+    return straight_line_homotopy(cyclic5, start.start_system, random_unit_complex(rng)), start
+
+
+def test_reason_names_a_diverging_cyclic5_path(cyclic5):
+    h, start = _cyclic5_seed1_homotopy(cyclic5)
+    diverging, finite = track_paths(h, [start.start_points[0], start.start_points[4]])
+    assert diverging.status is PathStatus.STEP_FAILURE
+    assert diverging.reason == "endgame samples not Cauchy"
+    assert finite.status is PathStatus.SUCCESS and finite.reason is None
+
+
+def test_reasons_of_infinity_and_step_budget(circles):
+    f = _sys(["x*y - 1", "x"], ["x", "y"])
+    start = total_degree_start(f)
+    h = straight_line_homotopy(f, start.start_system, random_unit_complex(Rng(10)))
+    # both paths pass |z| = 3 in the main phase and |z| = 10 in the endgame
+    for threshold in (3.0, 10.0):
+        for res in track_paths(h, start.start_points, TrackerConfig(infinity_threshold=threshold)):
+            assert res.status is PathStatus.AT_INFINITY
+            assert res.reason == "beyond the infinity threshold"
+            assert vec_inf_norm(res.endpoint) > threshold
+    h = straight_line_homotopy(circles, total_degree_start(circles).start_system, GAMMA)
+    res = track_path(h, total_degree_start(circles).start_points[0], TrackerConfig(max_steps=3))
+    assert res.status is PathStatus.MAX_STEPS and res.reason == "step budget"
+
+
+def _assert_same_path(a, b):
+    assert (a.status, a.reason, a.cycle_number, a.steps_taken) == \
+        (b.status, b.reason, b.cycle_number, b.steps_taken)
+    assert vec_inf_norm(a.endpoint - b.endpoint) <= 1e-12 * (1.0 + vec_inf_norm(b.endpoint))
+
+
+def test_katsura4_paths_do_not_depend_on_their_batch(katsura4):
+    start = total_degree_start(katsura4)
+    h = straight_line_homotopy(katsura4, start.start_system, random_unit_complex(Rng(3)))
+    batch = track_paths(h, start.start_points)
+    assert len(batch) == 16
+    for p, res in zip(start.start_points, batch):
+        _assert_same_path(res, track_path(h, p))
+
+
+def test_sphere_slice_move_does_not_depend_on_its_batch(sphere_line):
+    from polypath.witness import _fixed_rows, move_slice, numerical_irreducible_decomposition
+
+    ws = numerical_irreducible_decomposition(sphere_line, seed=0).components[2][0]
+    assert ws.degree == 2
+    target = random_slice(3, ws.slice.codim, Rng(21))
+    # the homotopy move_slice builds from a fresh Rng(5)
+    rng = Rng(5)
+    fixed = _fixed_rows(ws.system, ws.dimension, rng, ws.patch)
+    h = slice_move_homotopy(fixed, ws.slice, target, random_unit_complex(rng))
+    batch = track_paths(h, ws.points)
+    for p, res in zip(ws.points, batch):
+        _assert_same_path(res, track_path(h, p))
+    moved = move_slice(ws, target, Rng(5))
+    for q, res in zip(moved.points, batch):
+        assert np.array_equal(q, res.endpoint)
+
+
+class _FlatOnTheRight(Homotopy):
+    """H = z + t on the left half-plane, a regular path z = -t; on the right
+    _FlatBelowBoundary, whose path meets an exactly singular Jacobian."""
+
+    num_vars = 1
+
+    def eval(self, z, t):
+        if z[0].real < 0:
+            return z + t, np.array([[1.0 + 0j]]), np.array([1.0 + 0j])
+        return _FlatBelowBoundary().eval(z, t)
+
+
+def test_an_exactly_singular_jacobian_fails_only_its_own_path():
+    h, cfg = _FlatOnTheRight(), TrackerConfig(predictor="euler")
+    left, right = np.array([-1.0 + 0j]), np.array([1.0 + 0j])
+    batch = track_paths(h, [left, right, left], cfg)
+    assert batch[1].status is PathStatus.STEP_FAILURE
+    assert batch[1].reason == "singular Jacobian in the endgame"
+    alone = track_path(h, left, cfg)
+    assert alone.status is PathStatus.SUCCESS
+    for res in (batch[0], batch[2]):
+        _assert_same_path(res, alone)
+
+
+def test_track_paths_on_a_homotopy_that_defines_only_eval(circles):
+    start = total_degree_start(circles)
+    base = straight_line_homotopy(circles, start.start_system, random_unit_complex(Rng(7)))
+
+    class EvalOnly(Homotopy):
+        num_vars = 2
+
+        def eval(self, z, t):
+            return base.eval(z, t)
+
+    for a, b in zip(track_paths(EvalOnly(), start.start_points),
+                    track_paths(base, start.start_points)):
+        _assert_same_path(a, b)

@@ -390,3 +390,10 @@ def test_parameter_homotopy_condition_matches_solve(family, seed):
     solved = zero_dim_solve(family.specialize([2, 3, 4]), seed=seed)
     for sp in list(res[1]) + solved:
         assert abs(sp.condition_number - 7.884788) <= 1e-6
+
+
+def test_katsura4_root_count_over_seeds(katsura4):
+    for seed in range(6):
+        sols = zero_dim_solve(katsura4, seed=seed)
+        assert len(sols) == 16, f"seed {seed}: {len(sols)} roots"
+        assert all(sp.multiplicity == 1 for sp in sols)
