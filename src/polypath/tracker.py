@@ -5,14 +5,19 @@ followed along the segment p(t) = t p_start + (1-t) p_target, so
 H(z,t) = F(z; p(t)), and dH/dt = dF/dp (p_start - p_target) comes from the
 family's parameter partials.  The gamma-trick straight line
 (1-t) f + gamma t g is the family u f + v g from (u, v) = (0, gamma) to
-(1, 0); a slice move does the same for the slice rows of a witness system.
+(1, 0); a slice move is the family [fixed(z); A z + b] over the slice
+coefficients, from gamma (A_source, b_source) to (A_target, b_target).
+A per-path homotopy gives every path its own p_start and p_target rows,
+so the paths of many parameter tuples, or of moves to many target slices,
+are one batch.
 
 track_paths advances all paths of one homotopy in lock-step.  Each path
 keeps its own t, step size, success count, step count and status; the
 paths share the work, so a predictor stage or a Newton iteration is one
 evaluation of H on the stack of their points and one stacked LAPACK
-solve.  A path that finishes or fails leaves the stack, and track_path
-and endgame are the one-path case.
+solve.  Every evaluation passes the path index of each row, so each row
+is evaluated at its own path's parameters.  A path that finishes or fails
+leaves the stack, and track_path and endgame are the one-path case.
 
 Paths are tracked from t = 1 to the endgame boundary with an RK4 predictor
 on the Davidenko ODE dz/dt = -(dH/dz)^-1 dH/dt and a short Newton corrector
@@ -105,31 +110,49 @@ class Homotopy:
     """One-parameter family H(z, t); subclasses supply eval()."""
 
     num_vars: int
+    # a per-path homotopy gives each path its own H; num_paths is then the
+    # number of paths it has, and None means every path shares one H
+    num_paths: int | None = None
 
     def eval(self, z, t):
         """Return (H(z,t), dH/dz, dH/dt)."""
         raise NotImplementedError
 
-    def eval_batch(self, z, t):
+    def eval_batch(self, z, t, idx=None):
         """eval at each point z[i] and time t[i], stacked along a first axis.
 
-        This default calls eval once per point; subclasses that can
-        evaluate a stack at once override it.
+        idx[i] is the index of the path (its start point) that row i belongs
+        to; None means row i is path i.  A per-path homotopy evaluates each
+        row with its own path's H.  This default ignores idx and calls eval
+        once per point; subclasses that can evaluate a stack at once
+        override it.
         """
         out = [self.eval(zi, float(ti)) for zi, ti in zip(z, t)]
         return tuple(np.array(part, dtype=complex) for part in zip(*out))
 
 
 class ParameterPathHomotopy(Homotopy):
-    """H(z,t) = F(z; t p_start + (1-t) p_target) for a parameterized family."""
+    """H(z,t) = F(z; t p_start + (1-t) p_target) for a parameterized family.
+
+    p_start and p_target are parameter vectors shared by every path, or
+    (paths, parameters) arrays with one row per path (a 1-D vector beside
+    such an array is shared by every row): a per-path homotopy, whose
+    path i runs from p_start[i] to p_target[i].
+    """
 
     def __init__(self, family: PolySystem, p_start, p_target):
         if not family.parameters:
             raise DimensionMismatch("family has no parameters")
         p_start = np.asarray(p_start, dtype=complex)
         p_target = np.asarray(p_target, dtype=complex)
-        if p_start.shape[0] != len(family.parameters) or p_target.shape[0] != len(family.parameters):
+        count = len(family.parameters)
+        if any(p.ndim not in (1, 2) or p.shape[-1] != count for p in (p_start, p_target)):
             raise DimensionMismatch("parameter vectors must match the family's parameter count")
+        if p_start.ndim == 2 or p_target.ndim == 2:
+            if p_start.ndim == p_target.ndim and p_start.shape != p_target.shape:
+                raise DimensionMismatch("per-path parameters need one row per path at both ends")
+            p_start, p_target = np.broadcast_arrays(p_start, p_target)
+            self.num_paths = p_start.shape[0]
         self.family = family
         self.p_start = p_start
         self.p_target = p_target
@@ -142,58 +165,89 @@ class ParameterPathHomotopy(Homotopy):
                                         np.array([t], dtype=float))
         return value[0], dz[0], dt[0]
 
-    def eval_batch(self, z, t):
-        p = self.p_target + t[:, None] * self._dp
+    def eval_batch(self, z, t, idx=None):
+        p_target, dp = self.p_target, self._dp
+        if idx is not None and self.num_paths is not None:
+            p_target, dp = p_target[idx], dp[idx]
+        p = p_target + t[:, None] * dp
         # rows [F | dF/dz | dF/dp] of the family's kernel, one block per point
         out = self._kernel(np.concatenate([z, p], axis=1))
         nv = 1 + self.num_vars
-        return out[:, :, 0], out[:, :, 1:nv], out[:, :, nv:] @ self._dp
+        # dF/dp dp as a stack of matrix-vector products: per row, the same
+        # arithmetic (and bits) as the product with one shared vector
+        return out[:, :, 0], out[:, :, 1:nv], (out[:, :, nv:] @ dp[..., None])[..., 0]
 
 
-def _lift(p: Polynomial, a: int, b: int):
-    """Terms of p times u^a v^b, over two appended exponent columns (u, v)."""
-    uv = np.broadcast_to(np.array([a, b], dtype=np.int64), (p.exps.shape[0], 2))
-    return np.hstack([p.exps, uv]), p.coeffs
-
-
-def _gamma_path(variables, fixed, target, start, gamma) -> ParameterPathHomotopy:
-    """The path of [fixed; u target + v start] from (u, v) = (0, gamma) to (1, 0).
-
-    At path time t the parameters are (1 - t, gamma t), so
-    H = [fixed; (1-t) target + gamma t start] and dH/dt = [0; gamma start - target].
-    """
-    width = len(variables) + 2
-    rows = [Polynomial(*_lift(p, 0, 0), width=width) for p in fixed]
-    for f, g in zip(target, start):
-        (ef, cf), (eg, cg) = _lift(f, 1, 0), _lift(g, 0, 1)
-        rows.append(Polynomial(np.vstack([ef, eg]), np.concatenate([cf, cg]), width=width))
-    family = PolySystem(variables, rows, ("u", "v"))
-    return ParameterPathHomotopy(family, [0.0, gamma], [1.0, 0.0])
+def _lift(p: Polynomial, row):
+    """Terms of p times the monomial with exponent row over appended columns."""
+    ext = np.broadcast_to(np.asarray(row, dtype=np.int64), (p.exps.shape[0], len(row)))
+    return np.hstack([p.exps, ext]), p.coeffs
 
 
 def straight_line_homotopy(target: PolySystem, start: PolySystem,
                            gamma: complex) -> ParameterPathHomotopy:
-    """H(z,t) = (1-t) f(z) + gamma t g(z): the gamma trick as a parameter path."""
+    """H(z,t) = (1-t) f(z) + gamma t g(z): the gamma trick as a parameter path.
+
+    The family is u f + v g, followed from (u, v) = (0, gamma) to (1, 0):
+    at path time t the parameters are (1 - t, gamma t), so
+    dH/dt = gamma g - f.
+    """
     if target.variables != start.variables or target.n != start.n:
         raise DimensionMismatch("target and start systems must share variables and size")
     if target.parameters or start.parameters:
         raise DimensionMismatch("straight-line homotopy needs parameter-free systems")
-    return _gamma_path(target.variables, [], target.polys, start.polys, gamma)
+    width = target.num_vars + 2
+    rows = []
+    for f, g in zip(target.polys, start.polys):
+        (ef, cf), (eg, cg) = _lift(f, (1, 0)), _lift(g, (0, 1))
+        rows.append(Polynomial(np.vstack([ef, eg]), np.concatenate([cf, cg]), width=width))
+    family = PolySystem(target.variables, rows, ("u", "v"))
+    return ParameterPathHomotopy(family, [0.0, gamma], [1.0, 0.0])
 
 
-def slice_move_homotopy(fixed: PolySystem, source: LinearSlice,
-                        target: LinearSlice, gamma: complex) -> ParameterPathHomotopy:
-    """Fixed polynomial rows plus an interpolating linear slice.
+def _slice_params(s: LinearSlice):
+    """The parameter vector of a slice in the slice family: (A_i, b_i) row by row."""
+    return np.hstack([s.coefficients, s.constants[:, None]]).ravel()
 
+
+def _slice_family(fixed: PolySystem, codim: int) -> PolySystem:
+    """F(z; A, b) = [fixed(z); A z + b], with the entries of the codim x N
+    matrix A and of b as parameters, ordered as _slice_params orders them."""
+    nv = fixed.num_vars
+    count = codim * (nv + 1)
+    width = nv + count
+    rows = [Polynomial(*_lift(p, np.zeros(count)), width=width) for p in fixed.polys]
+    for i in range(codim):
+        # terms z_j a_ij for every j, then b_i
+        exps = np.zeros((nv + 1, width), dtype=np.int64)
+        exps[:nv, :nv] = np.eye(nv, dtype=np.int64)
+        exps[:, nv + i * (nv + 1):nv + (i + 1) * (nv + 1)] += np.eye(nv + 1, dtype=np.int64)
+        rows.append(Polynomial(exps, np.ones(nv + 1), width=width))
+    names = tuple(f"s{i}_{j}" for i in range(codim) for j in range(nv + 1))
+    return PolySystem(fixed.variables, rows, names)
+
+
+def slice_move_homotopy(fixed: PolySystem, source: LinearSlice, target,
+                        gamma: complex) -> ParameterPathHomotopy:
+    """Fixed polynomial rows plus a moving linear slice, as a parameter path.
+
+    The family is F(z; A, b) = [fixed(z); A z + b] over the slice entries,
+    from p_start = gamma (A_source, b_source) to p_target = (A_target, b_target):
     H(z,t) = [ fixed(z) ; (1-t) L_target(z) + gamma t L_source(z) ].
+    target is one LinearSlice for every path, or a sequence of them with one
+    per path (a per-path homotopy, path i moving to target[i]).
     """
-    if source.codim != target.codim:
+    shared = isinstance(target, LinearSlice)
+    targets = [target] if shared else list(target)
+    if any(t.codim != source.codim for t in targets):
         raise DimensionMismatch("source and target slices must share codimension")
-    if fixed.n + target.codim != fixed.num_vars:
+    if fixed.n + source.codim != fixed.num_vars:
         raise DimensionMismatch("fixed rows plus slice rows must be square")
-    width = fixed.num_vars
-    return _gamma_path(fixed.variables, fixed.polys, target.as_polynomials(width),
-                       source.as_polynomials(width), gamma)
+    family = _slice_family(fixed, source.codim)
+    p_target = np.array([_slice_params(t) for t in targets], dtype=complex)
+    p_target = p_target.reshape(len(targets), len(family.parameters))
+    return ParameterPathHomotopy(family, gamma * _slice_params(source),
+                                 p_target[0] if shared else p_target)
 
 
 def _as_point(h: Homotopy, z):
@@ -202,6 +256,13 @@ def _as_point(h: Homotopy, z):
     if z.shape != (h.num_vars,):
         raise DimensionMismatch(f"point has shape {z.shape}, homotopy has {h.num_vars} variables")
     return z
+
+
+def _check_path_count(h: Homotopy, count: int):
+    """A per-path homotopy tracks exactly its own paths, start i on path i."""
+    if h.num_paths is not None and count != h.num_paths:
+        raise DimensionMismatch(
+            f"{count} start points for a homotopy with parameters for {h.num_paths} paths")
 
 
 def homotopy_eval(homotopy: Homotopy, z, t):
@@ -226,17 +287,18 @@ def _solve_rows(a, b):
     return x, ok
 
 
-def _tangent(h: Homotopy, z, t):
-    _, dz, dt = h.eval_batch(z, t)
+def _tangent(h: Homotopy, z, t, idx=None):
+    _, dz, dt = h.eval_batch(z, t, idx)
     return _solve_rows(dz, -dt)[0]
 
 
 _CONVERGED, _STALLED, _SINGULAR = 0, 1, 2
 
 
-def _newton(h: Homotopy, z, t, tol, iters):
+def _newton(h: Homotopy, z, t, idx, tol, iters):
     """Newton at fixed t on every row of z (updated in place), stopping each
     row as soon as its residual is at most tol (a scalar or one per row).
+    Row i belongs to path idx[i].
 
     Returns the points, the size of each row's last update, a code per row
     (_CONVERGED; _STALLED: residual above tol after iters updates, or not
@@ -248,7 +310,7 @@ def _newton(h: Homotopy, z, t, tol, iters):
     code = np.full(m, _STALLED)
     if not m:
         return z, update, code, np.empty((0, n, n), complex), np.empty((0, n), complex)
-    value, jac, dt = h.eval_batch(z, t)
+    value, jac, dt = h.eval_batch(z, t, idx)
     rows = slice(None)      # the rows still iterating: all, until one stops
     for it in range(iters + 1):
         res = _norms(value)
@@ -268,7 +330,7 @@ def _newton(h: Homotopy, z, t, tol, iters):
                 break
         z[rows] += delta
         update[rows] = _norms(delta)
-        value, jac[rows], dt[rows] = h.eval_batch(z[rows], t[rows])
+        value, jac[rows], dt[rows] = h.eval_batch(z[rows], t[rows], idx[rows])
     return z, update, code, jac, dt
 
 
@@ -407,9 +469,10 @@ class _Paths:
         if self.cfg.predictor == "euler":
             return z + sc * k1
         half, t_half = 0.5 * sc, t + 0.5 * s
-        k2 = _tangent(h, z + half * k1, t_half)
-        k3 = _tangent(h, z + half * k2, t_half)
-        k4 = _tangent(h, z + sc * k3, t + s)
+        idx = self.idx
+        k2 = _tangent(h, z + half * k1, t_half, idx)
+        k3 = _tangent(h, z + half * k2, t_half, idx)
+        k4 = _tangent(h, z + sc * k3, t + s, idx)
         return z + (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def advance(self, t_to, collapse):
@@ -434,8 +497,9 @@ class _Paths:
             zp = self._predict(-s)
             ok = np.isfinite(zp).all(axis=1)
             some = not ok.all()
-            zc, _, code, jac, dt = _newton(self.h, zp[ok] if some else zp, t1[ok] if some else t1,
-                                           cfg.corrector_tol, cfg.newton_iterations)
+            zc, _, code, jac, dt = _newton(
+                self.h, zp[ok] if some else zp, t1[ok] if some else t1,
+                self.idx[ok] if some else self.idx, cfg.corrector_tol, cfg.newton_iterations)
             conv = code == _CONVERGED
             ok[ok] = conv
             if ok.all():
@@ -471,7 +535,7 @@ class _Paths:
         """Newton on every row at its t; rows take the result and the code of
         a singular Jacobian fails the path in the endgame."""
         self.z, self.newton, code, self.jac, self.dt = _newton(
-            self.h, self.z, self.t, tol, iters)
+            self.h, self.z, self.t, self.idx, tol, iters)
         return code
 
     def _polish(self):
@@ -536,20 +600,20 @@ class _Paths:
             return
         ends = self.out_z[done]
         zero = np.zeros(done.size)
-        value, jac, _ = self.h.eval_batch(ends, zero)
+        value, jac, _ = self.h.eval_batch(ends, zero, done)
         res0 = _norms(value)
         zp = ends.copy()
         rows = np.arange(done.size)
         for it in range(3):
             if it:
-                value, jac, _ = self.h.eval_batch(zp[rows], zero[rows])
+                value, jac, _ = self.h.eval_batch(zp[rows], zero[rows], done[rows])
             delta, ok = _solve_rows(jac, -value)
             rows, delta = rows[ok], delta[ok]
             if not rows.size:
                 break
             zp[rows] += delta
         if rows.size:
-            res_p = _norms(self.h.eval_batch(zp[rows], zero[rows])[0])
+            res_p = _norms(self.h.eval_batch(zp[rows], zero[rows], done[rows])[0])
             moved = _norms(zp[rows] - ends[rows])
             keep = (res_p < res0[rows]) & (moved <= 1e-4 * (1.0 + _norms(ends[rows])))
             rows = rows[keep]
@@ -578,7 +642,7 @@ class _Paths:
 
 
 def _endpoint_conditions(h: Homotopy, z):
-    """condition_estimate of dH/dz at (z[i], 0) for every row."""
+    """condition_estimate of dH/dz at (z[i], 0) for every row; row i is path i."""
     _, jac, _ = h.eval_batch(z, np.zeros(z.shape[0]))
     _, kappa, ok = solve_stack(jac, np.zeros(jac.shape[:2] + (0,), dtype=complex))
     return np.where(ok, np.maximum(kappa, 1.0), math.inf)
@@ -608,6 +672,7 @@ def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> Endgam
     correction meets a singular Jacobian.
     """
     cfg = cfg or TrackerConfig()
+    _check_path_count(h, 1)
     paths = _Paths(h, cfg, _as_point(h, z_boundary)[None].copy(), cfg.endgame_start)
     with np.errstate(all="ignore"):
         paths.endgame()
@@ -629,7 +694,9 @@ def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None) -> list[P
     """Track every start point's path of H from t = 1 to t = 0, in lock-step.
 
     Each start point must be finite and satisfy the start system (H at
-    t = 1); otherwise StartPointInvalid is raised before any tracking.
+    t = 1); otherwise StartPointInvalid is raised before any tracking.  A
+    per-path homotopy (h.num_paths set) needs exactly one start per path,
+    start i on path i; otherwise DimensionMismatch is raised.
     Results come in the order of the starts; a path's status classifies
     it: Success (finite endpoint with small target residual), AtInfinity,
     StepFailure, or MaxSteps, with the reason of a non-success.
@@ -639,6 +706,7 @@ def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None) -> list[P
         z = np.array(starts, dtype=complex)
     except ValueError as exc:
         raise DimensionMismatch(f"start points of different lengths: {exc}") from None
+    _check_path_count(h, len(z) if z.ndim else 1)
     if not z.size:
         return []
     if z.ndim != 2 or z.shape[1] != h.num_vars:

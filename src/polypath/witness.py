@@ -7,6 +7,12 @@ unit-modulus combination matrix and L_i a generic codimension-i slice.
 Junk from higher-dimensional components is removed by the membership test,
 components are grouped by monodromy loops, and every block is certified by
 the linear trace test (failing blocks are merged until their union passes).
+
+Moves of one witness set to many target slices (junk removal, membership,
+sampling, the two translations of a trace test) are one batch of paths
+with one draw of the fixed rows and gamma: a move that fails fails only
+its own target, and the failed targets are redrawn and moved again as one
+batch, at most _RETRIES times.
 """
 
 from __future__ import annotations
@@ -175,6 +181,62 @@ def _dedupe_points(points, tol=DEDUPE_TOL):
     return out
 
 
+def _landed(ws: WitnessSet, target: LinearSlice, results):
+    """The endpoints of the paths to one target as moved witness points, or
+    the PathFailure that rejects them."""
+    moved = []
+    for res in results:
+        if res.status is not PathStatus.SUCCESS:
+            return PathFailure(f"witness point failed to move ({res.status.value})")
+        q = res.endpoint
+        if not _on_variety(ws.system, q, ws.patch):
+            return PathFailure("moved point left the variety")
+        if vec_inf_norm(target.evaluate(q)) > _RESIDUAL_GATE * (1.0 + vec_inf_norm(q)):
+            return PathFailure("moved point missed the target slice")
+        moved.append(q)
+    # two paths landing on one endpoint means a crossing near the target
+    # slice; the image is no longer a witness point set
+    for i in range(len(moved)):
+        for j in range(i + 1, len(moved)):
+            if vec_inf_norm(moved[i] - moved[j]) < DEDUPE_TOL:
+                return PathFailure("witness points collided during the move")
+    return moved
+
+
+def _move(ws: WitnessSet, targets, rng: Rng, config=None) -> list:
+    """Move the witness set to every target slice, all paths as one batch.
+
+    One draw of the fixed rows and of gamma serves the whole batch.  Returns
+    per target its moved points, or the PathFailure of its move: a failed
+    move fails only its own target.
+    """
+    fixed = _fixed_rows(ws.system, ws.dimension, rng, ws.patch)
+    gamma = random_unit_complex(rng)
+    k = len(ws.points)
+    homotopy = slice_move_homotopy(fixed, ws.slice, [t for t in targets for _ in range(k)],
+                                   gamma)
+    results = track_paths(homotopy, list(ws.points) * len(targets), config)
+    return [_landed(ws, t, results[j * k:(j + 1) * k]) for j, t in enumerate(targets)]
+
+
+def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng, config=None) -> list:
+    """Move the witness set to count targets, target i drawn by draw(i).
+
+    The moves go as one batch; the targets whose moves failed are redrawn
+    and moved again as one batch, at most _RETRIES times.  Returns per
+    target its moved points or the PathFailure of its last move.
+    """
+    out = [None] * count
+    todo = list(range(count))
+    for _ in range(_RETRIES + 1):
+        if not todo:
+            break
+        for i, moved in zip(todo, _move(ws, [draw(i) for i in todo], rng, config)):
+            out[i] = moved
+        todo = [i for i in todo if isinstance(out[i], PathFailure)]
+    return out
+
+
 def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None,
                config: TrackerConfig | None = None) -> WitnessSet:
     """Track every witness point from the current slice to target_slice.
@@ -188,43 +250,32 @@ def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None
     rng = rng or Rng(0)
     if ws.slice.codim == 0:
         return replace(ws, slice=target_slice, points=list(ws.points))
-    fixed = _fixed_rows(ws.system, ws.dimension, rng, ws.patch)
-    gamma = random_unit_complex(rng)
-    homotopy = slice_move_homotopy(fixed, ws.slice, target_slice, gamma)
-    moved = []
-    for res in track_paths(homotopy, ws.points, config):
-        if res.status is not PathStatus.SUCCESS:
-            raise PathFailure(f"witness point failed to move ({res.status.value})")
-        q = res.endpoint
-        scale = _RESIDUAL_GATE * (1.0 + vec_inf_norm(q))
-        if not _on_variety(ws.system, q, ws.patch):
-            raise PathFailure("moved point left the variety")
-        if vec_inf_norm(target_slice.evaluate(q)) > scale:
-            raise PathFailure("moved point missed the target slice")
-        moved.append(q)
-    # two paths landing on one endpoint means a crossing near the target
-    # slice; the image is no longer a witness point set
-    for i in range(len(moved)):
-        for j in range(i + 1, len(moved)):
-            if vec_inf_norm(moved[i] - moved[j]) < DEDUPE_TOL:
-                raise PathFailure("witness points collided during the move")
+    moved = _move(ws, [target_slice], rng, config)[0]
+    if isinstance(moved, PathFailure):
+        raise moved
     return replace(ws, slice=target_slice, points=moved)
 
 
-def _member_of(ws: WitnessSet, point, rng: Rng, config=None) -> bool:
-    """Move the component's slice through `point` and look for a hit."""
-    point = np.asarray(point, dtype=complex)
+def _near(point, points) -> bool:
+    return any(vec_inf_norm(point - q) <= _MATCH_TOL for q in points)
+
+
+def _members(ws: WitnessSet, points, rng: Rng, config=None) -> list:
+    """For each point, whether it lies on the component of ws: the slice is
+    moved through every point at once and the moved witness points are
+    searched for a hit.  None marks a point whose move kept failing."""
+    points = [np.asarray(p, dtype=complex) for p in points]
     if ws.dimension == 0:
-        return any(vec_inf_norm(point - q) <= _MATCH_TOL for q in ws.points)
-    for _ in range(_RETRIES):
-        coeffs = np.atleast_2d(rng.unit_complex((ws.slice.codim, ws.system.num_vars)))
-        target = LinearSlice(coeffs, -(coeffs @ point))
-        try:
-            moved = move_slice(ws, target, rng, config)
-        except PathFailure:
-            continue
-        return any(vec_inf_norm(point - q) <= _MATCH_TOL for q in moved.points)
-    raise PathFailure("membership test kept failing to move the slice")
+        return [_near(p, ws.points) for p in points]
+    shape = (ws.slice.codim, ws.system.num_vars)
+
+    def through(i):
+        coeffs = np.atleast_2d(rng.unit_complex(shape))
+        return LinearSlice(coeffs, -(coeffs @ points[i]))
+
+    moved = _retried_moves(ws, through, len(points), rng, config)
+    return [None if isinstance(m, PathFailure) else _near(p, m)
+            for p, m in zip(points, moved)]
 
 
 def junk_removal(supersets: dict, system: PolySystem, rng: Rng,
@@ -234,6 +285,8 @@ def junk_removal(supersets: dict, system: PolySystem, rng: Rng,
 
     supersets maps dimension -> SupersetResult (or (slice, points) pair),
     computed top dimension downward.  Returns dimension -> surviving points.
+    Each confirmed component tests all remaining points of a dimension at
+    once; a point whose test keeps failing is kept.
     """
     def unpack(v):
         if isinstance(v, SupersetResult):
@@ -243,19 +296,12 @@ def junk_removal(supersets: dict, system: PolySystem, rng: Rng,
     confirmed: list[WitnessSet] = []
     cleaned: dict[int, list] = {}
     for dim in sorted(supersets, reverse=True):
-        slice_, points = unpack(supersets[dim])
-        survivors = []
-        for p in points:
-            junk = False
-            for ws in confirmed:
-                try:
-                    if _member_of(ws, p, rng, config):
-                        junk = True
-                        break
-                except PathFailure:
-                    continue
-            if not junk:
-                survivors.append(p)
+        slice_, survivors = unpack(supersets[dim])
+        for ws in confirmed:
+            if not survivors:
+                break
+            hits = _members(ws, survivors, rng, config)
+            survivors = [p for p, hit in zip(survivors, hits) if not hit]
         cleaned[dim] = survivors
         if survivors:
             confirmed.append(WitnessSet(
@@ -341,8 +387,9 @@ def monodromy_partition(ws: WitnessSet, rng: Rng, max_loops: int = 10,
 def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng, config=None):
     """Per-block trace defect vectors from one shared parallel translation.
 
-    Tracks the whole witness set to the slices L +/- w and returns, for each
-    block, sum(+1) + sum(-1) - 2 sum(0) along with the scale of sum(0).
+    Tracks the whole witness set to the slices L +/- w as one batch and
+    returns, for each block, sum(+1) + sum(-1) - 2 sum(0) along with the
+    scale of sum(0).
     """
     if ws.slice.codim == 0:
         zero = np.zeros(ws.system.num_vars, dtype=complex)
@@ -351,18 +398,17 @@ def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng, config=None):
     for _ in range(_RETRIES + 1):
         w = np.atleast_1d(rng.unit_complex(ws.slice.codim))
         w /= np.linalg.norm(w)
-        try:
-            plus = move_slice(ws, ws.slice.translated(w), rng, config)
-            minus = move_slice(ws, ws.slice.translated(-w), rng, config)
-        except PathFailure as exc:
-            last_error = exc
+        plus, minus = _move(ws, [ws.slice.translated(w), ws.slice.translated(-w)], rng, config)
+        failed = [m for m in (plus, minus) if isinstance(m, PathFailure)]
+        if failed:
+            last_error = failed[0]
             continue
         defects = []
         for block in blocks:
             idx = sorted(block)
             s0 = sum(ws.points[i] for i in idx)
-            sp = sum(plus.points[i] for i in idx)
-            sm = sum(minus.points[i] for i in idx)
+            sp = sum(plus[i] for i in idx)
+            sm = sum(minus[i] for i in idx)
             defects.append(sp + sm - 2.0 * s0)
         scale = 1.0 + max(vec_inf_norm(sum(ws.points[i] for i in sorted(b)))
                           for b in blocks)
@@ -479,10 +525,12 @@ def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None,
 
     Projective inputs are representatives; they are normalized onto the
     decomposition's chart first, which makes the test scale-invariant.
-    Points failing the system residual are rejected without tracking.
+    Points failing the system residual are rejected without tracking.  Each
+    component tests all remaining points at once; PathFailure is raised when
+    a point's test keeps failing.
     """
     rng = rng or Rng(nv.seed + 101)
-    out = []
+    queries = []        # the normalized point, or None for one rejected untracked
     for point in test_points:
         p = np.array([complex(c) for c in point], dtype=complex)
         if p.shape[0] != nv.system.num_vars:
@@ -491,16 +539,21 @@ def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None,
         if nv.is_projective:
             s = np.asarray(nv.patch) @ p
             if abs(s) < 1e-12 * (1.0 + vec_inf_norm(p)):
-                out.append([])   # representative sits outside the chart
+                queries.append(None)   # representative sits outside the chart
                 continue
             p = p / s
-        hits = []
-        if vec_inf_norm(nv.system.evaluate(p)) <= _MATCH_TOL * (1.0 + vec_inf_norm(p)):
-            for dim in nv.dims():
-                for ws in nv.components[dim]:
-                    if _member_of(ws, p, rng, config):
-                        hits.append((dim, ws.component_index))
-        out.append(hits)
+        on = vec_inf_norm(nv.system.evaluate(p)) <= _MATCH_TOL * (1.0 + vec_inf_norm(p))
+        queries.append(p if on else None)
+    live = [i for i, p in enumerate(queries) if p is not None]
+    out = [[] for _ in queries]
+    for ws in nv.witness_sets():
+        if not live:
+            break
+        for i, hit in zip(live, _members(ws, [queries[i] for i in live], rng, config)):
+            if hit is None:
+                raise PathFailure("membership test kept failing to move the slice")
+            if hit:
+                out[i].append((ws.dimension, ws.component_index))
     return out
 
 
@@ -510,23 +563,15 @@ def sample(ws: WitnessSet, count: int, rng: Rng,
 
     Every draw moves the witness set to a fresh generic slice and keeps the
     image of one witness point, so samples satisfy the system to tracking
-    accuracy.
+    accuracy.  All draws move as one batch.
     """
     if count < 1:
         raise DimensionMismatch("sample count must be at least 1")
-    nv = ws.system.num_vars
-    out = []
-    for _ in range(count):
-        for attempt in range(_RETRIES + 1):
-            try:
-                if ws.slice.codim == 0:
-                    moved = ws
-                else:
-                    moved = move_slice(ws, random_slice(nv, ws.slice.codim, rng),
-                                       rng, config)
-                out.append(moved.points[rng.integers(len(moved.points))])
-                break
-            except PathFailure:
-                if attempt == _RETRIES:
-                    raise
-    return out
+    if ws.slice.codim == 0:
+        return [ws.points[rng.integers(len(ws.points))] for _ in range(count)]
+    nv, codim = ws.system.num_vars, ws.slice.codim
+    moved = _retried_moves(ws, lambda _: random_slice(nv, codim, rng), count, rng, config)
+    for m in moved:
+        if isinstance(m, PathFailure):
+            raise m
+    return [m[rng.integers(len(m))] for m in moved]

@@ -326,7 +326,8 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     Stage 1 assigns a random unit-modulus complex value to every parameter
     and solves that specialization from scratch; stage 2 tracks each
     nonsingular stage-1 solution to every requested parameter tuple, so each
-    tuple costs exactly the generic root count in paths.
+    tuple costs exactly the generic root count in paths.  The paths of all
+    tuples are tracked as one batch, each at its own tuple's parameters.
     """
     if not family.parameters:
         raise DimensionMismatch("family has no parameters")
@@ -353,11 +354,16 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
               if sp.cycle_number == 1 and sp.multiplicity == 1
               and math.isfinite(sp.condition_number) and sp.condition_number < 1e12]
 
+    # every tuple's paths as one batch: path (tuple j, root i) runs from p0
+    # to tuple j
+    starts = [sp.coordinate_array() for sp in stage1]
+    k = len(starts)
+    targets = np.array(tuples, dtype=complex).reshape(len(tuples), len(names))
+    homotopy = ParameterPathHomotopy(family, p0, np.repeat(targets, k, axis=0))
+    results = track_paths(homotopy, starts * len(tuples), config)
     solution_sets = []
-    for p1 in tuples:
-        homotopy = ParameterPathHomotopy(family, p0, p1)
-        results = track_paths(homotopy, [sp.coordinate_array() for sp in stage1], config)
-        sols = dedupe(results)
+    for j, p1 in enumerate(tuples):
+        sols = dedupe(results[j * k:(j + 1) * k])
         target = family.specialize(p1)
         enriched = []
         for i, sp in enumerate(sols):

@@ -487,3 +487,47 @@ def test_track_paths_on_a_homotopy_that_defines_only_eval(circles):
     for a, b in zip(track_paths(EvalOnly(), start.start_points),
                     track_paths(base, start.start_points)):
         _assert_same_path(a, b)
+
+
+def test_per_path_eval_equals_one_shared_homotopy_per_row(family, sphere_line):
+    rng = Rng(23)
+    m = 6
+    p_start = rng.unit_complex((m, 3)) * 1.3
+    p_target = rng.unit_complex((m, 3))
+    per_path = ParameterPathHomotopy(family, p_start, p_target)
+    assert per_path.num_paths == m
+    fixed = PolySystem(sphere_line.variables, sphere_line.polys[:1])
+    source = random_slice(3, 2, rng)
+    targets = [random_slice(3, 2, rng) for _ in range(m)]
+    moves = slice_move_homotopy(fixed, source, targets, GAMMA)
+    cases = [
+        (per_path, [ParameterPathHomotopy(family, a, b) for a, b in zip(p_start, p_target)]),
+        (moves, [slice_move_homotopy(fixed, source, tgt, GAMMA) for tgt in targets]),
+    ]
+    for h, shared in cases:
+        z = rng.unit_complex((m, h.num_vars)) * 0.9
+        t = rng.uniform(0.0, 1.0, size=m)
+        idx = np.array([4, 0, 5, 5, 2, 1])     # rows in any order, one path twice
+        batch = h.eval_batch(z, t, idx)
+        for i, path in enumerate(idx):
+            # the same stack: the kernel's last bits may depend on where a
+            # row sits in it, and this compares the parameters alone
+            alone = shared[path].eval_batch(z, t)
+            assert shared[path].num_paths is None
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[i], want[i])
+
+
+def test_per_path_parameter_rows_must_match_the_starts(family):
+    h = ParameterPathHomotopy(family, [1.0, 1.0, 1.0], np.ones((3, 3)))
+    assert h.num_paths == 3 and h.p_start.shape == (3, 3)
+    start = np.array([1.0, 0.0], dtype=complex)
+    for starts in ([start, -start], [start] * 4, []):
+        with pytest.raises(DimensionMismatch):
+            track_paths(h, starts)
+    with pytest.raises(DimensionMismatch):
+        endgame(h, start)
+    with pytest.raises(DimensionMismatch):
+        ParameterPathHomotopy(family, np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        ParameterPathHomotopy(family, np.ones((2, 2)), np.ones(3))

@@ -4,7 +4,7 @@ import pytest
 from polypath.algebra import Rng, vec_inf_norm
 from polypath.errors import DimensionMismatch, DimensionOutOfRange, PathFailure
 from polypath.parser import parse_polynomial
-from polypath.polysys import PolySystem, random_slice
+from polypath.polysys import LinearSlice, PolySystem, random_slice
 from polypath.witness import (
     WitnessSet,
     _dedupe_points,
@@ -329,3 +329,31 @@ def test_decomposition_degree_totals_stable_across_seeds(sphere_line):
         nv = numerical_irreducible_decomposition(sphere_line, seed=seed)
         shape = {d: sorted(ws.degree for ws in nv.components[d]) for d in nv.dims()}
         assert shape == {1: [1], 2: [2]}
+
+
+def test_a_missed_target_fails_only_its_own_move(sphere_nv):
+    from polypath.witness import _move
+
+    line = sphere_nv.components[1][0]
+    rng = Rng(71)
+    targets = [random_slice(3, 1, rng) for _ in range(4)]
+    # zero z-coefficient and a nonzero constant: the slice misses the z-axis
+    targets[2] = LinearSlice(np.array([[0.6 + 0.8j, -0.8 + 0.6j, 0.0]]), np.array([0.9 + 0.0j]))
+    batch = _move(line, targets, Rng(72))
+    assert isinstance(batch[2], PathFailure)
+    for j in (0, 1, 3):
+        alone = move_slice(line, targets[j], Rng(72))
+        assert len(batch[j]) == len(alone.points) == 1
+        for q, r in zip(batch[j], alone.points):
+            assert _on_axis(q)
+            assert vec_inf_norm(q - r) <= 1e-12 * (1.0 + vec_inf_norm(r))
+    with pytest.raises(PathFailure):
+        move_slice(line, targets[2], Rng(72))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_returns_count_points_on_the_component(sphere_nv, seed):
+    for dim, on_component in ((2, _on_sphere), (1, _on_axis)):
+        pts = sample(sphere_nv.components[dim][0], 7, Rng(seed))
+        assert len(pts) == 7
+        assert all(on_component(p) for p in pts)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polypath import zerodim
-from polypath.algebra import lin_solve, vec_inf_norm
+from polypath.algebra import Rng, lin_solve, vec_inf_norm
 from polypath.errors import NotHomogeneous, NotSquare, RefinementDiverged
 from polypath.parser import parse_polynomial
 from polypath.polysys import Polynomial, PolySystem
@@ -397,3 +397,18 @@ def test_katsura4_root_count_over_seeds(katsura4):
         sols = zero_dim_solve(katsura4, seed=seed)
         assert len(sols) == 16, f"seed {seed}: {len(sols)} roots"
         assert all(sp.multiplicity == 1 for sp in sols)
+
+
+def test_parameter_homotopy_batch_equals_one_tuple_calls(family):
+    rng = Rng(31)
+    tuples = [list(rng.unit_complex(3) * rng.uniform(0.5, 2.0, size=3)) for _ in range(16)]
+    batch = parameter_homotopy(family, ["a", "b", "c"], tuples, seed=5)
+    assert len(batch) == 16
+    for tup, sols in zip(tuples, batch):
+        alone = parameter_homotopy(family, ["a", "b", "c"], [tup], seed=5)
+        assert alone.paths_per_tuple == batch.paths_per_tuple
+        assert len(alone[0]) == len(sols) == 2
+        for a, b in zip(alone[0], sols):
+            za, zb = a.coordinate_array(), b.coordinate_array()
+            assert vec_inf_norm(za - zb) <= 1e-12 * (1.0 + vec_inf_norm(za))
+            assert (a.solution_number, a.multiplicity) == (b.solution_number, b.multiplicity)
