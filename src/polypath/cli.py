@@ -56,14 +56,12 @@ _NUMERIC_ERRORS = (RefinementDiverged, DecompositionIncomplete, PathFailure)
 def _fmt_real(x) -> str:
     if isinstance(x, mpmath.mpf):
         return mpmath.nstr(x, 33)
-    x = float(x)
-    return repr(x)
+    return repr(float(x))
 
 
 def _fmt_complex(z) -> dict:
-    if isinstance(z, mpmath.mpc):
-        return {"re": _fmt_real(z.real), "im": _fmt_real(z.imag)}
-    z = complex(z)
+    if not isinstance(z, mpmath.mpc):
+        z = complex(z)
     return {"re": _fmt_real(z.real), "im": _fmt_real(z.imag)}
 
 
@@ -169,8 +167,6 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
         return NumericalVariety(components=components, system=system,
                                 seed=int(data["seed"]), is_projective=projective,
                                 patch=patch)
-    except SchemaVersionMismatch:
-        raise
     except ParseError as exc:
         raise CorruptFile(f"embedded system does not parse: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -419,11 +415,15 @@ def main(argv=None) -> int:
         sys.stdout.write(_error_payload(exc))
         return 1
 
-    if args.out:
+    if not args.out:
+        sys.stdout.write(output)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output)
-    else:
-        sys.stdout.write(output)
+    except OSError as exc:
+        sys.stdout.write(_error_payload(exc))
+        return 1
     return 0
 
 

@@ -100,7 +100,6 @@ class PathResult:
     cycle_number: int
     newton_residual: float
     function_residual: float
-    condition_number: float
     steps_taken: int
     max_precision_bits: int = 53
     reason: str | None = None
@@ -361,10 +360,10 @@ def _cycle_numbers(samples, final_tol):
     return np.where(count > 0, c, 1).astype(int)
 
 
-def _extrapolate(samples, cycles, max_level=4):
-    """Richardson extrapolation in s = t^(1/cycle) over each row's geometric samples."""
+def _extrapolate(samples, cycles):
+    """Richardson extrapolation in s = t^(1/cycle) over each row's last five geometric samples."""
     r = (0.5 ** (1.0 / cycles))[:, None, None]
-    tab = samples[:, -(max_level + 1):]
+    tab = samples[:, -5:]
     level = 1
     while tab.shape[1] > 1:
         rm = r ** level
@@ -631,21 +630,12 @@ class _Paths:
                 ok = self.out_fres[i] <= gate[i]
                 self.status[i] = PathStatus.SUCCESS if ok else PathStatus.STEP_FAILURE
                 self.reason[i] = None if ok else ABOVE_GATE
-        cond = _endpoint_conditions(self.h, out_z)
         return [PathResult(status=self.status[i], endpoint=out_z[i].copy(),
                            last_t=float(self.out_t[i]), cycle_number=int(self.out_cycle[i]),
                            newton_residual=float(self.out_newton[i]),
                            function_residual=float(self.out_fres[i]),
-                           condition_number=float(cond[i]),
                            steps_taken=int(self.out_steps[i]), reason=self.reason[i])
                 for i in range(out_z.shape[0])]
-
-
-def _endpoint_conditions(h: Homotopy, z):
-    """condition_estimate of dH/dz at (z[i], 0) for every row; row i is path i."""
-    _, jac, _ = h.eval_batch(z, np.zeros(z.shape[0]))
-    _, kappa, ok = solve_stack(jac, np.zeros(jac.shape[:2] + (0,), dtype=complex))
-    return np.where(ok, np.maximum(kappa, 1.0), math.inf)
 
 
 # -- entry points ------------------------------------------------------------------

@@ -32,16 +32,16 @@ from .errors import (
 from .polysys import LinearSlice, Polynomial, PolySystem, empty_slice, random_slice
 from .tracker import (
     PathStatus,
-    TrackerConfig,
     slice_move_homotopy,
     straight_line_homotopy,
     track_paths,
 )
-from .zerodim import DEDUPE_TOL, total_degree_start
+from .zerodim import _clusters, total_degree_start
 
 _MATCH_TOL = 1e-6
 _RESIDUAL_GATE = 1e-8
 _RETRIES = 3
+_QUIET_LOOPS = 10      # monodromy stops after this many loops without a merge
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,12 @@ class SupersetResult:
     paths_tracked: int
 
 
-def _randomized_rows(system: PolySystem, count: int, rng: Rng):
-    """count generic unit-modulus combinations of the system's polynomials."""
-    width = system.width
-    weights = np.atleast_2d(rng.unit_complex((count, system.n)))
-    return [Polynomial.linear_combination(system.polys, weights[k], width)
-            for k in range(count)]
-
-
 def _fixed_rows(system: PolySystem, dim: int, rng: Rng, patch) -> PolySystem:
-    """The non-slice rows of the square sliced system at dimension dim."""
-    nv = system.num_vars
-    count = nv - dim - (1 if patch is not None else 0)
-    rows = _randomized_rows(system, count, rng)
+    """The non-slice rows of the square sliced system at dimension dim: generic
+    unit-modulus combinations of the system's polynomials, and the chart row."""
+    count = system.num_vars - dim - (1 if patch is not None else 0)
+    weights = rng.unit_complex((count, system.n))
+    rows = [Polynomial.linear_combination(system.polys, w, system.width) for w in weights]
     if patch is not None:
         rows.append(Polynomial.linear(patch, -1.0, system.width))
     return PolySystem(system.variables, rows)
@@ -119,7 +112,7 @@ def _on_variety(system, point, patch=None):
     return True
 
 
-def _superset_once(system, dim, rng, patch, config):
+def _superset_once(system, dim, rng, patch):
     nv = system.num_vars
     slice_ = random_slice(nv, dim, rng) if dim > 0 else empty_slice(nv)
     fixed = _fixed_rows(system, dim, rng, patch)
@@ -130,7 +123,7 @@ def _superset_once(system, dim, rng, patch, config):
     homotopy = straight_line_homotopy(square, start.start_system, gamma)
     points = []
     failures = 0
-    for res in track_paths(homotopy, start.start_points, config):
+    for res in track_paths(homotopy, start.start_points):
         if res.status is PathStatus.SUCCESS and _on_variety(system, res.endpoint, patch):
             points.append(res.endpoint)
         elif res.status is not PathStatus.AT_INFINITY:
@@ -139,7 +132,7 @@ def _superset_once(system, dim, rng, patch, config):
                           paths_tracked=len(start.start_points)), failures
 
 
-def _superset(system, dim, rng, patch, config):
+def _superset(system, dim, rng, patch):
     nv = system.num_vars
     top = nv - 1 - (1 if patch is not None else 0)
     if not 0 <= dim <= top:
@@ -150,7 +143,7 @@ def _superset(system, dim, rng, patch, config):
     best = None
     best_failures = None
     for _ in range(_RETRIES):
-        result, failures = _superset_once(system, dim, rng, patch, config)
+        result, failures = _superset_once(system, dim, rng, patch)
         if failures == 0:
             return result
         if best is None or failures < best_failures or (
@@ -159,8 +152,7 @@ def _superset(system, dim, rng, patch, config):
     return best
 
 
-def witness_superset(system: PolySystem, dim: int, rng: Rng,
-                     config: TrackerConfig | None = None) -> SupersetResult:
+def witness_superset(system: PolySystem, dim: int, rng: Rng) -> SupersetResult:
     """Finite solutions of the randomized dimension-dim sliced system.
 
     The result contains the true dimension-dim witness points, possibly
@@ -170,15 +162,12 @@ def witness_superset(system: PolySystem, dim: int, rng: Rng,
     """
     if system.parameters:
         raise DimensionMismatch("witness computations need a parameter-free system")
-    return _superset(system, dim, rng, None, config)
+    return _superset(system, dim, rng, None)
 
 
-def _dedupe_points(points, tol=DEDUPE_TOL):
-    out = []
-    for p in points:
-        if all(vec_inf_norm(p - q) >= tol for q in out):
-            out.append(p)
-    return out
+def _dedupe_points(points):
+    """One point of every cluster (zerodim._clusters), in input order."""
+    return [points[k] for k in _clusters(points)[0]]
 
 
 def _landed(ws: WitnessSet, target: LinearSlice, results):
@@ -196,14 +185,12 @@ def _landed(ws: WitnessSet, target: LinearSlice, results):
         moved.append(q)
     # two paths landing on one endpoint means a crossing near the target
     # slice; the image is no longer a witness point set
-    for i in range(len(moved)):
-        for j in range(i + 1, len(moved)):
-            if vec_inf_norm(moved[i] - moved[j]) < DEDUPE_TOL:
-                return PathFailure("witness points collided during the move")
+    if len(_clusters(moved)[0]) < len(moved):
+        return PathFailure("witness points collided during the move")
     return moved
 
 
-def _move(ws: WitnessSet, targets, rng: Rng, config=None) -> list:
+def _move(ws: WitnessSet, targets, rng: Rng) -> list:
     """Move the witness set to every target slice, all paths as one batch.
 
     One draw of the fixed rows and of gamma serves the whole batch.  Returns
@@ -215,11 +202,11 @@ def _move(ws: WitnessSet, targets, rng: Rng, config=None) -> list:
     k = len(ws.points)
     homotopy = slice_move_homotopy(fixed, ws.slice, [t for t in targets for _ in range(k)],
                                    gamma)
-    results = track_paths(homotopy, list(ws.points) * len(targets), config)
+    results = track_paths(homotopy, list(ws.points) * len(targets))
     return [_landed(ws, t, results[j * k:(j + 1) * k]) for j, t in enumerate(targets)]
 
 
-def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng, config=None) -> list:
+def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng) -> list:
     """Move the witness set to count targets, target i drawn by draw(i).
 
     The moves go as one batch; the targets whose moves failed are redrawn
@@ -231,14 +218,13 @@ def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng, config=None) -> l
     for _ in range(_RETRIES + 1):
         if not todo:
             break
-        for i, moved in zip(todo, _move(ws, [draw(i) for i in todo], rng, config)):
+        for i, moved in zip(todo, _move(ws, [draw(i) for i in todo], rng)):
             out[i] = moved
         todo = [i for i in todo if isinstance(out[i], PathFailure)]
     return out
 
 
-def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None,
-               config: TrackerConfig | None = None) -> WitnessSet:
+def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None) -> WitnessSet:
     """Track every witness point from the current slice to target_slice.
 
     The homotopy keeps the randomized system rows fixed and interpolates
@@ -250,7 +236,7 @@ def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None
     rng = rng or Rng(0)
     if ws.slice.codim == 0:
         return replace(ws, slice=target_slice, points=list(ws.points))
-    moved = _move(ws, [target_slice], rng, config)[0]
+    moved = _move(ws, [target_slice], rng)[0]
     if isinstance(moved, PathFailure):
         raise moved
     return replace(ws, slice=target_slice, points=moved)
@@ -260,7 +246,7 @@ def _near(point, points) -> bool:
     return any(vec_inf_norm(point - q) <= _MATCH_TOL for q in points)
 
 
-def _members(ws: WitnessSet, points, rng: Rng, config=None) -> list:
+def _members(ws: WitnessSet, points, rng: Rng) -> list:
     """For each point, whether it lies on the component of ws: the slice is
     moved through every point at once and the moved witness points are
     searched for a hit.  None marks a point whose move kept failing."""
@@ -273,51 +259,45 @@ def _members(ws: WitnessSet, points, rng: Rng, config=None) -> list:
         coeffs = np.atleast_2d(rng.unit_complex(shape))
         return LinearSlice(coeffs, -(coeffs @ points[i]))
 
-    moved = _retried_moves(ws, through, len(points), rng, config)
+    moved = _retried_moves(ws, through, len(points), rng)
     return [None if isinstance(m, PathFailure) else _near(p, m)
             for p, m in zip(points, moved)]
 
 
 def junk_removal(supersets: dict, system: PolySystem, rng: Rng,
-                 config: TrackerConfig | None = None,
                  *, is_projective: bool = False, patch=None) -> dict:
     """Discard superset points lying on higher-dimensional components.
 
-    supersets maps dimension -> SupersetResult (or (slice, points) pair),
-    computed top dimension downward.  Returns dimension -> surviving points.
-    Each confirmed component tests all remaining points of a dimension at
-    once; a point whose test keeps failing is kept.
+    supersets maps dimension -> SupersetResult, computed top dimension
+    downward.  Returns dimension -> surviving points.  Each confirmed
+    component tests all remaining points of a dimension at once; a point
+    whose test keeps failing is kept.
     """
-    def unpack(v):
-        if isinstance(v, SupersetResult):
-            return v.slice, v.points
-        return v
-
     confirmed: list[WitnessSet] = []
     cleaned: dict[int, list] = {}
     for dim in sorted(supersets, reverse=True):
-        slice_, survivors = unpack(supersets[dim])
+        survivors = supersets[dim].points
         for ws in confirmed:
             if not survivors:
                 break
-            hits = _members(ws, survivors, rng, config)
+            hits = _members(ws, survivors, rng)
             survivors = [p for p, hit in zip(survivors, hits) if not hit]
         cleaned[dim] = survivors
         if survivors:
             confirmed.append(WitnessSet(
-                system=system, slice=slice_, points=survivors, dimension=dim,
+                system=system, slice=supersets[dim].slice, points=survivors, dimension=dim,
                 is_projective=is_projective, patch=patch))
     return cleaned
 
 
-def _match_points(originals, moved, tol=_MATCH_TOL):
+def _match_points(originals, moved):
     """Greedy nearest-neighbor matching; None when ambiguous or unmatched."""
     perm = [-1] * len(moved)
     taken = set()
     for j, q in enumerate(moved):
         dists = [vec_inf_norm(q - p) for p in originals]
         i = int(np.argmin(dists))
-        if dists[i] > tol * (1.0 + vec_inf_norm(q)) or i in taken:
+        if dists[i] > _MATCH_TOL * (1.0 + vec_inf_norm(q)) or i in taken:
             return None
         taken.add(i)
         perm[j] = i
@@ -348,13 +328,14 @@ class _UnionFind:
         return [groups[r] for r in sorted(groups)]
 
 
-def monodromy_partition(ws: WitnessSet, rng: Rng, max_loops: int = 10,
-                        config: TrackerConfig | None = None) -> list[set]:
+def monodromy_partition(ws: WitnessSet, rng: Rng) -> list[set]:
     """Partition witness point indices into monodromy orbits.
 
     Random slice loops L0 -> L1 -> L2 -> L0 are tracked and the induced
-    permutations merged with union-find; stops after max_loops consecutive
-    loops produce no merge (or when a single block remains).
+    permutations merged with union-find; stops after _QUIET_LOOPS
+    consecutive loops produce no merge, or when a single block remains.  A
+    loop is redrawn when a move fails or its points do not match back one
+    to one; after _RETRIES + 1 such draws it counts as a loop with no merge.
     """
     k = len(ws.points)
     uf = _UnionFind(k)
@@ -363,13 +344,13 @@ def monodromy_partition(ws: WitnessSet, rng: Rng, max_loops: int = 10,
         return uf.blocks()
     nv = ws.system.num_vars
     quiet = 0
-    while quiet < max_loops and len(uf.blocks()) > 1:
+    while quiet < _QUIET_LOOPS and len(uf.blocks()) > 1:
         perm = None
         for _ in range(_RETRIES + 1):
             try:
-                w1 = move_slice(ws, random_slice(nv, ws.slice.codim, rng), rng, config)
-                w2 = move_slice(w1, random_slice(nv, ws.slice.codim, rng), rng, config)
-                w0 = move_slice(w2, ws.slice, rng, config)
+                w1 = move_slice(ws, random_slice(nv, ws.slice.codim, rng), rng)
+                w2 = move_slice(w1, random_slice(nv, ws.slice.codim, rng), rng)
+                w0 = move_slice(w2, ws.slice, rng)
             except PathFailure:
                 continue
             perm = _match_points(ws.points, w0.points)
@@ -384,7 +365,7 @@ def monodromy_partition(ws: WitnessSet, rng: Rng, max_loops: int = 10,
     return uf.blocks()
 
 
-def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng, config=None):
+def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng):
     """Per-block trace defect vectors from one shared parallel translation.
 
     Tracks the whole witness set to the slices L +/- w as one batch and
@@ -398,7 +379,7 @@ def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng, config=None):
     for _ in range(_RETRIES + 1):
         w = np.atleast_1d(rng.unit_complex(ws.slice.codim))
         w /= np.linalg.norm(w)
-        plus, minus = _move(ws, [ws.slice.translated(w), ws.slice.translated(-w)], rng, config)
+        plus, minus = _move(ws, [ws.slice.translated(w), ws.slice.translated(-w)], rng)
         failed = [m for m in (plus, minus) if isinstance(m, PathFailure)]
         if failed:
             last_error = failed[0]
@@ -416,8 +397,7 @@ def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng, config=None):
     raise PathFailure("trace translations kept failing") from last_error
 
 
-def trace_test(ws: WitnessSet, block, rng: Rng,
-               config: TrackerConfig | None = None) -> bool:
+def trace_test(ws: WitnessSet, block, rng: Rng) -> bool:
     """Linear trace test: is the block a complete union of components?
 
     Translates the slice parallel to itself to s = -1, 0, +1 and checks that
@@ -426,15 +406,15 @@ def trace_test(ws: WitnessSet, block, rng: Rng,
     block = set(block)
     if not block or not block <= set(range(len(ws.points))):
         raise DimensionMismatch("block must be a nonempty subset of point indices")
-    defects, scale = _block_trace_defects(ws, [block], rng, config)
+    defects, scale = _block_trace_defects(ws, [block], rng)
     return vec_inf_norm(defects[0]) <= _MATCH_TOL * scale
 
 
-def _certified_blocks(ws: WitnessSet, blocks, rng: Rng, config=None):
+def _certified_blocks(ws: WitnessSet, blocks, rng: Rng):
     """Merge blocks with the smallest combined defect until all traces pass."""
     blocks = [set(b) for b in blocks]
     for _ in range(len(blocks) + _RETRIES):
-        defects, scale = _block_trace_defects(ws, blocks, rng, config)
+        defects, scale = _block_trace_defects(ws, blocks, rng)
         norms = [vec_inf_norm(d) for d in defects]
         failing = [i for i, d in enumerate(norms) if d > _MATCH_TOL * scale]
         if not failing:
@@ -462,8 +442,7 @@ def _point_sort_key(p):
 
 
 def numerical_irreducible_decomposition(
-        system: PolySystem, *, projective: bool = False, seed: int = 0,
-        config: TrackerConfig | None = None) -> NumericalVariety:
+        system: PolySystem, *, projective: bool = False, seed: int = 0) -> NumericalVariety:
     """Witness sets for every irreducible component, organized by dimension.
 
     Scans dimensions from the top down: witness superset, dedupe, junk
@@ -488,13 +467,12 @@ def numerical_irreducible_decomposition(
 
     supersets = {}
     for dim in range(top, -1, -1):
-        sres = _superset(system, dim, rng.fork(), patch, config)
+        sres = _superset(system, dim, rng.fork(), patch)
         pts = _dedupe_points(sres.points)
         if pts:
-            supersets[dim] = SupersetResult(points=pts, slice=sres.slice,
-                                            paths_tracked=sres.paths_tracked)
+            supersets[dim] = replace(sres, points=pts)
 
-    cleaned = junk_removal(supersets, system, rng.fork(), config,
+    cleaned = junk_removal(supersets, system, rng.fork(),
                            is_projective=projective, patch=patch)
 
     components: dict[int, list[WitnessSet]] = {}
@@ -505,8 +483,8 @@ def numerical_irreducible_decomposition(
         ws_all = WitnessSet(system=system, slice=supersets[dim].slice,
                             points=points, dimension=dim,
                             is_projective=projective, patch=patch)
-        blocks = monodromy_partition(ws_all, rng.fork(), config=config)
-        blocks = _certified_blocks(ws_all, blocks, rng.fork(), config)
+        blocks = monodromy_partition(ws_all, rng.fork())
+        blocks = _certified_blocks(ws_all, blocks, rng.fork())
         blocks.sort(key=lambda b: (len(b), min(_point_sort_key(points[i]) for i in b)))
         sets = []
         for j, block in enumerate(blocks):
@@ -519,8 +497,7 @@ def numerical_irreducible_decomposition(
                             is_projective=projective, patch=patch)
 
 
-def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None,
-                    config: TrackerConfig | None = None) -> list:
+def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None) -> list:
     """For each point, the (dimension, componentIndex) pairs containing it.
 
     Projective inputs are representatives; they are normalized onto the
@@ -549,7 +526,7 @@ def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None,
     for ws in nv.witness_sets():
         if not live:
             break
-        for i, hit in zip(live, _members(ws, [queries[i] for i in live], rng, config)):
+        for i, hit in zip(live, _members(ws, [queries[i] for i in live], rng)):
             if hit is None:
                 raise PathFailure("membership test kept failing to move the slice")
             if hit:
@@ -557,8 +534,7 @@ def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None,
     return out
 
 
-def sample(ws: WitnessSet, count: int, rng: Rng,
-           config: TrackerConfig | None = None) -> list:
+def sample(ws: WitnessSet, count: int, rng: Rng) -> list:
     """Draw count points of the component by moving its slice around.
 
     Every draw moves the witness set to a fresh generic slice and keeps the
@@ -570,7 +546,7 @@ def sample(ws: WitnessSet, count: int, rng: Rng,
     if ws.slice.codim == 0:
         return [ws.points[rng.integers(len(ws.points))] for _ in range(count)]
     nv, codim = ws.system.num_vars, ws.slice.codim
-    moved = _retried_moves(ws, lambda _: random_slice(nv, codim, rng), count, rng, config)
+    moved = _retried_moves(ws, lambda _: random_slice(nv, codim, rng), count, rng)
     for m in moved:
         if isinstance(m, PathFailure):
             raise m

@@ -41,7 +41,6 @@ from .tracker import (
     ParameterPathHomotopy,
     PathResult,
     PathStatus,
-    TrackerConfig,
     straight_line_homotopy,
     track_paths,
 )
@@ -101,54 +100,56 @@ def total_degree_start(system: PolySystem) -> StartData:
     return StartData(start_system=g, start_points=points)
 
 
-def _proj_match(p, q, tol) -> bool:
+def _proj_match(p, q) -> bool:
     """Compare two projective representatives after normalizing the
     largest-modulus coordinate of the first to 1."""
     i = int(np.argmax(np.abs(p)))
-    if abs(p[i]) == 0.0 or abs(q[i]) <= tol * float(np.max(np.abs(q))):
+    if abs(p[i]) == 0.0 or abs(q[i]) <= DEDUPE_TOL * float(np.max(np.abs(q))):
         return False
-    return vec_inf_norm(p / p[i] - q / q[i]) < tol
+    return vec_inf_norm(p / p[i] - q / q[i]) < DEDUPE_TOL
 
 
-def dedupe(results: list[PathResult], tol: float = DEDUPE_TOL,
-           *, projective: bool = False) -> list[SolutionPoint]:
-    """Cluster successful path endpoints into solutions.
-
-    Endpoints closer than tol (infinity norm; projective representatives are
-    compared after normalization) join the first cluster they match, so the
-    operation is idempotent.  Multiplicity records the cluster size.
-    """
-    reps: list[PathResult] = []
-    counts: list[int] = []
-    for res in results:
-        if res.status is not PathStatus.SUCCESS:
-            continue
-        for i, rep in enumerate(reps):
-            if projective:
-                hit = _proj_match(rep.endpoint, res.endpoint, tol)
-            else:
-                hit = vec_inf_norm(rep.endpoint - res.endpoint) < tol
-            if hit:
-                counts[i] += 1
+def _clusters(points, *, projective: bool = False):
+    """Greedy clustering: each point joins the first representative within
+    DEDUPE_TOL (infinity norm; projective representatives are compared after
+    normalization) or becomes a representative itself.  Returns the indices
+    of the representatives and the size of each one's cluster."""
+    same = _proj_match if projective else lambda p, q: vec_inf_norm(p - q) < DEDUPE_TOL
+    reps: list[int] = []
+    sizes: list[int] = []
+    for k, p in enumerate(points):
+        for i, r in enumerate(reps):
+            if same(points[r], p):
+                sizes[i] += 1
                 break
         else:
-            reps.append(res)
-            counts.append(1)
-    out = []
-    for i, (rep, count) in enumerate(zip(reps, counts)):
-        out.append(SolutionPoint(
-            coordinates=tuple(complex(c) for c in rep.endpoint),
-            condition_number=rep.condition_number,
-            cycle_number=rep.cycle_number,
-            function_residual=rep.function_residual,
-            last_t=rep.last_t,
-            max_precision_bits=rep.max_precision_bits,
-            newton_residual=rep.newton_residual,
-            solution_number=i,
-            multiplicity=count,
-            is_projective=projective,
-        ))
-    return out
+            reps.append(k)
+            sizes.append(1)
+    return reps, sizes
+
+
+def dedupe(results: list[PathResult], *, projective: bool = False) -> list[SolutionPoint]:
+    """Cluster successful path endpoints into solutions.
+
+    Endpoints within DEDUPE_TOL join the first cluster they match (see
+    _clusters), so the operation is idempotent.  Multiplicity records the
+    cluster size.  The condition number is left NaN for the caller to fill
+    in; zero_dim_solve and parameter_homotopy set it from the root.
+    """
+    ends = [res for res in results if res.status is PathStatus.SUCCESS]
+    reps, sizes = _clusters([res.endpoint for res in ends], projective=projective)
+    return [SolutionPoint(
+        coordinates=tuple(complex(c) for c in ends[k].endpoint),
+        condition_number=math.nan,
+        cycle_number=ends[k].cycle_number,
+        function_residual=ends[k].function_residual,
+        last_t=ends[k].last_t,
+        max_precision_bits=ends[k].max_precision_bits,
+        newton_residual=ends[k].newton_residual,
+        solution_number=i,
+        multiplicity=count,
+        is_projective=projective,
+    ) for i, (k, count) in enumerate(zip(reps, sizes))]
 
 
 def _solution_condition(system: PolySystem, z, *, projective: bool = False) -> float:
@@ -176,9 +177,20 @@ def _solution_condition(system: PolySystem, z, *, projective: bool = False) -> f
     return condition_estimate(np.vstack([jac, zeta.conj() / norm]))
 
 
+def _diagnosed(sols, solved: PolySystem, system: PolySystem, *, projective: bool = False):
+    """The solutions with their residual in solved and their chart-free
+    condition number as roots of system (see _solution_condition)."""
+    out = []
+    for sp in sols:
+        z = sp.coordinate_array()
+        out.append(replace(
+            sp, function_residual=float(vec_inf_norm(solved.evaluate(z))),
+            condition_number=float(_solution_condition(system, z, projective=projective))))
+    return out
+
+
 def zero_dim_solve(system: PolySystem, *, projective: bool = False,
-                   seed: int = 0, config: TrackerConfig | None = None,
-                   dedupe_tol: float = DEDUPE_TOL) -> list[SolutionPoint]:
+                   seed: int = 0) -> list[SolutionPoint]:
     """Find all isolated solutions of a square system.
 
     Tracks the full Bezout count of paths from the total-degree start system.
@@ -208,16 +220,8 @@ def zero_dim_solve(system: PolySystem, *, projective: bool = False,
     gamma = random_unit_complex(rng)
     start = total_degree_start(solved)
     homotopy = straight_line_homotopy(solved, start.start_system, gamma)
-    results = track_paths(homotopy, start.start_points, config)
-    sols = dedupe(results, dedupe_tol, projective=projective)
-    enriched = []
-    for sp in sols:
-        z = sp.coordinate_array()
-        fres = vec_inf_norm(solved.evaluate(z))
-        cond = _solution_condition(system, z, projective=projective)
-        enriched.append(replace(sp, function_residual=float(fres),
-                                condition_number=float(cond)))
-    return enriched
+    sols = dedupe(track_paths(homotopy, start.start_points), projective=projective)
+    return _diagnosed(sols, solved, system, projective=projective)
 
 
 # -- refinement ---------------------------------------------------------------
@@ -319,8 +323,7 @@ class ParameterHomotopyResult(list):
 
 
 def parameter_homotopy(family: PolySystem, param_names, value_tuples,
-                       *, seed: int = 0,
-                       config: TrackerConfig | None = None) -> ParameterHomotopyResult:
+                       *, seed: int = 0) -> ParameterHomotopyResult:
     """Two-stage parameter homotopy over a parameterized family.
 
     Stage 1 assigns a random unit-modulus complex value to every parameter
@@ -349,7 +352,7 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     rng = Rng(seed)
     p0 = np.atleast_1d(rng.unit_complex(len(names)))
     stage1_system = family.specialize(p0)
-    stage1 = zero_dim_solve(stage1_system, seed=rng.integers(2**63), config=config)
+    stage1 = zero_dim_solve(stage1_system, seed=rng.integers(2**63))
     stage1 = [sp for sp in stage1
               if sp.cycle_number == 1 and sp.multiplicity == 1
               and math.isfinite(sp.condition_number) and sp.condition_number < 1e12]
@@ -360,19 +363,9 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     k = len(starts)
     targets = np.array(tuples, dtype=complex).reshape(len(tuples), len(names))
     homotopy = ParameterPathHomotopy(family, p0, np.repeat(targets, k, axis=0))
-    results = track_paths(homotopy, starts * len(tuples), config)
+    results = track_paths(homotopy, starts * len(tuples))
     solution_sets = []
     for j, p1 in enumerate(tuples):
-        sols = dedupe(results[j * k:(j + 1) * k])
         target = family.specialize(p1)
-        enriched = []
-        for i, sp in enumerate(sols):
-            z = sp.coordinate_array()
-            enriched.append(replace(
-                sp,
-                function_residual=float(vec_inf_norm(target.evaluate(z))),
-                condition_number=float(_solution_condition(target, z)),
-                solution_number=i,
-            ))
-        solution_sets.append(enriched)
+        solution_sets.append(_diagnosed(dedupe(results[j * k:(j + 1) * k]), target, target))
     return ParameterHomotopyResult(solution_sets, p0, len(stage1))

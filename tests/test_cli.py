@@ -272,6 +272,14 @@ def test_refinement_divergence_exit_code(workdir, capsys):
     assert json.loads(out)["error"]["type"] == "RefinementDiverged"
 
 
+def test_out_into_a_missing_directory_is_an_error_payload(workdir, capsys):
+    target = workdir / "nodir" / "x.json"
+    code, out = _run(capsys, "solve", workdir / "circles.sys", "--out", target)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+    assert not target.parent.exists()
+
+
 def test_help_for_every_subcommand(capsys):
     for mode in ("solve", "posdim", "refine", "param", "member", "sample"):
         with pytest.raises(SystemExit) as exc:

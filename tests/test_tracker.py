@@ -323,6 +323,33 @@ def test_endgame_reports_a_singular_jacobian_as_divergence():
         endgame(_FlatBelowBoundary(), np.array([0.1 + 1e-10], dtype=complex))
 
 
+class _PowerMinusT(Homotopy):
+    """H = z^k - t, defining eval only: a root of multiplicity k at t = 0."""
+
+    num_vars = 1
+
+    def __init__(self, k):
+        self.k = k
+
+    def eval(self, z, t):
+        k = self.k
+        return (np.array([z[0] ** k - t]), np.array([[k * z[0] ** (k - 1)]]),
+                np.array([-1.0 + 0j]))
+
+
+def test_endgame_finds_the_cycle_of_a_double_root():
+    res = endgame(_PowerMinusT(2), np.array([math.sqrt(0.1)], dtype=complex))
+    assert abs(res.endpoint[0]) <= 1e-12
+    assert res.cycle_number == 2
+    assert res.last_t <= 1e-3
+
+
+def test_endgame_of_a_regular_root_has_cycle_one():
+    res = endgame(_PowerMinusT(1), np.array([0.1], dtype=complex))
+    assert abs(res.endpoint[0]) <= 1e-12
+    assert res.cycle_number == 1
+
+
 def test_singular_jacobian_in_the_endgame_is_a_step_failure():
     # an Euler step takes its tangent at the start of the step, so the main
     # phase never solves with the singular Jacobian at t = 0.1

@@ -7,6 +7,7 @@ from polypath.parser import parse_polynomial
 from polypath.polysys import LinearSlice, PolySystem, random_slice
 from polypath.witness import (
     WitnessSet,
+    _certified_blocks,
     _dedupe_points,
     junk_removal,
     membership_test,
@@ -196,6 +197,14 @@ def test_trace_test_line_passes(sphere_nv):
     assert trace_test(line, {0}, Rng(34))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_certification_merges_failing_blocks(sphere_nv, seed):
+    # the sphere's two witness points split into two blocks: each fails the
+    # trace test alone, and the merge restores the whole component
+    ws = sphere_nv.components[2][0]
+    assert _certified_blocks(ws, [{0}, {1}], Rng(seed)) == [{0, 1}]
+
+
 def test_trace_test_validates_block(sphere_nv):
     with pytest.raises(DimensionMismatch):
         trace_test(sphere_nv.components[2][0], set(), Rng(0))
@@ -300,6 +309,15 @@ def test_sample_sphere_residuals(sphere_nv):
 def test_sample_count_validation(sphere_nv):
     with pytest.raises(DimensionMismatch):
         sample(sphere_nv.components[2][0], 0, Rng(0))
+
+
+def test_sample_of_a_point_component_repeats_its_witness_point(conic_point):
+    nv = numerical_irreducible_decomposition(conic_point, projective=True, seed=0)
+    ws = nv.components[0][0]
+    assert ws.degree == 1
+    pts = sample(ws, 3, Rng(1))
+    assert len(pts) == 3
+    assert all(np.array_equal(p, ws.points[0]) for p in pts)
 
 
 def test_affine_mixed_dimensions_circle_and_point():

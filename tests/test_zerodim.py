@@ -29,7 +29,7 @@ def _fake_result(coords):
     z = np.asarray(coords, dtype=complex)
     return PathResult(status=PathStatus.SUCCESS, endpoint=z, last_t=1e-4,
                       cycle_number=1, newton_residual=1e-15, function_residual=1e-15,
-                      condition_number=10.0, steps_taken=10)
+                      steps_taken=10)
 
 
 # -- start systems ----------------------------------------------------------
@@ -187,7 +187,7 @@ def test_dedupe_idempotent():
 def test_dedupe_ignores_failures():
     bad = PathResult(status=PathStatus.AT_INFINITY, endpoint=np.array([1e9 + 0j]),
                      last_t=0.1, cycle_number=1, newton_residual=1.0,
-                     function_residual=1.0, condition_number=1.0, steps_taken=5)
+                     function_residual=1.0, steps_taken=5)
     assert dedupe([bad]) == []
 
 
