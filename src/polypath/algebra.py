@@ -62,40 +62,43 @@ def vec_inf_norm(v) -> float:
 
 
 def solve_stack(a, b):
-    """x[i] = a[i]^-1 b[i] and kappa_inf(a[i]) for a stack of square systems.
+    """x[i] = a[i]^-1 b[i] for a stack of square systems, a (m, n, n) and b
+    (m, n, k), and a mask ok: row i fails, and x[i] is NaN, when a[i] is
+    exactly singular or x[i] is not finite.  No condition number is formed:
+    the tracker's solve.  One exactly singular matrix makes LAPACK reject
+    the whole stack, which is then solved one matrix at a time."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan, dtype=complex)
+        for i in range(a.shape[0]):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+    ok = np.isfinite(x).all(axis=(1, 2))
+    if not ok.all():
+        x[~ok] = np.nan
+    return x, ok
 
-    a is (m, n, n) and b is (m, n, k).  Solving against [b | I] yields x
-    and the inverses from one LAPACK call.  Returns x, kappa and a mask
-    ok: row i is singular, as for lin_solve, when a[i] is exactly singular
-    (kappa[i] is then inf), kappa[i] >= 1 / _PIVOT_RTOL, or anything in
-    row i is not finite.  One exactly singular matrix makes LAPACK reject
-    the whole stack, which is then solved one matrix at a time.
-    """
+
+def conditioned_solve_stack(a, b):
+    """solve_stack with kappa_inf(a[i]) = ||a[i]|| ||a[i]^-1||, as lin_solve
+    needs: solving against [b | I] yields x and the inverses from one LAPACK
+    call.  Returns x, kappa (inf where solve_stack fails row i) and ok,
+    which also fails row i when kappa[i] >= 1 / _PIVOT_RTOL."""
     m, n, k = b.shape
     rhs = np.empty((m, n, k + n), dtype=complex)
     rhs[:, :, :k] = b
     rhs[:, :, k:] = np.eye(n)
-    exact = []
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.full(rhs.shape, np.nan, dtype=complex)
-        for i in range(m):
-            try:
-                sol[i] = np.linalg.solve(a[i], rhs[i])
-            except np.linalg.LinAlgError:
-                exact.append(i)
-    x = sol[:, :, :k]
+    sol, ok = solve_stack(a, rhs)
     kappa = np.abs(a).sum(2).max(1) * np.abs(sol[:, :, k:]).sum(2).max(1)
-    if exact:
-        kappa[exact] = np.inf
-    # NaN compares false, so non-finite A or A^-1 fails the bound too
-    ok = (kappa < 1.0 / _PIVOT_RTOL) & np.isfinite(x).all(axis=(1, 2))
-    return x, kappa, ok
+    kappa[~ok] = np.inf
+    return sol[:, :, :k], kappa, kappa < 1.0 / _PIVOT_RTOL
 
 
 def _solve_and_condition(a, b):
-    """x = A^-1 b and the infinity-norm condition of A: solve_stack for one A.
+    """x = A^-1 b and the infinity-norm condition of A, for one A.
 
     Raises SingularMatrix when A counts as singular.
     """
@@ -107,7 +110,7 @@ def _solve_and_condition(a, b):
     if b.shape[:1] != (n,):
         raise DimensionMismatch(f"A is {a.shape}, b has shape {b.shape}")
     k = b.size // n if n else 0
-    x, kappa, ok = solve_stack(a[None], b.reshape(1, n, k))
+    x, kappa, ok = conditioned_solve_stack(a[None], b.reshape(1, n, k))
     if not ok[0]:
         raise SingularMatrix(f"condition {kappa[0]:.3e} (singular from "
                              f"{1.0 / _PIVOT_RTOL:.0e}) or a non-finite solution")
@@ -119,8 +122,8 @@ def lin_solve(a, b):
 
     LAPACK (through numpy) does the elimination.  Raises SingularMatrix
     when A is exactly singular, when its infinity-norm condition is at
-    least 1e14, or when A, b or x is not finite; upstream tracking treats
-    that as a failed step.
+    least 1e14, or when A, b or x is not finite.  Refinement treats that as
+    a Jacobian too ill-conditioned to sharpen.
     """
     return _solve_and_condition(a, b)[0]
 

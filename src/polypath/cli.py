@@ -159,8 +159,7 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
             if len(points) != int(comp["degree"]):
                 raise CorruptFile("degree does not match the stored point count")
             ws = WitnessSet(system=system, slice=slice_, points=points,
-                            dimension=dim, component_index=int(comp["index"]),
-                            is_projective=projective, patch=patch)
+                            dimension=dim, component_index=int(comp["index"]), patch=patch)
             components.setdefault(dim, []).append(ws)
         for sets in components.values():
             sets.sort(key=lambda w: w.component_index)

@@ -18,6 +18,9 @@ evaluation of H on the stack of their points and one stacked LAPACK
 solve.  Every evaluation passes the path index of each row, so each row
 is evaluated at its own path's parameters.  A path that finishes or fails
 leaves the stack, and track_path and endgame are the one-path case.
+Predictor and corrector solves form no condition number: a row fails only
+on an exactly singular Jacobian or a non-finite solution.  lin_solve's bound
+kappa_inf < 1e14 applies to the reported limits (the Newton polish at t = 0).
 
 Paths are tracked from t = 1 to the endgame boundary with an RK4 predictor
 on the Davidenko ODE dz/dt = -(dH/dz)^-1 dH/dt and a short Newton corrector
@@ -35,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import solve_stack
+from .algebra import conditioned_solve_stack, solve_stack
 from .errors import (
     DimensionMismatch,
     EndgameDivergence,
@@ -277,13 +280,10 @@ def _norms(v):
 
 
 def _solve_rows(a, b):
-    """x[i] = a[i]^-1 b[i] for every row, NaN where lin_solve would raise;
+    """x[i] = a[i]^-1 b[i] for every row (a stack of vectors) by solve_stack,
     and the mask of rows that solved."""
-    x, _, ok = solve_stack(a, b[:, :, None])
-    x = x[:, :, 0]
-    if not ok.all():
-        x[~ok] = np.nan
-    return x, ok
+    x, ok = solve_stack(a, b[:, :, None])
+    return x[:, :, 0], ok
 
 
 def _tangent(h: Homotopy, z, t, idx=None):
@@ -301,7 +301,8 @@ def _newton(h: Homotopy, z, t, idx, tol, iters):
 
     Returns the points, the size of each row's last update, a code per row
     (_CONVERGED; _STALLED: residual above tol after iters updates, or not
-    finite; _SINGULAR: a singular Jacobian, the row keeps its last point)
+    finite; _SINGULAR: an exactly singular Jacobian or a non-finite update,
+    the row keeps its last point)
     and the Jacobian and dH/dt of the last evaluation at each returned point.
     """
     m, n = z.shape
@@ -593,7 +594,8 @@ class _Paths:
     def _polish_limits(self):
         """Guarded Newton at t = 0 on every finished path's limit: keep the
         polished point only if it stays near the extrapolant and lowers the
-        residual.  Sets every finished path's function residual."""
+        residual; a Jacobian lin_solve calls singular (kappa_inf >= 1e14 too)
+        keeps the extrapolant.  Sets every finished path's function residual."""
         done = np.array([i for i, s in enumerate(self.status) if s is None], dtype=int)
         if not done.size:
             return
@@ -606,8 +608,8 @@ class _Paths:
         for it in range(3):
             if it:
                 value, jac, _ = self.h.eval_batch(zp[rows], zero[rows], done[rows])
-            delta, ok = _solve_rows(jac, -value)
-            rows, delta = rows[ok], delta[ok]
+            delta, _, ok = conditioned_solve_stack(jac, -value[:, :, None])
+            rows, delta = rows[ok], delta[ok, :, 0]
             if not rows.size:
                 break
             zp[rows] += delta

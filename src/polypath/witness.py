@@ -57,7 +57,6 @@ class WitnessSet:
     points: list
     dimension: int
     component_index: int = -1
-    is_projective: bool = False
     patch: np.ndarray | None = None
 
     @property
@@ -140,16 +139,14 @@ def _superset(system, dim, rng, patch):
     # a failed path may mean a lost witness point (an unlucky gamma or slice
     # sent it on a wild excursion), so redraw everything a few times and keep
     # the cleanest attempt
-    best = None
-    best_failures = None
+    attempts = []
     for _ in range(_RETRIES):
         result, failures = _superset_once(system, dim, rng, patch)
         if failures == 0:
             return result
-        if best is None or failures < best_failures or (
-                failures == best_failures and len(result.points) > len(best.points)):
-            best, best_failures = result, failures
-    return best
+        attempts.append((failures, -len(result.points), result))
+    # fewest failures, then most points; the first of equals
+    return min(attempts, key=lambda a: a[:2])[2]
 
 
 def witness_superset(system: PolySystem, dim: int, rng: Rng) -> SupersetResult:
@@ -264,8 +261,7 @@ def _members(ws: WitnessSet, points, rng: Rng) -> list:
             for p, m in zip(points, moved)]
 
 
-def junk_removal(supersets: dict, system: PolySystem, rng: Rng,
-                 *, is_projective: bool = False, patch=None) -> dict:
+def junk_removal(supersets: dict, system: PolySystem, rng: Rng, *, patch=None) -> dict:
     """Discard superset points lying on higher-dimensional components.
 
     supersets maps dimension -> SupersetResult, computed top dimension
@@ -286,7 +282,7 @@ def junk_removal(supersets: dict, system: PolySystem, rng: Rng,
         if survivors:
             confirmed.append(WitnessSet(
                 system=system, slice=supersets[dim].slice, points=survivors, dimension=dim,
-                is_projective=is_projective, patch=patch))
+                patch=patch))
     return cleaned
 
 
@@ -472,8 +468,7 @@ def numerical_irreducible_decomposition(
         if pts:
             supersets[dim] = replace(sres, points=pts)
 
-    cleaned = junk_removal(supersets, system, rng.fork(),
-                           is_projective=projective, patch=patch)
+    cleaned = junk_removal(supersets, system, rng.fork(), patch=patch)
 
     components: dict[int, list[WitnessSet]] = {}
     for dim in sorted(cleaned, reverse=True):
@@ -481,8 +476,7 @@ def numerical_irreducible_decomposition(
         if not points:
             continue
         ws_all = WitnessSet(system=system, slice=supersets[dim].slice,
-                            points=points, dimension=dim,
-                            is_projective=projective, patch=patch)
+                            points=points, dimension=dim, patch=patch)
         blocks = monodromy_partition(ws_all, rng.fork())
         blocks = _certified_blocks(ws_all, blocks, rng.fork())
         blocks.sort(key=lambda b: (len(b), min(_point_sort_key(points[i]) for i in b)))
@@ -491,7 +485,7 @@ def numerical_irreducible_decomposition(
             sets.append(WitnessSet(
                 system=system, slice=supersets[dim].slice,
                 points=[points[i] for i in sorted(block)], dimension=dim,
-                component_index=j, is_projective=projective, patch=patch))
+                component_index=j, patch=patch))
         components[dim] = sets
     return NumericalVariety(components=components, system=system, seed=seed,
                             is_projective=projective, patch=patch)

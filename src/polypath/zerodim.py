@@ -100,31 +100,33 @@ def total_degree_start(system: PolySystem) -> StartData:
     return StartData(start_system=g, start_points=points)
 
 
-def _proj_match(p, q) -> bool:
-    """Compare two projective representatives after normalizing the
-    largest-modulus coordinate of the first to 1."""
-    i = int(np.argmax(np.abs(p)))
-    if abs(p[i]) == 0.0 or abs(q[i]) <= DEDUPE_TOL * float(np.max(np.abs(q))):
-        return False
-    return vec_inf_norm(p / p[i] - q / q[i]) < DEDUPE_TOL
-
-
 def _clusters(points, *, projective: bool = False):
     """Greedy clustering: each point joins the first representative within
-    DEDUPE_TOL (infinity norm; projective representatives are compared after
-    normalization) or becomes a representative itself.  Returns the indices
-    of the representatives and the size of each one's cluster."""
-    same = _proj_match if projective else lambda p, q: vec_inf_norm(p - q) < DEDUPE_TOL
+    DEDUPE_TOL (infinity norm), compared with all of them at once, or becomes
+    a representative itself.  Projective ones are compared after dividing
+    both by their coordinate at the representative's largest modulus, and a
+    point whose coordinate there is at most DEDUPE_TOL times its largest
+    never matches.  Returns the representatives' indices and cluster sizes."""
     reps: list[int] = []
     sizes: list[int] = []
-    for k, p in enumerate(points):
-        for i, r in enumerate(reps):
-            if same(points[r], p):
-                sizes[i] += 1
-                break
-        else:
-            reps.append(k)
-            sizes.append(1)
+    pts = np.array(points, dtype=complex)
+    with np.errstate(all="ignore"):
+        if projective and len(pts):
+            big = np.argmax(np.abs(pts), axis=1)
+            unit = pts / pts[np.arange(len(pts)), big][:, None]
+            floor = DEDUPE_TOL * np.abs(pts).max(axis=1)
+        for k, q in enumerate(pts):
+            if projective:
+                qi = q[big[reps]]
+                near = np.abs(unit[reps] - q / qi[:, None]).max(axis=1) < DEDUPE_TOL
+                near &= np.abs(qi) > floor[k]
+            else:
+                near = np.abs(pts[reps] - q).max(axis=1) < DEDUPE_TOL
+            if near.any():
+                sizes[int(np.argmax(near))] += 1
+            else:
+                reps.append(k)
+                sizes.append(1)
     return reps, sizes
 
 

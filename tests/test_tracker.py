@@ -13,6 +13,7 @@ from polypath.tracker import (
     PathStatus,
     TrackerConfig,
     _Paths,
+    _solve_rows,
     _tangent,
     endgame,
     homotopy_eval,
@@ -558,3 +559,83 @@ def test_per_path_parameter_rows_must_match_the_starts(family):
         ParameterPathHomotopy(family, np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(DimensionMismatch):
         ParameterPathHomotopy(family, np.ones((2, 2)), np.ones(3))
+
+
+# -- the tracker's solves ------------------------------------------------------------
+
+def test_a_singular_row_fails_alone_and_the_others_match_numpy_bitwise():
+    rng = Rng(29)
+    a = rng.unit_complex((6, 4, 4)) + 2.0 * np.eye(4)
+    a[3, :, 2] = 0.0                  # a zero column: exactly singular
+    b = rng.unit_complex((6, 4))
+    b[5, 0] = math.inf
+    x, ok = _solve_rows(a, b)
+    assert ok.tolist() == [True, True, True, False, True, False]
+    assert np.isnan(x[[3, 5]]).all()
+    for i in (0, 1, 2, 4):
+        assert np.array_equal(x[i], np.linalg.solve(a[i], b[i]))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_only_the_limit_polish_computes_a_condition_number(katsura4, monkeypatch):
+    import polypath.algebra
+    import polypath.tracker
+
+    start = total_degree_start(katsura4)
+    h = straight_line_homotopy(katsura4, start.start_system, random_unit_complex(Rng(3)))
+    plain = _counting(monkeypatch, polypath.tracker, "solve_stack")
+    kappa = _counting(monkeypatch, polypath.tracker, "conditioned_solve_stack")
+    kappa_elsewhere = _counting(monkeypatch, polypath.algebra, "conditioned_solve_stack")
+    results = track_paths(h, start.start_points)
+    assert sum(r.status is PathStatus.SUCCESS for r in results) == 16
+    assert len(plain) > 100
+    # the guarded Newton at t = 0 on the finished paths: at most 3 iterations
+    assert 1 <= len(kappa) <= 3 and kappa[0] == 16
+    assert kappa_elsewhere == []
+
+
+class _NearSingularLines(Homotopy):
+    """H = A z - c + t (1, 1) with A = [[1, 1], [1, 1 + 2^-50]] and c = (2, 2 + 2^-50):
+    at t = 0 the root (1, 1) of a Jacobian with kappa_inf ~ 4.5e15."""
+
+    num_vars = 2
+    eps = 2.0 ** -50
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + eps]], dtype=complex)
+
+    def eval(self, z, t):
+        c = np.array([2.0, 2.0 + self.eps])
+        return self.a @ z - c + t, self.a.copy(), np.ones(2, dtype=complex)
+
+
+def test_limit_polish_keeps_the_extrapolant_past_the_condition_bound(monkeypatch):
+    import polypath.tracker
+
+    # one exact Newton step from here reaches the root (1, 1)
+    extrapolant = np.array([1.0 + 2.0 ** -20, 1.0], dtype=complex)
+    h = _NearSingularLines()
+
+    def polished():
+        paths = _Paths(h, TrackerConfig(), extrapolant[None].copy(), 0.0)
+        paths._polish_limits()
+        return paths.out_z[0], paths.out_fres[0]
+
+    z, res = polished()
+    assert np.array_equal(z, extrapolant)
+    assert res == vec_inf_norm(h.eval(extrapolant, 0.0)[0])
+    # with the tracker's plain solve in its place the polish would take the root
+    plain = polypath.tracker.solve_stack
+    monkeypatch.setattr(polypath.tracker, "conditioned_solve_stack",
+                        lambda a, b: (plain(a, b)[0], None, plain(a, b)[1]))
+    z, res = polished()
+    assert np.array_equal(z, [1.0, 1.0]) and res == 0.0

@@ -171,6 +171,54 @@ def test_dedupe_clusters_close_endpoints():
     assert sols[0].multiplicity == 2
 
 
+def _pairwise_clusters(points, projective):
+    """The clustering rule one pair at a time: a point joins the first
+    representative within DEDUPE_TOL, projective ones after normalizing."""
+    tol = zerodim.DEDUPE_TOL
+
+    def same(p, q):
+        if not projective:
+            return vec_inf_norm(p - q) < tol
+        i = int(np.argmax(np.abs(p)))
+        if abs(p[i]) == 0.0 or abs(q[i]) <= tol * float(np.max(np.abs(q))):
+            return False
+        return vec_inf_norm(p / p[i] - q / q[i]) < tol
+
+    reps, sizes = [], []
+    for k, p in enumerate(points):
+        for i, r in enumerate(reps):
+            if same(points[r], p):
+                sizes[i] += 1
+                break
+        else:
+            reps.append(k)
+            sizes.append(1)
+    return reps, sizes
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_clusters_match_the_pairwise_rule(projective):
+    rng = np.random.default_rng(11)
+    tol = zerodim.DEDUPE_TOL
+    for _ in range(20):
+        base = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+        points = []
+        for p in base:
+            points.append(p)
+            # copies offset by just inside or just outside tol (before rescaling)
+            for factor in (0.5, 0.999, 1.001, 2.0):
+                offset = rng.normal(size=4) + 1j * rng.normal(size=4)
+                q = p + factor * tol * offset / np.abs(offset).max()
+                if projective:
+                    q = q * complex(*rng.normal(size=2))   # another representative
+                points.append(q)
+        points.append(np.zeros(4, dtype=complex))
+        points = [points[i] for i in rng.permutation(len(points))]
+        reps, sizes = zerodim._clusters(points, projective=projective)
+        assert (reps, sizes) == _pairwise_clusters(points, projective)
+        assert len(base) < len(reps) < len(points)
+
+
 def test_dedupe_empty():
     assert dedupe([]) == []
 
@@ -311,6 +359,21 @@ def test_refine_reports_a_jacobian_past_the_singular_bound():
     system = _near_singular_line_pair(2.0 ** -50)
     with pytest.raises(RefinementDiverged, match="kappa_inf < 1e14"):
         refine_solutions(system, [[1.25, 0.75]], 30)
+
+
+def test_tracker_solves_a_jacobian_that_lin_solve_calls_singular():
+    # the same kappa_inf ~ 4.5e15 Jacobian: only results (lin_solve, refine,
+    # the endpoint polish) apply the 1e14 bound, the tracker's solve does not
+    from polypath.errors import SingularMatrix
+    from polypath.tracker import _solve_rows
+
+    jac = _near_singular_line_pair(2.0 ** -50).jacobian([1.25, 0.75])
+    b = np.array([1.0, 2.0], dtype=complex)
+    x, ok = _solve_rows(jac[None], b[None])
+    assert ok.tolist() == [True]
+    assert np.isfinite(x).all() and vec_inf_norm(jac @ x[0] - b) <= 1e-15 * vec_inf_norm(x)
+    with pytest.raises(SingularMatrix):
+        lin_solve(jac, b)
 
 
 def test_refine_reports_a_residual_beyond_hardware_range():
