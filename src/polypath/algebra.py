@@ -1,23 +1,18 @@
-"""Complex dense linear algebra, seeded randomness, and extended precision.
+"""Complex dense linear algebra and seeded randomness.
 
 Hardware scalars are plain ``complex`` / ``numpy.complex128``; vectors and
-matrices are dense numpy arrays.  Extended precision, used only by the
-refinement stage, comes from mpmath at a fixed working precision.
+matrices are dense numpy arrays.  Everything here runs at hardware
+precision; refinement's 160-bit iterates and exact residuals live in
+zerodim, and only its corrections are solved here.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
-
-# Working precision of refinement residuals and iterates.  106 bits
-# (double-double) is the floor needed for 30-digit output; 160 leaves
-# headroom for the residuals.
-EXTENDED_PREC_BITS = 160
 
 # lin_solve treats a matrix whose infinity-norm condition reaches
 # 1 / _PIVOT_RTOL as singular.
@@ -97,6 +92,12 @@ def conditioned_solve_stack(a, b):
     return sol[:, :, :k], kappa, kappa < 1.0 / _PIVOT_RTOL
 
 
+def singular_reason(kappa) -> str:
+    """Why a matrix with condition kappa (inf when not solved) counts as singular."""
+    return (f"condition {kappa:.3e} (singular from {1.0 / _PIVOT_RTOL:.0e}) "
+            "or a non-finite solution")
+
+
 def _solve_and_condition(a, b):
     """x = A^-1 b and the infinity-norm condition of A, for one A.
 
@@ -112,8 +113,7 @@ def _solve_and_condition(a, b):
     k = b.size // n if n else 0
     x, kappa, ok = conditioned_solve_stack(a[None], b.reshape(1, n, k))
     if not ok[0]:
-        raise SingularMatrix(f"condition {kappa[0]:.3e} (singular from "
-                             f"{1.0 / _PIVOT_RTOL:.0e}) or a non-finite solution")
+        raise SingularMatrix(singular_reason(kappa[0]))
     return x[0].reshape(b.shape), float(kappa[0])
 
 
@@ -141,18 +141,3 @@ def condition_estimate(a) -> float:
     except SingularMatrix:
         return math.inf
     return max(kappa, 1.0)
-
-
-def extended_precision():
-    """Context manager entering the refinement working precision."""
-    return mpmath.workprec(EXTENDED_PREC_BITS)
-
-
-def to_extended(z) -> mpmath.mpc:
-    """Convert a hardware complex (or decimal string pair) losslessly."""
-    if isinstance(z, mpmath.mpc):
-        return z
-    if isinstance(z, tuple):
-        return mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1]))
-    z = complex(z)
-    return mpmath.mpc(z.real, z.imag)

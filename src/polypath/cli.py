@@ -16,7 +16,7 @@ import sys
 import mpmath
 import numpy as np
 
-from .algebra import Rng, extended_precision
+from .algebra import Rng
 from .errors import (
     CorruptFile,
     DecompositionIncomplete,
@@ -38,6 +38,7 @@ from .witness import (
     sample as sample_witness,
 )
 from .zerodim import (
+    EXTENDED_PREC_BITS,
     SolutionPoint,
     parameter_homotopy,
     refine_solutions,
@@ -66,7 +67,7 @@ def _fmt_complex(z) -> dict:
 
 
 def _read_complex(d):
-    with extended_precision():
+    with mpmath.workprec(EXTENDED_PREC_BITS):
         return mpmath.mpc(mpmath.mpf(d["re"]), mpmath.mpf(d["im"]))
 
 

@@ -4,8 +4,9 @@ The solver builds the total-degree start system g_i = z_i^(d_i) - 1, tracks
 every product of roots of unity through the gamma-twisted straight-line
 homotopy, then clusters finite endpoints into solutions with diagnostics.
 Projective systems are solved on a random affine chart appended as an extra
-equation.  Refinement is mixed-precision Newton: residuals in 160-bit
-arithmetic, corrections from the hardware-precision Jacobian solve.
+equation.  Refinement is mixed-precision Newton on all roots in lock-step:
+residuals computed exactly in integers at the 160-bit iterates and rounded
+once, corrections from one stacked hardware-precision Jacobian solve.
 """
 
 from __future__ import annotations
@@ -13,20 +14,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import mul
 
 import mpmath
 import numpy as np
 
 from .algebra import (
-    EXTENDED_PREC_BITS,
     Rng,
-    condition_estimate,
-    extended_precision,
-    lin_solve,
+    conditioned_solve_stack,
     random_unit_complex,
-    to_extended,
+    singular_reason,
     vec_inf_norm,
 )
 from .errors import (
@@ -34,7 +30,6 @@ from .errors import (
     NotHomogeneous,
     NotSquare,
     RefinementDiverged,
-    SingularMatrix,
 )
 from .polysys import Polynomial, PolySystem, _distinct_rows, affine_patch
 from .tracker import (
@@ -46,6 +41,10 @@ from .tracker import (
 )
 
 DEDUPE_TOL = 1e-6
+
+# Mantissa bits of refinement iterates.  106 bits (double-double) is the
+# floor needed for 30-digit output; 160 leaves headroom.
+EXTENDED_PREC_BITS = 160
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,9 @@ def dedupe(results: list[PathResult], *, projective: bool = False) -> list[Solut
     ) for i, (k, count) in enumerate(zip(reps, sizes))]
 
 
-def _solution_condition(system: PolySystem, z, *, projective: bool = False) -> float:
-    """Chart-free condition number of a root, a property of the root alone.
+def _solution_conditions(system: PolySystem, z, *, projective: bool = False):
+    """Chart-free condition numbers of a stack of roots z (m, N), each a
+    property of its root alone.
 
     With zeta = (z, 1) for an affine root (zeta = z for a projective one) and
     its unit representative zeta^ = zeta / ||zeta||_2, this is the
@@ -163,32 +163,39 @@ def _solution_condition(system: PolySystem, z, *, projective: bool = False) -> f
     with the row zeta^H appended.  The homogenizing column follows from
     Euler's identity, d_i f_i(z) - sum_j z_j df_i/dz_j at h = 1, and row i
     of the Jacobian at zeta^ is its value at zeta scaled by
-    ||zeta||^-(d_i - 1), so only the affine Jacobian is evaluated.  For a
-    projective root, system is the homogeneous system without its chart.
+    ||zeta||^-(d_i - 1), so only the affine Jacobian is evaluated, in one
+    kernel call for the stack.  For a projective root, system is the
+    homogeneous system without its chart.  Singular means what it means
+    for condition_estimate, and gives inf.
     """
-    z = np.asarray(z, dtype=complex)
-    jac = system.jacobian(z)
+    table = system.kernel(z)
+    jac = table[:, :, 1:]
     degrees = np.array(system.degrees())
     if projective:
         zeta = z
     else:
-        zeta = np.append(z, 1.0)
-        jac = np.column_stack([jac, degrees * system.evaluate(z) - jac @ z])
-    norm = float(np.linalg.norm(zeta))
-    jac = jac * (norm ** (1.0 - degrees))[:, None]
-    return condition_estimate(np.vstack([jac, zeta.conj() / norm]))
+        zeta = np.column_stack([z, np.ones(len(z))])
+        euler = degrees * table[:, :, 0] - (jac @ z[:, :, None])[:, :, 0]
+        jac = np.concatenate([jac, euler[:, :, None]], axis=2)
+    norm = np.linalg.norm(zeta, axis=1)
+    jac = jac * (norm[:, None] ** (1.0 - degrees))[:, :, None]
+    a = np.concatenate([jac, (zeta.conj() / norm[:, None])[:, None, :]], axis=1)
+    _, kappa, ok = conditioned_solve_stack(a, np.zeros(a.shape[:2] + (0,)))
+    return np.where(ok, np.maximum(kappa, 1.0), math.inf)
 
 
 def _diagnosed(sols, solved: PolySystem, system: PolySystem, *, projective: bool = False):
     """The solutions with their residual in solved and their chart-free
-    condition number as roots of system (see _solution_condition)."""
-    out = []
-    for sp in sols:
-        z = sp.coordinate_array()
-        out.append(replace(
-            sp, function_residual=float(vec_inf_norm(solved.evaluate(z))),
-            condition_number=float(_solution_condition(system, z, projective=projective))))
-    return out
+    condition number as roots of system (see _solution_conditions).  Each
+    residual is a one-point evaluation: at a root it is rounding noise,
+    which the last-bit differences of a stacked kernel call would change."""
+    if not sols:
+        return []
+    z = np.array([sp.coordinate_array() for sp in sols])
+    kappas = _solution_conditions(system, z, projective=projective)
+    return [replace(sp, function_residual=vec_inf_norm(solved.evaluate(p)),
+                    condition_number=float(kappa))
+            for sp, p, kappa in zip(sols, z, kappas)]
 
 
 def zero_dim_solve(system: PolySystem, *, projective: bool = False,
@@ -228,12 +235,79 @@ def zero_dim_solve(system: PolySystem, *, projective: bool = False,
 
 # -- refinement ---------------------------------------------------------------
 
-class _ExtendedSystem:
-    """160-bit values of a parameter-free square system: refinement residuals.
+def _float(m: int, e: int) -> float:
+    """m * 2**e rounded to the nearest float (ties to even), +-inf past the
+    float range: Python's int-to-float and int / int are correctly rounded."""
+    try:
+        return float(m << e) if e >= 0 else m / (1 << -e)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
 
-    A call forms each distinct monomial of the system once, from a table of
-    coordinate powers, and each polynomial is one dot product of its
-    coefficients with its monomials (mpmath.fdot, rounded once).
+
+def _round_bits(m: int, e: int):
+    """m * 2**e rounded to a mantissa of at most EXTENDED_PREC_BITS bits,
+    ties to even, as mpmath rounds."""
+    excess = abs(m).bit_length() - EXTENDED_PREC_BITS
+    if excess <= 0:
+        return m, e
+    q, r = divmod(abs(m), 1 << excess)
+    half = 1 << (excess - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    if q >> EXTENDED_PREC_BITS:  # rounded up to 2**EXTENDED_PREC_BITS
+        q, excess = q >> 1, excess + 1
+    return (q if m > 0 else -q), e + excess
+
+
+def _dyadic(x):
+    """(m, e) with x == m * 2**e exactly, for an mpmath mpf or a float;
+    None when x is not finite."""
+    if isinstance(x, mpmath.mpf):
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:
+            return None
+        return (-man if sign else man), exp
+    if not math.isfinite(x):
+        return None
+    num, den = x.as_integer_ratio()
+    return num, 1 - den.bit_length()
+
+
+def _dyadic_point(coordinates):
+    """A point as ((re_m, re_e), (im_m, im_e)) per coordinate, or None if a
+    coordinate is not finite.  Coordinates are mpmath mpc values (taken as
+    they are), (re, im) pairs of decimal strings (read at 160 bits) or
+    anything complex() takes."""
+    out = []
+    with mpmath.workprec(EXTENDED_PREC_BITS):
+        for c in coordinates:
+            if isinstance(c, tuple):
+                c = mpmath.mpc(mpmath.mpf(c[0]), mpmath.mpf(c[1]))
+            elif not isinstance(c, mpmath.mpc):
+                c = complex(c)
+            parts = (_dyadic(c.real), _dyadic(c.imag))
+            if None in parts:
+                return None
+            out.append(parts)
+    return out
+
+
+def _complex(point) -> np.ndarray:
+    """A dyadic point rounded to complex128."""
+    return np.array([complex(_float(*re), _float(*im)) for re, im in point])
+
+
+class _ExactSystem:
+    """Exact values of a parameter-free square system at dyadic points,
+    rounded once to complex128: refinement residuals.
+
+    Coordinates (160-bit binary floats) and coefficients (complex128) are
+    dyadic rationals m * 2**e.  A call writes the point's coordinates as
+    Gaussian integers over one common exponent e0 <= 0, forms the distinct
+    monomials of the system as a chain of products, each a monomial formed
+    before times one coordinate, sums each polynomial's terms exactly in
+    Python integers, scaled to the polynomial's largest degree, and rounds
+    the sum once (+-inf past the float range).
     """
 
     def __init__(self, system: PolySystem):
@@ -242,74 +316,145 @@ class _ExtendedSystem:
         if system.n != system.num_vars:
             raise NotSquare("refinement needs a square system")
         mons, where = _distinct_rows(np.vstack([p.exps for p in system.polys]))
-        self.degrees = np.max(mons, axis=0, initial=0).tolist()
-        # (variable, power) factors; the constant monomial is z_0^0 = 1
-        self.monomials = [[(j, e) for j, e in enumerate(row) if e] or [(0, 0)]
-                          for row in mons.tolist()]
-        bounds = np.cumsum([0] + [p.coeffs.size for p in system.polys]).tolist()
-        self.rows = [([to_extended(c) for c in p.coeffs], where[lo:hi].tolist())
-                     for p, lo, hi in zip(system.polys, bounds, bounds[1:])]
+        # slot 0 holds 1, slot 1 + j the coordinate z_j; each step
+        # (parent slot, j) appends slot[parent] * z_j
+        slots = {(0,) * system.num_vars: 0}
+        for j in range(system.num_vars):
+            slots[tuple(int(j == i) for i in range(system.num_vars))] = 1 + j
+        self.steps = []
 
-    def evaluate(self, z):
-        powers = [[1, zj] for zj in z]
-        for pw, d in zip(powers, self.degrees):
-            while len(pw) <= d:
-                pw.append(pw[-1] * pw[1])
-        mons = [reduce(mul, [powers[j][e] for j, e in factors])
-                for factors in self.monomials]
-        return [mpmath.fdot(coeffs, [mons[k] for k in idx])
-                for coeffs, idx in self.rows]
+        def slot(row):
+            if row not in slots:
+                j = max(i for i, e in enumerate(row) if e)
+                parent = slot(row[:j] + (row[j] - 1,) + row[j + 1:])
+                slots[row] = len(slots)
+                self.steps.append((parent, j))
+            return slots[row]
+
+        mon_slot = [slot(tuple(row)) for row in mons.tolist()]
+        degrees = mons.sum(axis=1).tolist()
+        # each polynomial as (fmin, top, terms): fmin its smallest coefficient
+        # exponent, top its largest degree, and each term (slot, p, q, f, d)
+        # with coefficient (p + iq) * 2**(fmin + f) and degree top - d
+        self.rows, k = [], 0
+        for poly in system.polys:
+            coeffs = [(_dyadic(c.real), _dyadic(c.imag)) for c in poly.coeffs.tolist()]
+            idx = where[k:k + len(coeffs)].tolist()
+            k += len(coeffs)
+            fmin = min(e for part in coeffs for _, e in part)
+            top = max(degrees[i] for i in idx)
+            terms = []
+            for i, ((rm, re), (im, ie)) in zip(idx, coeffs):
+                t = min(re, ie)
+                terms.append((mon_slot[i], rm << (re - t), im << (ie - t), t - fmin,
+                              top - degrees[i]))
+            self.rows.append((fmin, top, terms))
+
+    def __call__(self, point) -> np.ndarray:
+        """f(point) for a dyadic point (see _dyadic_point), rounded to complex128."""
+        e0 = min([0] + [e for part in point for m, e in part if m])
+        vals = [(1, 0)] + [(rm << (re - e0) if rm else 0, im << (ie - e0) if im else 0)
+                           for (rm, re), (im, ie) in point]
+        for parent, j in self.steps:
+            x, y = vals[parent]
+            u, v = vals[1 + j]
+            vals.append((x * u - y * v, x * v + y * u))
+        out = np.empty(len(self.rows), dtype=complex)
+        for i, (fmin, top, terms) in enumerate(self.rows):
+            # term value (p + iq) * mon * 2**(fmin + f + e0 * (top - d))
+            sr = si = 0
+            for sl, p, q, f, d in terms:
+                x, y = vals[sl]
+                shift = f - e0 * d
+                sr += (p * x - q * y) << shift
+                si += (p * y + q * x) << shift
+            base = fmin + e0 * top
+            out[i] = complex(_float(sr, base), _float(si, base))
+        return out
+
+
+def _add(part, d: float):
+    """A 160-bit dyadic real plus a float, rounded to 160 bits."""
+    m, e = part
+    dm, de = _dyadic(d)
+    lo = min(e, de)
+    return _round_bits((m << (e - lo)) + (dm << (de - lo)), lo)
+
+
+def _singular(kappa) -> RefinementDiverged:
+    return RefinementDiverged(
+        "singular Jacobian during sharpening (refinement needs kappa_inf < 1e14 "
+        f"at hardware precision): {singular_reason(kappa)}")
 
 
 def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPoint]:
     """Sharpen solutions (SolutionPoints or coordinate lists) to 10^-digits.
 
-    Mixed-precision Newton: each correction solves J(z) delta = -f(z) by
-    lin_solve, with f evaluated at 160 bits and rounded to complex128 and J
-    the hardware-precision Jacobian, and adds delta to the 160-bit iterate.
-    A correction shrinks the error by about kappa_inf * 2^-53.  Stops when
-    an update is at most 10^-digits relative in every coordinate (absolute
-    below 1).  Raises RefinementDiverged when the Jacobian counts as
-    singular (kappa_inf >= 1e14, see lin_solve) or the updates stop
-    contracting, which signals a singular or wrong input point.
+    Mixed-precision Newton on all roots in lock-step: each iteration
+    evaluates f exactly at every live 160-bit iterate and rounds it once to
+    complex128 (_ExactSystem), forms the Jacobians at the iterates rounded
+    to complex128 in one kernel call, solves J delta = -f for all of them
+    in one conditioned_solve_stack, and adds each delta to its iterate,
+    rounded to 160 bits.  A correction shrinks the error by about
+    kappa_inf * 2^-53.  A root stops when an update is at most 10^-digits
+    relative in every coordinate (absolute below 1).  It fails when its
+    Jacobian counts as singular (kappa_inf >= 1e14, see lin_solve) or its
+    updates stop contracting, which signals a singular or wrong input
+    point; once every root has stopped or failed, the lowest-index failure
+    is raised as RefinementDiverged.  Coordinates are returned as mpmath
+    mpc values holding the 160-bit iterates exactly.
     """
     if not 1 <= digits <= 30:
         raise ValueError("digits must be between 1 and 30")
     tol = 10.0 ** -digits
+    exact = _ExactSystem(system)
+    sps, zs = [], []
+    for sp in points:
+        if not isinstance(sp, SolutionPoint):
+            sp = SolutionPoint(
+                coordinates=tuple(sp), condition_number=math.nan, cycle_number=1,
+                function_residual=math.nan, last_t=0.0, max_precision_bits=53,
+                newton_residual=math.nan, solution_number=len(sps))
+        if len(sp.coordinates) != system.num_vars:
+            raise DimensionMismatch(f"point has length {len(sp.coordinates)}, "
+                                    f"system has {system.num_vars} variables")
+        sps.append(sp)
+        zs.append(_dyadic_point(sp.coordinates))
+    failed = {r: _singular(math.inf) for r, z in enumerate(zs) if z is None}
+    updates = [[] for _ in zs]
+    live = [r for r, z in enumerate(zs) if z is not None]
+    for _ in range(30):
+        if not live:
+            break
+        fval = np.array([exact(zs[r]) for r in live])
+        jac = system.kernel(np.array([_complex(zs[r]) for r in live]))[:, :, 1:]
+        delta, kappa, ok = conditioned_solve_stack(jac, -fval[:, :, None])
+        still = []
+        for r, d, k, good in zip(live, delta[:, :, 0].tolist(), kappa.tolist(), ok):
+            if not good:
+                failed[r] = _singular(k)
+                continue
+            zs[r] = [(_add(re, di.real), _add(im, di.imag)) for (re, im), di in zip(zs[r], d)]
+            steps = updates[r]
+            steps.append(max(abs(di) for di in d))
+            if max(abs(di) / max(1.0, abs(zi)) for zi, di in zip(_complex(zs[r]), d)) <= tol:
+                continue
+            if len(steps) >= 5 and steps[-1] > steps[-2] >= steps[-3]:
+                failed[r] = RefinementDiverged("Newton updates stopped contracting")
+                continue
+            still.append(r)
+        live = still
+    for r in live:
+        failed[r] = RefinementDiverged(f"no agreement to {digits} digits within 30 iterations")
+    if failed:
+        raise failed[min(failed)]
     out = []
-    with extended_precision():
-        ext = _ExtendedSystem(system)
-        for sp in points:
-            if not isinstance(sp, SolutionPoint):
-                sp = SolutionPoint(
-                    coordinates=tuple(sp), condition_number=math.nan, cycle_number=1,
-                    function_residual=math.nan, last_t=0.0, max_precision_bits=53,
-                    newton_residual=math.nan, solution_number=len(out))
-            z = [to_extended(c) for c in sp.coordinates]
-            updates = []
-            for _ in range(30):
-                fval = [complex(v) for v in ext.evaluate(z)]
-                try:
-                    delta = lin_solve(system.jacobian([complex(zi) for zi in z]),
-                                      np.negative(fval)).tolist()
-                except SingularMatrix as exc:
-                    raise RefinementDiverged(
-                        "singular Jacobian during sharpening (refinement needs "
-                        f"kappa_inf < 1e14 at hardware precision): {exc}") from exc
-                z = [zi + di for zi, di in zip(z, delta)]
-                updates.append(max(abs(di) for di in delta))
-                if max(abs(di) / max(1.0, abs(complex(zi)))
-                       for zi, di in zip(z, delta)) <= tol:
-                    break
-                if len(updates) >= 5 and updates[-1] > updates[-2] >= updates[-3]:
-                    raise RefinementDiverged("Newton updates stopped contracting")
-            else:
-                raise RefinementDiverged(
-                    f"no agreement to {digits} digits within 30 iterations")
+    with mpmath.workprec(EXTENDED_PREC_BITS):
+        for sp, z, steps in zip(sps, zs, updates):
             out.append(replace(
-                sp, coordinates=tuple(z), max_precision_bits=EXTENDED_PREC_BITS,
-                function_residual=float(max(abs(v) for v in ext.evaluate(z))),
-                newton_residual=updates[-1]))
+                sp, coordinates=tuple(mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)) for re, im in z),
+                max_precision_bits=EXTENDED_PREC_BITS,
+                function_residual=float(np.abs(exact(z)).max()), newton_residual=steps[-1]))
     return out
 
 

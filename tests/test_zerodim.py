@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from polypath import zerodim
-from polypath.algebra import Rng, lin_solve, vec_inf_norm
+from polypath.algebra import (
+    Rng,
+    condition_estimate,
+    conditioned_solve_stack,
+    lin_solve,
+    vec_inf_norm,
+)
 from polypath.errors import NotHomogeneous, NotSquare, RefinementDiverged
 from polypath.parser import parse_polynomial
 from polypath.polysys import Polynomial, PolySystem
@@ -343,9 +349,9 @@ def test_refine_contracts_slowly_but_converges_when_ill_conditioned(monkeypatch)
 
     def counting_solve(a, b):
         solves.append(1)
-        return lin_solve(a, b)
+        return conditioned_solve_stack(a, b)
 
-    monkeypatch.setattr(zerodim, "lin_solve", counting_solve)
+    monkeypatch.setattr(zerodim, "conditioned_solve_stack", counting_solve)
     (sp,) = refine_solutions(system, [start], 30)
     assert 4 <= len(solves) < 30
     for c in sp.coordinates:
@@ -381,6 +387,161 @@ def test_refine_reports_a_residual_beyond_hardware_range():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(RefinementDiverged, match="kappa_inf < 1e14"):
         refine_solutions(_sys(["x^2 - 1"], ["x"]), [[1e200]], 10)
+
+
+def _katsura(n):
+    names = [f"x{i}" for i in range(n + 1)]
+    eqs = [" + ".join(f"{names[abs(l)]}*{names[abs(m - l)]}"
+                      for l in range(-n, n + 1) if abs(m - l) <= n) + f" - {names[m]}"
+           for m in range(n)]
+    eqs.append(" + ".join([names[0]] + [f"2*{v}" for v in names[1:]]) + " - 1")
+    return _sys(eqs, names)
+
+
+def _reference_values(system, coordinates):
+    """f at mpmath coordinates, evaluated term by term at 1000 bits and
+    rounded once to complex128."""
+    with mpmath.workprec(1000):
+        z = [mpmath.mpc(c) for c in coordinates]
+        out = []
+        for poly in system.polys:
+            total = mpmath.mpc(0)
+            for row, c in zip(poly.exps.tolist(), poly.coeffs.tolist()):
+                term = mpmath.mpc(c.real, c.imag)
+                for zj, e in zip(z, row):
+                    term *= zj ** e
+                total += term
+            out.append(complex(total))
+    return np.array(out)
+
+
+def _exact_values(system, coordinates):
+    return zerodim._ExactSystem(system)(zerodim._dyadic_point(coordinates))
+
+
+def _random_dyadic(rng, low, high):
+    """A random real with a 160-bit mantissa and magnitude 2^k to 2^(k+1),
+    k drawn from [low, high]."""
+    m = int.from_bytes(rng.bytes(20), "big") | 1 << 159 | 1
+    sign = -1 if rng.uniform() < 0.5 else 1
+    with mpmath.workprec(160):
+        return mpmath.mpf((sign * m, int(rng.integers(low, high + 1)) - 159))
+
+
+@pytest.mark.parametrize("name", ["katsura5", "cyclic5"])
+def test_exact_values_at_160_bit_roots_match_a_1000_bit_evaluation(name, cyclic5):
+    system = _katsura(5) if name == "katsura5" else cyclic5
+    sols = zero_dim_solve(system, seed=1)[:12]
+    for sp in refine_solutions(system, sols, 30):
+        got = _exact_values(system, sp.coordinates)
+        assert got.tobytes() == _reference_values(system, sp.coordinates).tobytes()
+        assert 0 < np.abs(got).max() < 1e-40
+
+
+def test_exact_values_at_random_dyadic_points_with_mixed_exponents():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        nv = 3
+        polys = []
+        for _ in range(nv):
+            terms = {}
+            for _ in range(5):
+                exps = tuple(int(e) for e in rng.integers(0, 3, size=nv))
+                terms[exps] = complex(rng.normal() * 2.0 ** int(rng.integers(-30, 30)),
+                                      rng.normal() * 2.0 ** int(rng.integers(-30, 30)))
+            polys.append(Polynomial.from_terms(terms, nv))
+        system = PolySystem(["x", "y", "z"], polys)
+        with mpmath.workprec(160):
+            point = [mpmath.mpc(_random_dyadic(rng, -200, 40), _random_dyadic(rng, -200, 40))
+                     for _ in range(nv)]
+        got = _exact_values(system, point)
+        assert got.tobytes() == _reference_values(system, point).tobytes()
+
+
+def test_exact_values_at_zero_coordinates_and_the_constant_monomial():
+    system = _sys(["x^2*y + 3*y - 0.1", "x*y^2 + 2.5*x + (1 + 2*I)", "z^3 - 0.3*z + 7"],
+                  ["x", "y", "z"])
+    with mpmath.workprec(160):
+        third = mpmath.mpf(1) / 3
+    for point in ([0, 0, 0], [third, 0, mpmath.mpc(0, third)],
+                  [mpmath.mpc(third, 0), mpmath.mpc(0, 1), 0.0]):
+        got = _exact_values(system, point)
+        assert got.tobytes() == _reference_values(system, point).tobytes()
+    assert _exact_values(system, [0, 0, 0]).tolist() == [-0.1, 1 + 2j, 7]
+
+
+def test_exact_values_overflow_to_infinity():
+    system = _sys(["x^2 - 1", "-x*y^3"], ["x", "y"])
+    got = _exact_values(system, [1e200, 1e200])
+    assert got.tolist() == [complex(math.inf, 0), complex(-math.inf, 0)]
+    with mpmath.workprec(160):
+        huge = mpmath.mpc(mpmath.mpf((1, 5000)))
+    assert _exact_values(system, [huge, 1])[0] == complex(math.inf, 0)
+
+
+def test_iterates_round_to_160_bits_as_mpmath_does():
+    rng = np.random.default_rng(5)
+    cases = [(1 << 160) + 1, (1 << 161) + 1, (1 << 161) + 3, (1 << 161) - 1, 3 << 200]
+    cases += [int.from_bytes(rng.bytes(int(n)), "big") for n in rng.integers(1, 60, size=40)]
+    with mpmath.workprec(160):
+        for m in cases:
+            for sign in (1, -1):
+                got = zerodim._round_bits(sign * m, -7)
+                assert abs(got[0]).bit_length() <= 160
+                assert mpmath.mpf(got) == mpmath.mpf((sign * m, -7))
+
+
+def test_refine_of_a_list_equals_refining_each_root_alone():
+    system = _katsura(4)
+    sols = zero_dim_solve(system, seed=3)
+    together = refine_solutions(system, sols, 30)
+    for sp, got in zip(sols, together):
+        (alone,) = refine_solutions(system, [sp], 30)
+        size = max(abs(c) for c in alone.coordinates)
+        for a, b in zip(got.coordinates, alone.coordinates):
+            assert abs(a - b) <= mpmath.mpf(10) ** -46 * (1 + size)
+        assert (got.solution_number, got.multiplicity) == (alone.solution_number,
+                                                            alone.multiplicity)
+
+
+def test_refine_raises_the_lowest_index_failure():
+    # x^2 (x - 1): root 0 converges, root 1 creeps towards the double root
+    # 0 and runs out of iterations, and root 2 sits on it, where the
+    # Jacobian is singular at the first iteration
+    system = _sys(["x^3 - x^2"], ["x"])
+    with pytest.raises(RefinementDiverged) as alone:
+        refine_solutions(system, [[1e-3]], 20)
+    assert str(alone.value) == "no agreement to 20 digits within 30 iterations"
+    with pytest.raises(RefinementDiverged, match="singular Jacobian"):
+        refine_solutions(system, [[0.0]], 20)
+    with pytest.raises(RefinementDiverged) as both:
+        refine_solutions(system, [[1.0], [1e-3], [0.0]], 20)
+    assert str(both.value) == str(alone.value)
+
+
+def _one_point_condition(system, z, projective=False):
+    """_solution_conditions for one root, from condition_estimate."""
+    jac = system.jacobian(z)
+    degrees = np.array(system.degrees())
+    zeta = z if projective else np.append(z, 1.0)
+    if not projective:
+        jac = np.column_stack([jac, degrees * system.evaluate(z) - jac @ z])
+    norm = float(np.linalg.norm(zeta))
+    jac = jac * (norm ** (1.0 - degrees))[:, None]
+    return condition_estimate(np.vstack([jac, zeta.conj() / norm]))
+
+
+def test_stacked_condition_numbers_match_one_point_ones(cyclic5, quadrics):
+    sols = zero_dim_solve(cyclic5, seed=2)
+    z = np.array([sp.coordinate_array() for sp in sols])
+    stacked = zerodim._solution_conditions(cyclic5, z)
+    for zi, kappa in zip(z, stacked):
+        assert abs(kappa - _one_point_condition(cyclic5, zi)) <= 1e-12 * kappa
+    sols = zero_dim_solve(quadrics, projective=True, seed=0)
+    z = np.array([sp.coordinate_array() for sp in sols])
+    stacked = zerodim._solution_conditions(quadrics, z, projective=True)
+    for zi, kappa in zip(z, stacked):
+        assert abs(kappa - _one_point_condition(quadrics, zi, True)) <= 1e-12 * kappa
 
 
 # -- parameter homotopy ---------------------------------------------------------

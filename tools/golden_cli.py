@@ -17,12 +17,18 @@ Runs the CLI in-process on the benchmark's inputs (perfbench/systems.py):
 
 Each call's exit code, stdout and `--out` file go into one JSON object keyed
 by call name.  With `--against FILE` the calls whose record differs from
-FILE's are listed and the exit code is 1 if there is any.
+FILE's are listed and the exit code is 1 if there is any.  For each such
+call the tool prints the JSON fields that differ (list indices written as
+`[]`), each with its largest relative change where the values are numbers,
+and the largest |new - old| / (1 + ||old point||_inf) over the points (lists
+of {"re", "im"} strings) of its output, computed in decimal arithmetic at
+80 digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import io
 import json
 import os
@@ -120,6 +126,75 @@ def differing(new: dict, old: dict) -> list:
     return [name for name in sorted(set(new) | set(old)) if new.get(name) != old.get(name)]
 
 
+def _is_point(value) -> bool:
+    return bool(value) and all(isinstance(c, dict) and set(c) == {"re", "im"} for c in value)
+
+
+def _decimal(value):
+    """A JSON number or numeric string as a finite Decimal, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        out = decimal.Decimal(value)
+    except decimal.InvalidOperation:
+        return None
+    return out if out.is_finite() else None
+
+
+def _deviation(new, old) -> float:
+    """|new - old|_inf / (1 + |old|_inf) for two points of decimal strings."""
+    parse = [[(decimal.Decimal(c["re"]), decimal.Decimal(c["im"])) for c in p]
+             for p in (new, old)]
+    gap = max(((a - c) ** 2 + (b - d) ** 2).sqrt() for (a, b), (c, d) in zip(*parse))
+    size = max((c * c + d * d).sqrt() for c, d in parse[1])
+    return float(gap / (1 + size))
+
+
+def _compare(new, old, path, fields, deviations):
+    """Walk two JSON values side by side.  fields maps the path of every leaf
+    that differs to the largest relative change |new - old| / |old| over its
+    numeric leaves (None if some leaf there is not a nonzero number);
+    deviations gets the deviation of every pair of points of equal length."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        for key in sorted(set(new) | set(old)):
+            _compare(new.get(key), old.get(key), f"{path}.{key}" if path else key,
+                     fields, deviations)
+    elif isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        if _is_point(new) and _is_point(old):
+            deviations.append(_deviation(new, old))
+        for a, b in zip(new, old):
+            _compare(a, b, path + "[]", fields, deviations)
+    elif new != old:
+        a, b = _decimal(new), _decimal(old)
+        rel = float(abs(a - b) / abs(b)) if a is not None and b else None
+        if path not in fields:
+            fields[path] = rel
+        elif fields[path] is not None:
+            fields[path] = None if rel is None else max(fields[path], rel)
+
+
+def _parsed(record) -> dict:
+    """A call record with its stdout and --out file parsed where they are JSON."""
+    out = dict(record)
+    for key in ("stdout", "out"):
+        try:
+            out[key] = json.loads(record[key])
+        except (TypeError, ValueError):
+            pass
+    return out
+
+
+def explain(new, old):
+    """The differing fields of one call's records, each with its largest
+    relative change (see _compare), and the largest point deviation (None
+    when no points pair up)."""
+    fields, deviations = {}, []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        _compare(_parsed(new or {}), _parsed(old or {}), "", fields, deviations)
+    return fields, max(deviations, default=None)
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     records = capture(args.src)
@@ -130,9 +205,18 @@ def main(argv=None) -> int:
         return 0
     old = json.loads(Path(args.against).read_text(encoding="utf-8"))
     diff = differing(records, old)
+    worst = None
     for name in diff:
+        fields, deviation = explain(records.get(name), old.get(name))
         print(f"differs: {name}")
+        for field, rel in sorted(fields.items()):
+            print(f"  {field}" + ("" if rel is None else f" (relative change up to {rel:.2e})"))
+        if deviation is not None:
+            print(f"  largest point deviation {deviation:.2e}")
+            worst = deviation if worst is None else max(worst, deviation)
     print(f"{len(records) - len(diff)} of {len(set(records) | set(old))} calls identical")
+    if worst is not None:
+        print(f"largest point deviation over all calls {worst:.2e}")
     return 1 if diff else 0
 
 
