@@ -22,6 +22,7 @@ from .tracker import (
     track_paths,
 )
 from .zerodim import (
+    ExactComplex,
     SolutionPoint,
     StartData,
     dedupe,
@@ -66,6 +67,7 @@ __all__ = [
     "straight_line_homotopy",
     "track_path",
     "track_paths",
+    "ExactComplex",
     "SolutionPoint",
     "StartData",
     "dedupe",

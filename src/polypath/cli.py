@@ -3,17 +3,20 @@
 Subcommands mirror the run modes: solve, posdim, refine, param, member,
 sample.  All numeric output is serialized as decimal strings so
 extended-precision coordinates survive transport, and a fixed seed makes
-repeat runs byte-identical.  Exit codes: 0 success, 1 parse/validation
-error, 2 numerical failure.
+repeat runs byte-identical.  A coordinate string is read exactly and
+rounded to 160 bits (solutions) or to complex128 (decompositions); refined
+coordinates are printed with 33 significant digits.  Exit codes: 0
+success, 1 parse/validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .algebra import Rng
@@ -38,8 +41,11 @@ from .witness import (
     sample as sample_witness,
 )
 from .zerodim import (
-    EXTENDED_PREC_BITS,
+    ExactComplex,
     SolutionPoint,
+    _dyadic,
+    _float,
+    _fraction,
     parameter_homotopy,
     refine_solutions,
     zero_dim_solve,
@@ -54,21 +60,75 @@ _NUMERIC_ERRORS = (RefinementDiverged, DecompositionIncomplete, PathFailure)
 
 # -- number formatting ---------------------------------------------------------
 
+# Bits that mpmath's nstr(x, 33) carries in the binary fixed-point number it
+# cuts the decimal digits from: it works with 33 + 3 digits.
+_FIX_BITS = int(36 * math.log(10, 2)) + 10
+
+
 def _fmt_real(x) -> str:
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, 33)
-    return repr(float(x))
+    """repr of a float; a Fraction (a 160-bit coordinate) to 33 significant
+    digits, exactly as mpmath's nstr(x, 33) prints it.  The value is cut to
+    a binary fixed-point number of about _FIX_BITS bits, whose decimal
+    digits are truncated and then rounded half up at the 34th; it is
+    printed in fixed point when the leading digit's decimal exponent is
+    between -11 and 33 (both excluded), trailing zeros stripped."""
+    if not isinstance(x, Fraction):
+        return repr(float(x))
+    m, e = _dyadic(x)
+    if not m:
+        return "0.0"
+    sign, m = ("-" if m < 0 else ""), abs(m)
+    fix = max(_FIX_BITS - e - m.bit_length(), 0)
+    shift = e + fix
+    scaled = m << shift if shift >= 0 else m >> -shift
+    k = int(fix / math.log(10, 2) + 0.5)
+    n = scaled * 10 ** k >> fix
+    # n has about 38 digits unless x is huge; then the 40 or more leading
+    # ones are enough, and str() of n itself could exceed Python's limit
+    cut = max(int(n.bit_length() * math.log10(2)) - 40, 0)
+    digits = str(n // 10 ** cut)
+    exponent = len(digits) + cut - k - 1
+    head = int(digits[:33])
+    if digits[33] in "56789":
+        head += 1
+        if head == 10 ** 33:
+            head, exponent = 10 ** 32, exponent + 1
+    digits, split = str(head), 1
+    if -11 < exponent < 0:
+        digits, exponent = "0" * -exponent + digits, 0
+    elif 0 <= exponent < 33:
+        split, exponent = exponent + 1, 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return sign + text + (f"e{exponent:+d}" if exponent else "")
 
 
 def _fmt_complex(z) -> dict:
-    if not isinstance(z, mpmath.mpc):
+    if not isinstance(z, ExactComplex):
         z = complex(z)
     return {"re": _fmt_real(z.real), "im": _fmt_real(z.imag)}
 
 
-def _read_complex(d):
-    with mpmath.workprec(EXTENDED_PREC_BITS):
-        return mpmath.mpc(mpmath.mpf(d["re"]), mpmath.mpf(d["im"]))
+def _read_real(x):
+    """A JSON decimal string or number read at 160 bits: a Fraction, or a
+    float for inf and nan."""
+    part = _dyadic(x)
+    return float(x) if part is None else _fraction(*part)
+
+
+def _read_float(x) -> float:
+    """_read_real rounded to a float."""
+    part = _dyadic(x)
+    return float(x) if part is None else _float(*part)
+
+
+def _read_complex(d) -> ExactComplex:
+    return ExactComplex(_read_real(d["re"]), _read_real(d["im"]))
+
+
+def _read_complex128(d) -> complex:
+    return complex(_read_float(d["re"]), _read_float(d["im"]))
 
 
 def _solution_json(sp: SolutionPoint) -> dict:
@@ -85,7 +145,7 @@ def _solution_json(sp: SolutionPoint) -> dict:
     }
 
 
-def _solution_from_json(d, projective=False) -> SolutionPoint:
+def _solution_from_json(d) -> SolutionPoint:
     try:
         return SolutionPoint(
             coordinates=tuple(_read_complex(c) for c in d["coordinates"]),
@@ -97,7 +157,6 @@ def _solution_from_json(d, projective=False) -> SolutionPoint:
             newton_residual=float(d["newtonResidual"]),
             solution_number=int(d["solutionNumber"]),
             multiplicity=int(d.get("multiplicity", 1)),
-            is_projective=projective,
         )
     except (KeyError, TypeError) as exc:
         raise CorruptFile(f"malformed solution object: {exc}") from exc
@@ -140,22 +199,23 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
     try:
         spec = parse_input_file(data["system"], "<embedded>")
         system = spec.system
-        projective = bool(data["projective"])
-        patch = (np.array([complex(_read_complex(c)) for c in data["patch"]])
+        patch = (np.array([_read_complex128(c) for c in data["patch"]])
                  if data.get("patch") is not None else None)
+        if bool(data["projective"]) != (patch is not None):
+            raise CorruptFile('"projective" and "patch" disagree')
         components: dict[int, list[WitnessSet]] = {}
         for comp in data["components"]:
             dim = int(comp["dim"])
             rows = comp["slice"]["coefficients"]
             if rows:
-                coeffs = np.array([[complex(_read_complex(c)) for c in row]
+                coeffs = np.array([[_read_complex128(c) for c in row]
                                    for row in rows])
-                consts = np.array([complex(_read_complex(c))
+                consts = np.array([_read_complex128(c)
                                    for c in comp["slice"]["constants"]])
                 slice_ = LinearSlice(coeffs, consts)
             else:
                 slice_ = empty_slice(system.num_vars)
-            points = [np.array([complex(_read_complex(c)) for c in p])
+            points = [np.array([_read_complex128(c) for c in p])
                       for p in comp["points"]]
             if len(points) != int(comp["degree"]):
                 raise CorruptFile("degree does not match the stored point count")
@@ -165,8 +225,7 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
         for sets in components.values():
             sets.sort(key=lambda w: w.component_index)
         return NumericalVariety(components=components, system=system,
-                                seed=int(data["seed"]), is_projective=projective,
-                                patch=patch)
+                                seed=int(data["seed"]), patch=patch)
     except ParseError as exc:
         raise CorruptFile(f"embedded system does not parse: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError) as exc:

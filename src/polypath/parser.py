@@ -185,6 +185,18 @@ class _Parser:
     def _one(self):
         return {tuple([0] * self.width): 1.0 + 0.0j}
 
+    def whole(self, context: str):
+        """All the tokens as one expression; context ends the message that
+        reports a token left over."""
+        if self.peek().kind == "EOF":
+            raise ParseError("empty input", 1, 1)
+        out = self.expr()
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"unexpected {tok.text!r} {context}",
+                             tok.line, tok.column, tok.text)
+        return out
+
     def expr(self):
         out = self.term()
         while self.peek().kind in "+-":
@@ -265,29 +277,13 @@ def parse_polynomial(text: str, variables, parameters=()) -> Polynomial:
         raise DuplicateName("variable and parameter names must be distinct", 1, 1)
     if any(name in _RESERVED for name in names):
         raise ParseError("'vars', 'params', 'projective', and 'I' are reserved", 1, 1)
-    tokens = _tokenize(text)
-    if tokens[0].kind == "EOF":
-        raise ParseError("empty input", 1, 1)
-    parser = _Parser(tokens, names, len(names))
-    terms = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r} after expression",
-                         tok.line, tok.column, tok.text)
+    terms = _Parser(_tokenize(text), names, len(names)).whole("after expression")
     return Polynomial.from_terms(terms, len(names))
 
 
 def parse_complex_literal(text: str) -> complex:
     """Parse a constant expression such as ``1+2*I`` or ``-0.5``."""
-    tokens = _tokenize(text)
-    if tokens[0].kind == "EOF":
-        raise ParseError("empty input", 1, 1)
-    parser = _Parser(tokens, {}, 0)
-    terms = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r} after literal",
-                         tok.line, tok.column, tok.text)
+    terms = _Parser(_tokenize(text), {}, 0).whole("after literal")
     return complex(terms.get((), 0j))
 
 
@@ -386,12 +382,8 @@ def parse_input_file(text: str, source_name: str = "<input>") -> ProblemSpec:
     for label, body in assigns:
         if not body:
             raise ParseError("empty right-hand side", label.line, label.column, label.text)
-        parser = _Parser(body + [Token("EOF", "", body[-1].line, body[-1].column)], names, width)
-        terms = parser.expr()
-        tok = parser.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected {tok.text!r} in equation {label.text!r}",
-                             tok.line, tok.column, tok.text)
+        eof = Token("EOF", "", body[-1].line, body[-1].column)
+        terms = _Parser(body + [eof], names, width).whole(f"in equation {label.text!r}")
         polys.append(Polynomial.from_terms(terms, width))
 
     system = PolySystem(variables, polys, parameters)

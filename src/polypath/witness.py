@@ -66,13 +66,18 @@ class WitnessSet:
 
 @dataclass(frozen=True)
 class NumericalVariety:
-    """Witness sets for every irreducible component, keyed by dimension."""
+    """Witness sets for every irreducible component, keyed by dimension.
+    patch is the chart row of a projective decomposition, None for an
+    affine one."""
 
     components: dict
     system: PolySystem
     seed: int
-    is_projective: bool = False
     patch: np.ndarray | None = None
+
+    @property
+    def is_projective(self) -> bool:
+        return self.patch is not None
 
     def dims(self):
         return sorted(self.components)
@@ -487,8 +492,7 @@ def numerical_irreducible_decomposition(
                 points=[points[i] for i in sorted(block)], dimension=dim,
                 component_index=j, patch=patch))
         components[dim] = sets
-    return NumericalVariety(components=components, system=system, seed=seed,
-                            is_projective=projective, patch=patch)
+    return NumericalVariety(components=components, system=system, seed=seed, patch=patch)
 
 
 def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None) -> list:

@@ -7,6 +7,8 @@ Projective systems are solved on a random affine chart appended as an extra
 equation.  Refinement is mixed-precision Newton on all roots in lock-step:
 residuals computed exactly in integers at the 160-bit iterates and rounded
 once, corrections from one stacked hardware-precision Jacobian solve.
+The 160-bit iterates are dyadic rationals m * 2**e in Python integers from
+the decimal strings they are read from to the exact Fractions returned.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .algebra import (
@@ -246,7 +249,7 @@ def _float(m: int, e: int) -> float:
 
 def _round_bits(m: int, e: int):
     """m * 2**e rounded to a mantissa of at most EXTENDED_PREC_BITS bits,
-    ties to even, as mpmath rounds."""
+    ties to even."""
     excess = abs(m).bit_length() - EXTENDED_PREC_BITS
     if excess <= 0:
         return m, e
@@ -260,35 +263,57 @@ def _round_bits(m: int, e: int):
 
 
 def _dyadic(x):
-    """(m, e) with x == m * 2**e exactly, for an mpmath mpf or a float;
-    None when x is not finite."""
-    if isinstance(x, mpmath.mpf):
-        sign, man, exp, _ = x._mpf_
-        if not man and exp:
+    """x rounded to EXTENDED_PREC_BITS bits, ties to even, as (m, e) with
+    value m * 2**e, or None when x is inf or nan.  x is a float, a Fraction,
+    an int or a decimal string, which is read exactly first ("1/3" too);
+    "inf", "+inf", "-inf" and "nan" are the non-finite strings."""
+    if isinstance(x, str):
+        if x.strip().lower() in ("inf", "+inf", "-inf", "nan"):
             return None
-        return (-man if sign else man), exp
-    if not math.isfinite(x):
+        x = Fraction(x)
+    elif isinstance(x, float) and not math.isfinite(x):
         return None
+    elif not isinstance(x, (float, Fraction)):
+        x = Fraction(x)  # an int; a TypeError for what is not a number
     num, den = x.as_integer_ratio()
-    return num, 1 - den.bit_length()
+    if not den & (den - 1):
+        return _round_bits(num, 1 - den.bit_length())
+    # a quotient of at least 162 bits whose lowest bit is sticky (set when
+    # the division is inexact) rounds as the exact quotient does
+    shift = max(EXTENDED_PREC_BITS + 2 - abs(num).bit_length() + den.bit_length(), 0)
+    q, r = divmod(abs(num) << shift, den)
+    q |= r > 0
+    return _round_bits(q if num > 0 else -q, -shift)
+
+
+def _fraction(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+class ExactComplex(NamedTuple):
+    """A complex number with exact rational parts: a refined coordinate."""
+
+    real: Fraction
+    imag: Fraction
+
+    def __complex__(self) -> complex:
+        return complex(float(self.real), float(self.imag))
 
 
 def _dyadic_point(coordinates):
     """A point as ((re_m, re_e), (im_m, im_e)) per coordinate, or None if a
-    coordinate is not finite.  Coordinates are mpmath mpc values (taken as
-    they are), (re, im) pairs of decimal strings (read at 160 bits) or
-    anything complex() takes."""
+    coordinate is not finite.  Coordinates are (re, im) pairs, ExactComplex
+    among them, whose parts _dyadic reads at 160 bits, or anything complex()
+    takes."""
     out = []
-    with mpmath.workprec(EXTENDED_PREC_BITS):
-        for c in coordinates:
-            if isinstance(c, tuple):
-                c = mpmath.mpc(mpmath.mpf(c[0]), mpmath.mpf(c[1]))
-            elif not isinstance(c, mpmath.mpc):
-                c = complex(c)
-            parts = (_dyadic(c.real), _dyadic(c.imag))
-            if None in parts:
-                return None
-            out.append(parts)
+    for c in coordinates:
+        if not isinstance(c, tuple):
+            c = complex(c)
+            c = (c.real, c.imag)
+        parts = (_dyadic(c[0]), _dyadic(c[1]))
+        if None in parts:
+            return None
+        out.append(parts)
     return out
 
 
@@ -401,8 +426,8 @@ def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPo
     Jacobian counts as singular (kappa_inf >= 1e14, see lin_solve) or its
     updates stop contracting, which signals a singular or wrong input
     point; once every root has stopped or failed, the lowest-index failure
-    is raised as RefinementDiverged.  Coordinates are returned as mpmath
-    mpc values holding the 160-bit iterates exactly.
+    is raised as RefinementDiverged.  Coordinates are returned as
+    ExactComplex values holding the 160-bit iterates exactly.
     """
     if not 1 <= digits <= 30:
         raise ValueError("digits must be between 1 and 30")
@@ -448,14 +473,11 @@ def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPo
         failed[r] = RefinementDiverged(f"no agreement to {digits} digits within 30 iterations")
     if failed:
         raise failed[min(failed)]
-    out = []
-    with mpmath.workprec(EXTENDED_PREC_BITS):
-        for sp, z, steps in zip(sps, zs, updates):
-            out.append(replace(
-                sp, coordinates=tuple(mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)) for re, im in z),
-                max_precision_bits=EXTENDED_PREC_BITS,
-                function_residual=float(np.abs(exact(z)).max()), newton_residual=steps[-1]))
-    return out
+    return [replace(sp, coordinates=tuple(ExactComplex(_fraction(*re), _fraction(*im))
+                                          for re, im in z),
+                    max_precision_bits=EXTENDED_PREC_BITS,
+                    function_residual=float(np.abs(exact(z)).max()), newton_residual=steps[-1])
+            for sp, z, steps in zip(sps, zs, updates)]
 
 
 # -- parameter homotopy ---------------------------------------------------------

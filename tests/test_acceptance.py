@@ -37,6 +37,12 @@ from polypath.zerodim import (
 SEED = 7
 
 
+def _mpc(c):
+    """An ExactComplex coordinate as an mpmath mpc: exact at a working
+    precision of 160 bits or more."""
+    return mpmath.mpc(mpmath.mpmathify(c.real), mpmath.mpmathify(c.imag))
+
+
 @contextlib.contextmanager
 def criterion(num, title):
     try:
@@ -118,7 +124,7 @@ def test_criterion_03_refinement_twenty_digits(circles):
             reference20 = mpmath.mpf(".86602540378443859659")
             tol19 = mpmath.mpf(10) ** -19
             for sp in refined:
-                y = sp.coordinates[1]
+                y = _mpc(sp.coordinates[1])
                 assert abs(abs(y.real) - target) <= tol19
                 assert abs(y.imag) <= tol19
                 assert abs(abs(y.real) - reference20) <= mpmath.mpf(10) ** -16
@@ -133,7 +139,7 @@ def test_criterion_04_deep_refinement(circle_line):
             target = mpmath.sqrt(mpmath.mpf(2)) / 2
             tol28 = mpmath.mpf(10) ** -28
             for sp in refined:
-                for c in sp.coordinates:
+                for c in map(_mpc, sp.coordinates):
                     assert abs(abs(c.real) - target) <= tol28
                     assert abs(c.imag) <= tol28
 

@@ -1,11 +1,20 @@
+import decimal
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from polypath import cli, zerodim
 from polypath.cli import main, read_decomposition, write_decomposition
-from polypath.errors import CorruptFile, SchemaVersionMismatch
+from polypath.errors import CorruptFile, RefinementDiverged, SchemaVersionMismatch
+from polypath.parser import parse_input_file
 from polypath.witness import membership_test, numerical_irreducible_decomposition
 
 CIRCLES = """vars x, y;
@@ -293,3 +302,178 @@ def test_unknown_flag_exits_one(workdir, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "usage" in err.lower()
+
+
+@pytest.mark.parametrize("name, projective", [("sphereline", False), ("conicpoint", True)])
+def test_projective_and_patch_must_agree(workdir, capsys, name, projective):
+    path = workdir / "nv.json"
+    code, _ = _run(capsys, "posdim", workdir / f"{name}.sys", "--seed", 0, "--out", path)
+    data = json.loads(path.read_text())
+    assert code == 0 and data["projective"] is projective is (data["patch"] is not None)
+    path.write_text(json.dumps({**data, "projective": not projective}))
+    with pytest.raises(CorruptFile, match='"projective" and "patch" disagree'):
+        read_decomposition(str(path))
+    code, out = _run(capsys, "member", workdir / f"{name}.sys", "--decomposition", path,
+                     "--point", "1,-1,1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CorruptFile"
+
+
+# -- 160-bit decimal strings ----------------------------------------------------
+
+def _mpf_value(x) -> Fraction:
+    """A finite mpmath mpf as an exact Fraction."""
+    sign, m, e, _ = x._mpf_
+    return (-1) ** sign * m * Fraction(2) ** e
+
+
+def _random_dyadics(rng, count):
+    """count random 160-bit values m * 2**e with |value| from 2^-1200 to
+    2^1100; every fifth is 10^k (1 - 2^-j) at 160 bits, whose 33-digit
+    form carries into the next power of ten."""
+    for i in range(count):
+        if i % 5 == 0:
+            with mpmath.workprec(160):
+                x = mpmath.mpf(10) ** rng.randint(-360, 330) * (1 - mpmath.mpf(2) ** -rng.randint(115, 159))
+            _, m, e, _ = x._mpf_
+        else:
+            bits = rng.randint(1, 160)
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            e = rng.randint(-1200, 1100) - bits
+        yield rng.choice((-1, 1)) * m, e
+
+
+def test_decimal_strings_match_mpmath_on_random_160_bit_values():
+    rng = random.Random(12)
+    carried = 0
+    with mpmath.workprec(160):
+        for m, e in _random_dyadics(rng, 10_000):
+            x = mpmath.mpf((m, e))
+            text = cli._fmt_real(zerodim._fraction(m, e))
+            assert text == mpmath.nstr(x, 33), (m, e)
+            carried += text.lstrip("-").startswith("1.0")
+            strings = [text, mpmath.nstr(x, 35)]
+            if 2.0 ** -1022 <= abs(float(x)) < math.inf:
+                strings.append(repr(float(x)))
+            for s in strings:
+                assert cli._read_real(s) == _mpf_value(mpmath.mpf(s)), s
+    assert carried >= 1500
+
+
+@pytest.mark.parametrize("text", ["1/3", "-2/7", " 0.1 ", "1e-320", "5e-324", "-0.0", "0",
+                                  "1.7976931348623157e308", "2.5E+3", "-1e400", "1e-400"])
+def test_reader_matches_mpmath_on_fractions_subnormals_and_zeros(text):
+    with mpmath.workprec(160):
+        assert cli._read_real(text) == _mpf_value(mpmath.mpf(text))
+        assert cli._read_float(text) == float(mpmath.mpf(text))
+    assert cli._fmt_real(cli._read_real("-0.0")) == "0.0"
+
+
+def test_exact_midpoints_round_to_even():
+    rng = random.Random(4)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        for q in [2 ** 159, 2 ** 159 + 1, 2 ** 160 - 1] + [rng.getrandbits(160) | 1 << 159
+                                                           for _ in range(40)]:
+            for e in (-1100, -300, -7, 0, 1, 25, 900):
+                mid = (2 * q + 1) * Fraction(2) ** (e - 1)
+                text = str(decimal.Decimal(mid.numerator) / mid.denominator)
+                assert Fraction(text) == mid
+                want = (q + (q & 1)) * Fraction(2) ** e
+                assert cli._read_real(text) == want
+
+
+def test_reader_rounds_correctly_past_mpmaths_exponent_range():
+    # mpmath reads a decimal exponent beyond +-400 through a power of ten
+    # at 170 bits, which is not correctly rounded; these 60-digit strings
+    # lie within 1e-59 relative of a midpoint between two 160-bit values,
+    # on a known side of it
+    rng = random.Random(8)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(200):
+            q = rng.getrandbits(160) | 1 << 159
+            e = rng.choice((-1, 1)) * rng.randint(1500, 4000) - 160
+            mid = (2 * q + 1) * Fraction(2) ** (e - 1)
+            for rounding, want in ((decimal.ROUND_DOWN, q), (decimal.ROUND_UP, q + 1)):
+                ctx.rounding = rounding
+                text = str(decimal.Decimal(mid.numerator) / mid.denominator)
+                assert abs(int(text.split("E")[1])) > 400 and Fraction(text) != mid
+                assert cli._read_real(text) == want * Fraction(2) ** e
+                assert cli._read_real("-" + text) == -want * Fraction(2) ** e
+
+
+def test_writer_past_mpmaths_exponent_range_is_within_half_a_unit():
+    # past |e + bitlen| > 3500 mpmath's nstr first divides by a power of
+    # ten at 129 bits; the writer cuts the exact value, so its 33 digits are
+    # the exact ones rounded half up, up to a fixed-point truncation of a
+    # few units in the 38th digit
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.getrandbits(160) | 1 << 159
+        e = rng.choice((-1, 1)) * rng.randint(3501, 14000) - 160
+        x = rng.choice((-1, 1)) * zerodim._fraction(m, e)
+        text = cli._fmt_real(x)
+        mantissa, exponent = text.split("e")
+        assert mantissa[1 if x < 0 else 0] in "123456789" and len(mantissa.strip("-.0")) <= 34
+        unit = Fraction(10) ** (int(exponent) - 32)
+        assert abs(Fraction(text) - x) <= unit * Fraction(5001, 10000)
+
+
+def _solutions_file(path, coordinates):
+    path.write_text(json.dumps({"solutions": [{
+        "conditionNumber": "1.0", "coordinates": coordinates, "cycleNumber": 1,
+        "functionResidual": "1e-6", "lastT": "0.0", "maxPrecisionBits": 53,
+        "newtonResidual": "1e-6", "solutionNumber": 0,
+    }]}))
+    return path
+
+
+def test_json_numbers_read_as_their_exact_values(workdir, capsys):
+    # a JSON number is the exact value of its float: the string of that value
+    y = 0.8660254037844386
+    outs = []
+    for coords in ([{"re": "0.5", "im": "0.0"}, {"re": str(decimal.Decimal(y)), "im": "-0.0"}],
+                   [{"re": 0.5, "im": 0}, {"re": y, "im": -0.0}]):
+        sols = _solutions_file(workdir / "sols.json", coords)
+        code, out = _run(capsys, "refine", workdir / "circles.sys", "--solutions", sols,
+                         "--digits", 30)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert cli._read_real(0.1) == Fraction(0.1) and cli._read_real(3) == 3
+
+
+@pytest.mark.parametrize("part", ["inf", "-inf", "+inf", "nan", " NaN ", math.inf])
+def test_non_finite_coordinates_diverge(workdir, capsys, part):
+    sols = _solutions_file(workdir / "sols.json",
+                           [{"re": "0.5", "im": part}, {"re": "0.8660254037844386", "im": "0"}])
+    code, out = _run(capsys, "refine", workdir / "circles.sys", "--solutions", sols,
+                     "--digits", 20)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "RefinementDiverged"
+    with pytest.raises(RefinementDiverged):
+        zerodim.refine_solutions(parse_input_file(CIRCLES).system,
+                                 [[("0.5", part), ("0.8660254037844386", "0")]], 20)
+
+
+@pytest.mark.parametrize("coordinate, error", [
+    ({"re": "0.5"}, "CorruptFile"), ({"re": None, "im": "0"}, "CorruptFile"),
+    (None, "CorruptFile"), ({"re": [1], "im": "0"}, "CorruptFile"), ("0.5", "CorruptFile"),
+    ({"re": "abc", "im": "0"}, "ValueError"), ({"re": "Infinity", "im": "0"}, "ValueError"),
+])
+def test_malformed_coordinates_are_usage_errors(workdir, capsys, coordinate, error):
+    sols = _solutions_file(workdir / "sols.json",
+                           [coordinate, {"re": "0.8660254037844386", "im": "0"}])
+    code, out = _run(capsys, "refine", workdir / "circles.sys", "--solutions", sols,
+                     "--digits", 20)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_the_runtime_does_not_import_mpmath():
+    src = os.path.dirname(os.path.dirname(zerodim.__file__))
+    probe = "import sys, polypath, polypath.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"

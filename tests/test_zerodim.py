@@ -25,6 +25,14 @@ from polypath.zerodim import (
 )
 
 
+def _mpc(c):
+    """A coordinate (ExactComplex or a number) as an mpmath mpc: exact at a
+    working precision of 160 bits or more."""
+    if not isinstance(c, zerodim.ExactComplex):
+        c = complex(c)
+    return mpmath.mpc(mpmath.mpmathify(c.real), mpmath.mpmathify(c.imag))
+
+
 def _sys(texts, variables, params=()):
     return PolySystem(variables,
                       [parse_polynomial(t, variables, params) for t in texts],
@@ -253,10 +261,23 @@ def test_refine_circle_pair_to_twenty_digits(circles):
     with mpmath.workprec(200):
         target = mpmath.sqrt(mpmath.mpf(3)) / 2
         for sp in refined:
-            y = sp.coordinates[1]
+            y = _mpc(sp.coordinates[1])
             assert abs(abs(y.real) - target) <= mpmath.mpf(10) ** -19
             assert abs(y.imag) <= mpmath.mpf(10) ** -19
             assert sp.max_precision_bits >= 106
+
+
+def test_refine_returns_exact_160_bit_coordinates(circles):
+    sols = zero_dim_solve(circles, seed=7)
+    for sp, ref in zip(sols, refine_solutions(circles, sols, 20)):
+        for c in ref.coordinates:
+            assert isinstance(c, zerodim.ExactComplex)
+            for part in c:
+                num, den = part.as_integer_ratio()
+                assert not den & (den - 1) and abs(num).bit_length() <= 160
+        assert vec_inf_norm(ref.coordinate_array() - sp.coordinate_array()) <= 1e-8
+        assert ref.coordinate_array().tolist() == [complex(float(c.real), float(c.imag))
+                                                   for c in ref.coordinates]
 
 
 def test_refine_to_twenty_nine_digits(circle_line):
@@ -265,7 +286,7 @@ def test_refine_to_twenty_nine_digits(circle_line):
     with mpmath.workprec(200):
         target = mpmath.sqrt(mpmath.mpf(2)) / 2
         for sp in refined:
-            for c in sp.coordinates:
+            for c in map(_mpc, sp.coordinates):
                 assert abs(abs(c.real) - target) <= mpmath.mpf(10) ** -28
 
 
@@ -325,10 +346,10 @@ def test_refine_matches_a_300_bit_newton_on_katsura3():
                 z -= mpmath.lu_solve(mpmath.matrix(_katsura3_jacobian(z)),
                                      mpmath.matrix(_katsura3(z)))
             assert max(abs(v) for v in _katsura3(z)) < mpmath.mpf(10) ** -80
-            for zi, ri in zip(z, ref.coordinates):
+            for zi, ri in zip(z, map(_mpc, ref.coordinates)):
                 assert abs(ri - zi) <= mpmath.mpf(10) ** -30 * (1 + abs(zi))
             assert ref.function_residual <= 1e-29
-            assert ref.newton_residual <= 1e-30 * (1 + max(abs(c) for c in ref.coordinates))
+            assert ref.newton_residual <= 1e-30 * (1 + max(abs(_mpc(c)) for c in ref.coordinates))
 
 
 def _near_singular_line_pair(eps):
@@ -354,8 +375,9 @@ def test_refine_contracts_slowly_but_converges_when_ill_conditioned(monkeypatch)
     monkeypatch.setattr(zerodim, "conditioned_solve_stack", counting_solve)
     (sp,) = refine_solutions(system, [start], 30)
     assert 4 <= len(solves) < 30
-    for c in sp.coordinates:
-        assert abs(c - 1) <= mpmath.mpf(10) ** -30
+    with mpmath.workprec(160):
+        for c in map(_mpc, sp.coordinates):
+            assert abs(c - 1) <= mpmath.mpf(10) ** -30
     assert sp.newton_residual <= 2e-30
 
 
@@ -399,10 +421,10 @@ def _katsura(n):
 
 
 def _reference_values(system, coordinates):
-    """f at mpmath coordinates, evaluated term by term at 1000 bits and
+    """f at the coordinates, evaluated term by term in mpmath at 1000 bits and
     rounded once to complex128."""
     with mpmath.workprec(1000):
-        z = [mpmath.mpc(c) for c in coordinates]
+        z = [_mpc(c) for c in coordinates]
         out = []
         for poly in system.polys:
             total = mpmath.mpc(0)
@@ -424,8 +446,7 @@ def _random_dyadic(rng, low, high):
     k drawn from [low, high]."""
     m = int.from_bytes(rng.bytes(20), "big") | 1 << 159 | 1
     sign = -1 if rng.uniform() < 0.5 else 1
-    with mpmath.workprec(160):
-        return mpmath.mpf((sign * m, int(rng.integers(low, high + 1)) - 159))
+    return zerodim._fraction(sign * m, int(rng.integers(low, high + 1)) - 159)
 
 
 @pytest.mark.parametrize("name", ["katsura5", "cyclic5"])
@@ -451,9 +472,8 @@ def test_exact_values_at_random_dyadic_points_with_mixed_exponents():
                                       rng.normal() * 2.0 ** int(rng.integers(-30, 30)))
             polys.append(Polynomial.from_terms(terms, nv))
         system = PolySystem(["x", "y", "z"], polys)
-        with mpmath.workprec(160):
-            point = [mpmath.mpc(_random_dyadic(rng, -200, 40), _random_dyadic(rng, -200, 40))
-                     for _ in range(nv)]
+        point = [zerodim.ExactComplex(_random_dyadic(rng, -200, 40), _random_dyadic(rng, -200, 40))
+                 for _ in range(nv)]
         got = _exact_values(system, point)
         assert got.tobytes() == _reference_values(system, point).tobytes()
 
@@ -462,9 +482,10 @@ def test_exact_values_at_zero_coordinates_and_the_constant_monomial():
     system = _sys(["x^2*y + 3*y - 0.1", "x*y^2 + 2.5*x + (1 + 2*I)", "z^3 - 0.3*z + 7"],
                   ["x", "y", "z"])
     with mpmath.workprec(160):
-        third = mpmath.mpf(1) / 3
-    for point in ([0, 0, 0], [third, 0, mpmath.mpc(0, third)],
-                  [mpmath.mpc(third, 0), mpmath.mpc(0, 1), 0.0]):
+        third = zerodim._fraction(*(mpmath.mpf(1) / 3).man_exp)
+    exact = zerodim.ExactComplex
+    for point in ([0, 0, 0], [exact(third, 0), 0, exact(0, third)],
+                  [exact(third, 0), exact(0, 1), 0.0]):
         got = _exact_values(system, point)
         assert got.tobytes() == _reference_values(system, point).tobytes()
     assert _exact_values(system, [0, 0, 0]).tolist() == [-0.1, 1 + 2j, 7]
@@ -474,8 +495,7 @@ def test_exact_values_overflow_to_infinity():
     system = _sys(["x^2 - 1", "-x*y^3"], ["x", "y"])
     got = _exact_values(system, [1e200, 1e200])
     assert got.tolist() == [complex(math.inf, 0), complex(-math.inf, 0)]
-    with mpmath.workprec(160):
-        huge = mpmath.mpc(mpmath.mpf((1, 5000)))
+    huge = zerodim.ExactComplex(zerodim._fraction(1, 5000), 0)
     assert _exact_values(system, [huge, 1])[0] == complex(math.inf, 0)
 
 
@@ -497,9 +517,10 @@ def test_refine_of_a_list_equals_refining_each_root_alone():
     together = refine_solutions(system, sols, 30)
     for sp, got in zip(sols, together):
         (alone,) = refine_solutions(system, [sp], 30)
-        size = max(abs(c) for c in alone.coordinates)
-        for a, b in zip(got.coordinates, alone.coordinates):
-            assert abs(a - b) <= mpmath.mpf(10) ** -46 * (1 + size)
+        with mpmath.workprec(160):
+            size = max(abs(_mpc(c)) for c in alone.coordinates)
+            for a, b in zip(map(_mpc, got.coordinates), map(_mpc, alone.coordinates)):
+                assert abs(a - b) <= mpmath.mpf(10) ** -46 * (1 + size)
         assert (got.solution_number, got.multiplicity) == (alone.solution_number,
                                                             alone.multiplicity)
 

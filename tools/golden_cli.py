@@ -9,7 +9,9 @@ Usage, from the root of a source tree:
 
 Runs the CLI in-process on the benchmark's inputs (perfbench/systems.py):
 
-- `solve` and `refine --digits 30` of katsura-5 and cyclic-5 at seeds 0-9;
+- `solve` and `refine --digits 30` of katsura-5 and cyclic-5 at seeds 0-9,
+  and `refine --digits 30` of each refine output, the one call that reads
+  33-digit coordinates at full precision;
 - `param` of the conic family over 16 tuples at seeds 0-9;
 - sphere-line `posdim` at seeds 0-39;
 - `member` of 16 query points and `sample` of the dimension-2 and
@@ -75,6 +77,9 @@ def _calls(work: Path, systems):
             out = work / f"refine-{key}-{seed}.json"
             yield f"refine {key} {seed}", ["refine", str(files[key]), "--solutions", str(sols),
                                            "--digits", "30", "--out", str(out)], out
+            again = work / f"rerefine-{key}-{seed}.json"
+            yield f"rerefine {key} {seed}", ["refine", str(files[key]), "--solutions", str(out),
+                                             "--digits", "30", "--out", str(again)], again
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         values = ";".join(literal(systems.family_tuple(rng)) for _ in range(TUPLES))
