@@ -229,27 +229,33 @@ def _slice_family(fixed: PolySystem, codim: int) -> PolySystem:
     return PolySystem(fixed.variables, rows, names)
 
 
-def slice_move_homotopy(fixed: PolySystem, source: LinearSlice, target,
+def slice_move_homotopy(fixed: PolySystem, source, target,
                         gamma: complex) -> ParameterPathHomotopy:
     """Fixed polynomial rows plus a moving linear slice, as a parameter path.
 
     The family is F(z; A, b) = [fixed(z); A z + b] over the slice entries,
     from p_start = gamma (A_source, b_source) to p_target = (A_target, b_target):
     H(z,t) = [ fixed(z) ; (1-t) L_target(z) + gamma t L_source(z) ].
-    target is one LinearSlice for every path, or a sequence of them with one
-    per path (a per-path homotopy, path i moving to target[i]).
+    source and target are each one LinearSlice for every path, or a sequence
+    of them with one per path (a per-path homotopy, path i moving from
+    source[i] to target[i]).
     """
-    shared = isinstance(target, LinearSlice)
-    targets = [target] if shared else list(target)
-    if any(t.codim != source.codim for t in targets):
+    sources = [source] if isinstance(source, LinearSlice) else list(source)
+    targets = [target] if isinstance(target, LinearSlice) else list(target)
+    if len({s.codim for s in sources + targets}) != 1:
         raise DimensionMismatch("source and target slices must share codimension")
-    if fixed.n + source.codim != fixed.num_vars:
+    codim = (sources + targets)[0].codim
+    if fixed.n + codim != fixed.num_vars:
         raise DimensionMismatch("fixed rows plus slice rows must be square")
-    family = _slice_family(fixed, source.codim)
-    p_target = np.array([_slice_params(t) for t in targets], dtype=complex)
-    p_target = p_target.reshape(len(targets), len(family.parameters))
-    return ParameterPathHomotopy(family, gamma * _slice_params(source),
-                                 p_target[0] if shared else p_target)
+    family = _slice_family(fixed, codim)
+
+    def params(end, slices):
+        rows = np.array([_slice_params(s) for s in slices], dtype=complex)
+        rows = rows.reshape(len(slices), len(family.parameters))
+        return rows[0] if isinstance(end, LinearSlice) else rows
+
+    return ParameterPathHomotopy(family, gamma * params(source, sources),
+                                 params(target, targets))
 
 
 def _as_point(h: Homotopy, z):

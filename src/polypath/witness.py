@@ -8,11 +8,13 @@ Junk from higher-dimensional components is removed by the membership test,
 components are grouped by monodromy loops, and every block is certified by
 the linear trace test (failing blocks are merged until their union passes).
 
-Moves of one witness set to many target slices (junk removal, membership,
-sampling, the two translations of a trace test) are one batch of paths
-with one draw of the fixed rows and gamma: a move that fails fails only
-its own target, and the failed targets are redrawn and moved again as one
-batch, at most _RETRIES times.
+Moves of witness points to many target slices (membership, sampling, the
+two translations of a trace test, each leg of a batch of monodromy loops)
+are one batch of paths with one draw of the fixed rows and gamma: a move
+that fails fails only its own target.  Membership and sampling redraw the
+failed targets and move them again as one batch, at most _RETRIES times.
+Junk removal tests every remaining point of every lower dimension against
+a newly confirmed witness set as one membership batch.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ _MATCH_TOL = 1e-6
 _RESIDUAL_GATE = 1e-8
 _RETRIES = 3
 _QUIET_LOOPS = 10      # monodromy stops after this many loops without a merge
+_LOOP_BATCH = 4        # monodromy loops drawn and tracked together
 
 
 @dataclass(frozen=True)
@@ -125,11 +128,20 @@ def _superset_once(system, dim, rng, patch):
     gamma = random_unit_complex(rng)
     start = total_degree_start(square)
     homotopy = straight_line_homotopy(square, start.start_system, gamma)
+    results = track_paths(homotopy, start.start_points)
+    landed = [res.endpoint for res in results if res.status is PathStatus.SUCCESS]
     points = []
     failures = 0
-    for res in track_paths(homotopy, start.start_points):
-        if res.status is PathStatus.SUCCESS and _on_variety(system, res.endpoint, patch):
-            points.append(res.endpoint)
+    for res in results:
+        if res.status is PathStatus.SUCCESS:
+            q = res.endpoint
+            if _on_variety(system, q, patch):
+                points.append(q)
+            elif sum(vec_inf_norm(q - e) <= _MATCH_TOL for e in landed) > 1:
+                # a root of the randomized system off the variety is dropped,
+                # but two paths at one regular root means a path jumped, and
+                # the point it should have reached may be lost
+                failures += 1
         elif res.status is not PathStatus.AT_INFINITY:
             failures += 1
     return SupersetResult(points=points, slice=slice_,
@@ -192,20 +204,29 @@ def _landed(ws: WitnessSet, target: LinearSlice, results):
     return moved
 
 
-def _move(ws: WitnessSet, targets, rng: Rng) -> list:
-    """Move the witness set to every target slice, all paths as one batch.
+def _move(ws: WitnessSet, targets, rng: Rng, sources=None) -> list:
+    """Move witness points of ws's component to every target slice, all
+    paths as one batch.
 
-    One draw of the fixed rows and of gamma serves the whole batch.  Returns
-    per target its moved points, or the PathFailure of its move: a failed
-    move fails only its own target.
+    Each move starts from ws's slice and points, or, with sources, from the
+    (slice, points) pair of its target's position in sources.  One draw of
+    the fixed rows and of gamma serves the whole batch.  Returns per target
+    its moved points, or the PathFailure of its move: a failed move fails
+    only its own target.
     """
+    if sources is None:
+        sources = [(ws.slice, ws.points)] * len(targets)
     fixed = _fixed_rows(ws.system, ws.dimension, rng, ws.patch)
     gamma = random_unit_complex(rng)
-    k = len(ws.points)
-    homotopy = slice_move_homotopy(fixed, ws.slice, [t for t in targets for _ in range(k)],
-                                   gamma)
-    results = track_paths(homotopy, list(ws.points) * len(targets))
-    return [_landed(ws, t, results[j * k:(j + 1) * k]) for j, t in enumerate(targets)]
+    homotopy = slice_move_homotopy(
+        fixed, [s for s, points in sources for _ in points],
+        [t for t, (_, points) in zip(targets, sources) for _ in points], gamma)
+    results = track_paths(homotopy, [p for _, points in sources for p in points])
+    out = []
+    for t, (_, points) in zip(targets, sources):
+        out.append(_landed(ws, t, results[:len(points)]))
+        results = results[len(points):]
+    return out
 
 
 def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng) -> list:
@@ -270,24 +291,25 @@ def junk_removal(supersets: dict, system: PolySystem, rng: Rng, *, patch=None) -
     """Discard superset points lying on higher-dimensional components.
 
     supersets maps dimension -> SupersetResult, computed top dimension
-    downward.  Returns dimension -> surviving points.  Each confirmed
-    component tests all remaining points of a dimension at once; a point
-    whose test keeps failing is kept.
+    downward.  Returns dimension -> surviving points.  The survivors of a
+    dimension form a confirmed witness set, which tests the remaining
+    points of every lower dimension at once; a point whose test keeps
+    failing is kept.
     """
-    confirmed: list[WitnessSet] = []
-    cleaned: dict[int, list] = {}
-    for dim in sorted(supersets, reverse=True):
-        survivors = supersets[dim].points
-        for ws in confirmed:
-            if not survivors:
-                break
-            hits = _members(ws, survivors, rng)
-            survivors = [p for p, hit in zip(survivors, hits) if not hit]
-        cleaned[dim] = survivors
-        if survivors:
-            confirmed.append(WitnessSet(
-                system=system, slice=supersets[dim].slice, points=survivors, dimension=dim,
-                patch=patch))
+    dims = sorted(supersets, reverse=True)
+    cleaned = {dim: list(supersets[dim].points) for dim in dims}
+    for n, dim in enumerate(dims):
+        lower = [(d, p) for d in dims[n + 1:] for p in cleaned[d]]
+        if not cleaned[dim] or not lower:
+            continue
+        ws = WitnessSet(system=system, slice=supersets[dim].slice, points=cleaned[dim],
+                        dimension=dim, patch=patch)
+        hits = _members(ws, [p for _, p in lower], rng)
+        for d in dims[n + 1:]:
+            cleaned[d] = []
+        for (d, p), hit in zip(lower, hits):
+            if not hit:
+                cleaned[d].append(p)
     return cleaned
 
 
@@ -329,12 +351,32 @@ class _UnionFind:
         return [groups[r] for r in sorted(groups)]
 
 
+def _loop_batch(ws: WitnessSet, rng: Rng) -> list:
+    """Track _LOOP_BATCH random slice loops L0 -> L1 -> L2 -> L0, each leg
+    of all loops as one batch.  Returns per loop, in draw order, the
+    permutation it induces on the witness points, or None when one of its
+    moves failed or its points do not match back one to one."""
+    nv, codim = ws.system.num_vars, ws.slice.codim
+    legs = [[random_slice(nv, codim, rng) for _ in range(_LOOP_BATCH)] for _ in range(2)]
+    legs.append([ws.slice] * _LOOP_BATCH)
+    ends = [(ws.slice, ws.points)] * _LOOP_BATCH     # None once a loop failed
+    for targets in legs:
+        live = [j for j, end in enumerate(ends) if end is not None]
+        if not live:
+            break
+        moved = _move(ws, [targets[j] for j in live], rng, [ends[j] for j in live])
+        for j, m in zip(live, moved):
+            ends[j] = None if isinstance(m, PathFailure) else (targets[j], m)
+    return [None if end is None else _match_points(ws.points, end[1]) for end in ends]
+
+
 def monodromy_partition(ws: WitnessSet, rng: Rng) -> list[set]:
     """Partition witness point indices into monodromy orbits.
 
-    Random slice loops L0 -> L1 -> L2 -> L0 are tracked and the induced
-    permutations merged with union-find; stops after _QUIET_LOOPS
-    consecutive loops produce no merge, or when a single block remains.  A
+    Random slice loops L0 -> L1 -> L2 -> L0 are tracked _LOOP_BATCH at a
+    time and the induced permutations merged with union-find in draw order;
+    stops after _QUIET_LOOPS consecutive loops produce no merge, or when a
+    single block remains, and loops drawn past that point are ignored.  A
     loop is redrawn when a move fails or its points do not match back one
     to one; after _RETRIES + 1 such draws it counts as a loop with no merge.
     """
@@ -343,26 +385,20 @@ def monodromy_partition(ws: WitnessSet, rng: Rng) -> list[set]:
     if k <= 1 or ws.slice.codim == 0:
         # isolated points never exchange; every one is its own component
         return uf.blocks()
-    nv = ws.system.num_vars
-    quiet = 0
-    while quiet < _QUIET_LOOPS and len(uf.blocks()) > 1:
-        perm = None
-        for _ in range(_RETRIES + 1):
-            try:
-                w1 = move_slice(ws, random_slice(nv, ws.slice.codim, rng), rng)
-                w2 = move_slice(w1, random_slice(nv, ws.slice.codim, rng), rng)
-                w0 = move_slice(w2, ws.slice, rng)
-            except PathFailure:
-                continue
-            perm = _match_points(ws.points, w0.points)
-            if perm is not None:
+    blocks, quiet, failed = k, 0, 0
+    while blocks > 1 and quiet < _QUIET_LOOPS:
+        for perm in _loop_batch(ws, rng):
+            if perm is None:
+                failed += 1
+                if failed > _RETRIES:
+                    quiet, failed = quiet + 1, 0
+            else:
+                # a sum, not any(): every union must run, not just the first hit
+                merges = sum(uf.union(j, i) for j, i in enumerate(perm))
+                blocks -= merges
+                quiet, failed = 0 if merges else quiet + 1, 0
+            if blocks == 1 or quiet >= _QUIET_LOOPS:
                 break
-        if perm is None:
-            quiet += 1
-            continue
-        # list, not a generator: every union must run, not just the first hit
-        merged = any([uf.union(j, i) for j, i in enumerate(perm)])
-        quiet = 0 if merged else quiet + 1
     return uf.blocks()
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -48,6 +49,11 @@ DEDUPE_TOL = 1e-6
 # Mantissa bits of refinement iterates.  106 bits (double-double) is the
 # floor needed for 30-digit output; 160 leaves headroom.
 EXTENDED_PREC_BITS = 160
+
+# A decimal string's exponent, as fractions.Fraction reads it, and the
+# largest magnitude read: Fraction forms 10**|exponent| exactly.
+_DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_MAX_DECIMAL_EXPONENT = 10_000
 
 
 @dataclass(frozen=True)
@@ -270,6 +276,11 @@ def _dyadic(x):
     if isinstance(x, str):
         if x.strip().lower() in ("inf", "+inf", "-inf", "nan"):
             return None
+        # reading 10**|exponent| takes time and memory that grow with it
+        exponent = _DECIMAL_EXPONENT.search(x)
+        if exponent and int(exponent[1]) > _MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {x.strip()!r} exceeds "
+                             f"{_MAX_DECIMAL_EXPONENT} in magnitude")
         x = Fraction(x)
     elif isinstance(x, float) and not math.isfinite(x):
         return None

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -403,6 +404,24 @@ def test_reader_rounds_correctly_past_mpmaths_exponent_range():
                 assert cli._read_real("-" + text) == -want * Fraction(2) ** e
 
 
+@pytest.mark.parametrize("text", ["1e999999999", "-1e999999999", "1e-999999999",
+                                  "-1e-999999999", "1e10001", "1E-1_0001", "1e+0000010001"])
+def test_reader_refuses_a_decimal_exponent_beyond_ten_thousand_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        cli._read_real(text)
+    with pytest.raises(ValueError):
+        cli._read_float(text)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("exponent", [10000, -10000])
+def test_reader_is_exact_up_to_the_exponent_bound(exponent):
+    # the string and its exact value as a Fraction round to one 160-bit value
+    text = f"-2.{'3' * 40}e{exponent}"
+    assert cli._read_real(text) == cli._read_real(Fraction(text)) != 0
+
+
 def test_writer_past_mpmaths_exponent_range_is_within_half_a_unit():
     # past |e + bitlen| > 3500 mpmath's nstr first divides by a power of
     # ten at 129 bits; the writer cuts the exact value, so its 33 digits are
@@ -461,6 +480,7 @@ def test_non_finite_coordinates_diverge(workdir, capsys, part):
     ({"re": "0.5"}, "CorruptFile"), ({"re": None, "im": "0"}, "CorruptFile"),
     (None, "CorruptFile"), ({"re": [1], "im": "0"}, "CorruptFile"), ("0.5", "CorruptFile"),
     ({"re": "abc", "im": "0"}, "ValueError"), ({"re": "Infinity", "im": "0"}, "ValueError"),
+    ({"re": "1e999999999", "im": "0"}, "ValueError"),
 ])
 def test_malformed_coordinates_are_usage_errors(workdir, capsys, coordinate, error):
     sols = _solutions_file(workdir / "sols.json",

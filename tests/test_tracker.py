@@ -528,9 +528,15 @@ def test_per_path_eval_equals_one_shared_homotopy_per_row(family, sphere_line):
     source = random_slice(3, 2, rng)
     targets = [random_slice(3, 2, rng) for _ in range(m)]
     moves = slice_move_homotopy(fixed, source, targets, GAMMA)
+    sources = [random_slice(3, 2, rng) for _ in range(m)]
     cases = [
         (per_path, [ParameterPathHomotopy(family, a, b) for a, b in zip(p_start, p_target)]),
         (moves, [slice_move_homotopy(fixed, source, tgt, GAMMA) for tgt in targets]),
+        # per-path sources, with per-path targets and with one shared target
+        (slice_move_homotopy(fixed, sources, targets, GAMMA),
+         [slice_move_homotopy(fixed, src, tgt, GAMMA) for src, tgt in zip(sources, targets)]),
+        (slice_move_homotopy(fixed, sources, source, GAMMA),
+         [slice_move_homotopy(fixed, src, source, GAMMA) for src in sources]),
     ]
     for h, shared in cases:
         z = rng.unit_complex((m, h.num_vars)) * 0.9
@@ -544,6 +550,16 @@ def test_per_path_eval_equals_one_shared_homotopy_per_row(family, sphere_line):
             assert shared[path].num_paths is None
             for got, want in zip(batch, alone):
                 assert np.array_equal(got[i], want[i])
+
+
+def test_per_path_slice_ends_must_agree(sphere_line):
+    rng = Rng(24)
+    fixed = PolySystem(sphere_line.variables, sphere_line.polys[:1])
+    slices = [random_slice(3, 2, rng) for _ in range(3)]
+    with pytest.raises(DimensionMismatch):      # a codimension-1 source among codim-2 ones
+        slice_move_homotopy(fixed, slices[:2] + [random_slice(3, 1, rng)], slices[0], GAMMA)
+    with pytest.raises(DimensionMismatch):      # three sources, two targets
+        slice_move_homotopy(fixed, slices, slices[:2], GAMMA)
 
 
 def test_per_path_parameter_rows_must_match_the_starts(family):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from polypath import witness
 from polypath.algebra import Rng, vec_inf_norm
 from polypath.errors import DimensionMismatch, DimensionOutOfRange, PathFailure
 from polypath.parser import parse_polynomial
 from polypath.polysys import LinearSlice, PolySystem, random_slice
+from polypath.tracker import PathResult, PathStatus
 from polypath.witness import (
     WitnessSet,
     _certified_blocks,
     _dedupe_points,
+    _superset,
+    _superset_once,
     junk_removal,
     membership_test,
     monodromy_partition,
@@ -37,6 +41,20 @@ def sphere_nv(sphere_line):
     return numerical_irreducible_decomposition(sphere_line, seed=0)
 
 
+def _record_calls(monkeypatch, name):
+    """Wrap polypath.witness.<name>; the returned list gets (args, result)
+    of every call."""
+    calls = []
+    original = getattr(witness, name)
+
+    def recorded(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(witness, name, recorded)
+    return calls
+
+
 # -- witness supersets --------------------------------------------------------
 
 def test_superset_top_dimension_of_sphere_line(sphere_line):
@@ -51,6 +69,39 @@ def test_superset_dim_one_contains_axis_point(sphere_line):
     pts = _dedupe_points(res.points)
     axis = [p for p in pts if _on_axis(p)]
     assert len(axis) >= 1
+
+
+def test_superset_drops_an_extraneous_root_without_a_redraw(sphere_line, monkeypatch):
+    # at dimension 2 the randomized row (x^2+y^2+z^2-1)(r1 x + r2 y) has one
+    # regular root off the variety: it is dropped, and the first draw kept
+    first, failures = _superset_once(sphere_line, 2, Rng(1), None)
+    assert failures == 0
+    calls = _record_calls(monkeypatch, "track_paths")
+    res = witness_superset(sphere_line, 2, Rng(1))
+    assert len(calls) == 1
+    ends = [r.endpoint for r in calls[0][1] if r.status is PathStatus.SUCCESS]
+    assert any(not _on_sphere(q) and not _on_axis(q) for q in ends)
+    assert len(res.points) == 2 and all(_on_sphere(p) for p in res.points)
+    assert all(np.array_equal(p, q) for p, q in zip(res.points, first.points, strict=True))
+
+
+def test_superset_redraws_when_two_paths_meet_off_the_variety(sphere_line, monkeypatch):
+    def draws(endpoints):
+        calls = []
+
+        def track(homotopy, starts):
+            calls.append(homotopy)
+            return [PathResult(PathStatus.SUCCESS, np.array(q, dtype=complex), 0.0, 1,
+                               0.0, 0.0, 1) for q in endpoints]
+
+        monkeypatch.setattr(witness, "track_paths", track)
+        _superset(sphere_line, 2, Rng(1), None)
+        return len(calls)
+
+    # two paths at one regular root: a path jumped, so every draw fails
+    assert draws([[3.0, 3.0, 3.0], [3.0, 3.0, 3.0 + 1e-9]]) == witness._RETRIES
+    # two distinct roots off the variety are only dropped
+    assert draws([[3.0, 3.0, 3.0], [3.0, 3.0, 4.0]]) == 1
 
 
 def test_superset_of_two_lines(xy_lines):
@@ -140,6 +191,23 @@ def test_junk_removal_sphere_line(sphere_line):
     assert _on_axis(cleaned[1][0])
 
 
+def test_junk_removal_makes_one_membership_batch_per_confirmed_set(sphere_line, monkeypatch):
+    rng = Rng(11)
+    supersets = {}
+    for dim in (2, 1, 0):
+        res = witness_superset(sphere_line, dim, rng.fork())
+        supersets[dim] = res.__class__(points=_dedupe_points(res.points), slice=res.slice,
+                                       paths_tracked=res.paths_tracked)
+    calls = _record_calls(monkeypatch, "_members")
+    cleaned = junk_removal(supersets, sphere_line, rng.fork())
+    # the sphere tests every point of dimensions 1 and 0 at once, then the
+    # line tests what is left of dimension 0
+    assert [args[0].dimension for args, _ in calls] == [2, 1]
+    assert len(calls[0][0][1]) == len(supersets[1].points) + len(supersets[0].points)
+    assert len(cleaned[2]) == 2 and cleaned[0] == []
+    assert len(cleaned[1]) == 1 and _on_axis(cleaned[1][0])
+
+
 def test_junk_removal_single_component_leaves_lower_dims_empty():
     sphere = _sys(["x^2 + y^2 + z^2 - 1"], ["x", "y", "z"])
     rng = Rng(13)
@@ -174,6 +242,42 @@ def test_monodromy_keeps_distinct_lines_apart(xy_lines):
                     points=_dedupe_points(res.points), dimension=1)
     blocks = monodromy_partition(ws, Rng(22))
     assert sorted(len(b) for b in blocks) == [1, 1]
+
+
+def test_monodromy_tracks_loops_in_batches(xy_lines, sphere_nv, monkeypatch):
+    res = witness_superset(xy_lines, 1, Rng(2))
+    ws = WitnessSet(system=xy_lines, slice=res.slice,
+                    points=_dedupe_points(res.points), dimension=1)
+    calls = _record_calls(monkeypatch, "track_paths")
+    blocks = monodromy_partition(ws, Rng(22))
+    assert sorted(len(b) for b in blocks) == [1, 1]
+    # _QUIET_LOOPS loops without a merge: three batches of loops, three legs each
+    assert len(calls) <= 9
+    calls.clear()
+    sphere = sphere_nv.components[2][0]
+    assert monodromy_partition(sphere, Rng(21)) == [{0, 1}]
+    assert len(calls[0][0][1]) == witness._LOOP_BATCH * sphere.degree
+
+
+def test_monodromy_counts_loops_in_draw_order(xy_lines, monkeypatch):
+    ws = WitnessSet(system=xy_lines, slice=random_slice(2, 1, Rng(0)),
+                    points=[np.zeros(2, dtype=complex), np.ones(2, dtype=complex)],
+                    dimension=1)
+    same, swap = [0, 1], [1, 0]
+
+    def partition(draws):
+        # each batch of loops yields the next four scripted permutations,
+        # None for a loop whose moves failed
+        batches = iter([draws[i:i + 4] for i in range(0, len(draws), 4)])
+        monkeypatch.setattr(witness, "_loop_batch", lambda ws, rng: next(batches))
+        return monodromy_partition(ws, Rng(0))
+
+    # ten loops without a merge stop; the swaps drawn after them are ignored
+    assert partition([same] * 10 + [swap] * 2) == [{0}, {1}]
+    # _RETRIES + 1 failed draws count as one loop without a merge ...
+    assert partition([None] * 4 + [same] * 9 + [swap] * 3) == [{0}, {1}]
+    # ... and fewer failed draws before a loop that matches back do not count
+    assert partition([None] * 3 + [same] + [None] + [same] * 8 + [swap] * 3) == [{0, 1}]
 
 
 def test_monodromy_singleton_is_trivial(sphere_nv):

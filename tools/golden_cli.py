@@ -24,7 +24,8 @@ call the tool prints the JSON fields that differ (list indices written as
 `[]`), each with its largest relative change where the values are numbers,
 and the largest |new - old| / (1 + ||old point||_inf) over the points (lists
 of {"re", "im"} strings) of its output, computed in decimal arithmetic at
-80 digits.
+80 digits.  A differing `posdim` call also gets its old and new component
+shape, {dim: degrees}.
 """
 
 from __future__ import annotations
@@ -200,6 +201,19 @@ def explain(new, old):
     return fields, max(deviations, default=None)
 
 
+def shape(record):
+    """The {dim: sorted degrees} of a posdim record's decomposition, or None
+    when the record has none."""
+    try:
+        components = json.loads(record["out"])["components"]
+    except (TypeError, KeyError, ValueError):
+        return None
+    out = {}
+    for c in components:
+        out.setdefault(c["dim"], []).append(c["degree"])
+    return {dim: sorted(out[dim]) for dim in sorted(out)}
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     records = capture(args.src)
@@ -214,6 +228,8 @@ def main(argv=None) -> int:
     for name in diff:
         fields, deviation = explain(records.get(name), old.get(name))
         print(f"differs: {name}")
+        if name.startswith("posdim "):
+            print(f"  shape {shape(old.get(name))} -> {shape(records.get(name))}")
         for field, rel in sorted(fields.items()):
             print(f"  {field}" + ("" if rel is None else f" (relative change up to {rel:.2e})"))
         if deviation is not None:
