@@ -28,6 +28,11 @@ at fixed t.  From the boundary, the endgame samples every path at the same
 t_k = t_EG * 2^-k, estimates the winding (cycle) number from the geometric
 convergence rate of the samples, and Richardson-extrapolates in t^(1/c) to
 the limit point.  Tracking runs entirely at hardware precision.
+
+A caller that knows its paths end at nonsingular points (a move to a
+randomly drawn target, say) may skip the endgame: track_paths(...,
+endgame=False) advances every path straight to t = 0, and its endpoint
+goes through the same guarded Newton polish and success gate.
 """
 
 from __future__ import annotations
@@ -594,6 +599,18 @@ class _Paths:
             self._leave(stop)
             if not self.idx.size:
                 break
+        self.finish()
+
+    def straight_to_zero(self):
+        """Advance every row to t = 0 with no endgame; each row's point
+        there is its limit."""
+        self.advance(0.0, MAIN_COLLAPSE)
+        self.extrap = self.z
+        self.finish()
+
+    def finish(self):
+        """Record every row still on the stack as finished at its extrapolant
+        and polish the limits."""
         self._leave(np.ones(self.idx.size, dtype=bool))
         self._polish_limits()
 
@@ -688,7 +705,8 @@ def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> Endgam
     )
 
 
-def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None) -> list[PathResult]:
+def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None, *,
+                endgame: bool = True) -> list[PathResult]:
     """Track every start point's path of H from t = 1 to t = 0, in lock-step.
 
     Each start point must be finite and satisfy the start system (H at
@@ -698,6 +716,11 @@ def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None) -> list[P
     Results come in the order of the starts; a path's status classifies
     it: Success (finite endpoint with small target residual), AtInfinity,
     StepFailure, or MaxSteps, with the reason of a non-success.
+
+    With endgame=False the paths advance straight to t = 0 and their
+    endpoints are polished and gated as endgame limits are (cycle number 1,
+    last_t 0).  Only paths known to end at nonsingular points should skip
+    the endgame: a path to a singular endpoint then stalls or fails the gate.
     """
     cfg = cfg or TrackerConfig()
     try:
@@ -720,8 +743,11 @@ def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None) -> list[P
                 "start-system solution")
         paths = _Paths(h, cfg, z, 1.0)
         paths.jac, paths.dt = jac, dt
-        paths.advance(cfg.endgame_start, MAIN_COLLAPSE)
-        paths.endgame()
+        if endgame:
+            paths.advance(cfg.endgame_start, MAIN_COLLAPSE)
+            paths.endgame()
+        else:
+            paths.straight_to_zero()
         return paths.results()
 
 

@@ -7,6 +7,9 @@ unit-modulus combination matrix and L_i a generic codimension-i slice.
 Junk from higher-dimensional components is removed by the membership test,
 components are grouped by monodromy loops, and every block is certified by
 the linear trace test (failing blocks are merged until their union passes).
+The scan runs from the top dimension (N - 1 affine, N - 2 projective, for
+N variables) down to the Krull bound max(0, top + 1 - n) for n equations:
+no component of n equations has a lower dimension.
 
 Moves of witness points to many target slices (membership, sampling, the
 two translations of a trace test, each leg of a batch of monodromy loops)
@@ -15,6 +18,12 @@ that fails fails only its own target.  Membership and sampling redraw the
 failed targets and move them again as one batch, at most _RETRIES times.
 Junk removal tests every remaining point of every lower dimension against
 a newly confirmed witness set as one membership batch.
+
+A move to a randomly drawn slice (a sample draw, a monodromy loop leg, a
+trace-test translation) ends at nonsingular points with probability one,
+so its paths skip the endgame and are tracked straight to t = 0.  A move
+through a given point (membership, junk removal, move_slice) may end at a
+singular point and keeps the endgame.
 """
 
 from __future__ import annotations
@@ -148,9 +157,16 @@ def _superset_once(system, dim, rng, patch):
                           paths_tracked=len(start.start_points)), failures
 
 
+def _dimension_range(system, patch):
+    """(top, bottom): the dimensions a component of system can have.  top is
+    N - 1 for N variables (N - 2 projective); by Krull's principal ideal
+    theorem no component of n equations has dimension below top + 1 - n."""
+    top = system.num_vars - 1 - (1 if patch is not None else 0)
+    return top, max(0, top + 1 - system.n)
+
+
 def _superset(system, dim, rng, patch):
-    nv = system.num_vars
-    top = nv - 1 - (1 if patch is not None else 0)
+    top, _ = _dimension_range(system, patch)
     if not 0 <= dim <= top:
         raise DimensionOutOfRange(f"dimension {dim} out of range 0..{top}")
     # a failed path may mean a lost witness point (an unlucky gamma or slice
@@ -204,7 +220,7 @@ def _landed(ws: WitnessSet, target: LinearSlice, results):
     return moved
 
 
-def _move(ws: WitnessSet, targets, rng: Rng, sources=None) -> list:
+def _move(ws: WitnessSet, targets, rng: Rng, sources=None, *, endgame=True) -> list:
     """Move witness points of ws's component to every target slice, all
     paths as one batch.
 
@@ -212,7 +228,8 @@ def _move(ws: WitnessSet, targets, rng: Rng, sources=None) -> list:
     (slice, points) pair of its target's position in sources.  One draw of
     the fixed rows and of gamma serves the whole batch.  Returns per target
     its moved points, or the PathFailure of its move: a failed move fails
-    only its own target.
+    only its own target.  endgame=False tracks the paths straight to t = 0,
+    for targets drawn at random, whose endpoints are nonsingular.
     """
     if sources is None:
         sources = [(ws.slice, ws.points)] * len(targets)
@@ -221,7 +238,8 @@ def _move(ws: WitnessSet, targets, rng: Rng, sources=None) -> list:
     homotopy = slice_move_homotopy(
         fixed, [s for s, points in sources for _ in points],
         [t for t, (_, points) in zip(targets, sources) for _ in points], gamma)
-    results = track_paths(homotopy, [p for _, points in sources for p in points])
+    results = track_paths(homotopy, [p for _, points in sources for p in points],
+                          endgame=endgame)
     out = []
     for t, (_, points) in zip(targets, sources):
         out.append(_landed(ws, t, results[:len(points)]))
@@ -229,19 +247,20 @@ def _move(ws: WitnessSet, targets, rng: Rng, sources=None) -> list:
     return out
 
 
-def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng) -> list:
+def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng, *, endgame=True) -> list:
     """Move the witness set to count targets, target i drawn by draw(i).
 
     The moves go as one batch; the targets whose moves failed are redrawn
     and moved again as one batch, at most _RETRIES times.  Returns per
-    target its moved points or the PathFailure of its last move.
+    target its moved points or the PathFailure of its last move.  endgame
+    goes to _move.
     """
     out = [None] * count
     todo = list(range(count))
     for _ in range(_RETRIES + 1):
         if not todo:
             break
-        for i, moved in zip(todo, _move(ws, [draw(i) for i in todo], rng)):
+        for i, moved in zip(todo, _move(ws, [draw(i) for i in todo], rng, endgame=endgame)):
             out[i] = moved
         todo = [i for i in todo if isinstance(out[i], PathFailure)]
     return out
@@ -251,7 +270,8 @@ def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None
     """Track every witness point from the current slice to target_slice.
 
     The homotopy keeps the randomized system rows fixed and interpolates
-    (1-t) L_target + gamma t L_source.  Raises PathFailure when any path
+    (1-t) L_target + gamma t L_source, with the endgame, since the target
+    may pass through a singular point.  Raises PathFailure when any path
     fails or lands off the variety; callers retry with fresh randomness.
     """
     if target_slice.codim != ws.slice.codim:
@@ -364,7 +384,8 @@ def _loop_batch(ws: WitnessSet, rng: Rng) -> list:
         live = [j for j, end in enumerate(ends) if end is not None]
         if not live:
             break
-        moved = _move(ws, [targets[j] for j in live], rng, [ends[j] for j in live])
+        moved = _move(ws, [targets[j] for j in live], rng, [ends[j] for j in live],
+                      endgame=False)
         for j, m in zip(live, moved):
             ends[j] = None if isinstance(m, PathFailure) else (targets[j], m)
     return [None if end is None else _match_points(ws.points, end[1]) for end in ends]
@@ -416,7 +437,8 @@ def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng):
     for _ in range(_RETRIES + 1):
         w = np.atleast_1d(rng.unit_complex(ws.slice.codim))
         w /= np.linalg.norm(w)
-        plus, minus = _move(ws, [ws.slice.translated(w), ws.slice.translated(-w)], rng)
+        plus, minus = _move(ws, [ws.slice.translated(w), ws.slice.translated(-w)], rng,
+                            endgame=False)
         failed = [m for m in (plus, minus) if isinstance(m, PathFailure)]
         if failed:
             last_error = failed[0]
@@ -482,28 +504,28 @@ def numerical_irreducible_decomposition(
         system: PolySystem, *, projective: bool = False, seed: int = 0) -> NumericalVariety:
     """Witness sets for every irreducible component, organized by dimension.
 
-    Scans dimensions from the top down: witness superset, dedupe, junk
-    removal by membership, then monodromy grouping certified by the linear
-    trace test.  Component indices within a dimension are assigned by
-    (degree, first-point order).
+    Scans dimensions from the top (N - 1 for N variables, N - 2 projective)
+    down to the Krull bound max(0, top + 1 - n) for n equations, below which
+    no component lies: witness superset, dedupe, junk removal by membership,
+    then monodromy grouping certified by the linear trace test.  Component
+    indices within a dimension are assigned by (degree, first-point order).
+    Moves to random slices (monodromy loops, trace translations) skip the
+    tracker's endgame; junk removal's moves through given points keep it.
     """
     if system.parameters:
         raise DimensionMismatch("decomposition needs a parameter-free system")
     if all(p.is_zero for p in system.polys):
         raise DimensionMismatch("the zero system defines the whole space")
     rng = Rng(seed)
-    nv = system.num_vars
+    patch = None
     if projective:
         if not system.is_homogeneous():
             raise NotHomogeneous("projective decomposition requires a homogeneous system")
-        patch = np.atleast_1d(rng.unit_complex(nv))
-        top = nv - 2
-    else:
-        patch = None
-        top = nv - 1
+        patch = np.atleast_1d(rng.unit_complex(system.num_vars))
+    top, bottom = _dimension_range(system, patch)
 
     supersets = {}
-    for dim in range(top, -1, -1):
+    for dim in range(top, bottom - 1, -1):
         sres = _superset(system, dim, rng.fork(), patch)
         pts = _dedupe_points(sres.points)
         if pts:
@@ -573,14 +595,16 @@ def sample(ws: WitnessSet, count: int, rng: Rng) -> list:
 
     Every draw moves the witness set to a fresh generic slice and keeps the
     image of one witness point, so samples satisfy the system to tracking
-    accuracy.  All draws move as one batch.
+    accuracy.  All draws move as one batch, with no endgame (the slices
+    are random).
     """
     if count < 1:
         raise DimensionMismatch("sample count must be at least 1")
     if ws.slice.codim == 0:
         return [ws.points[rng.integers(len(ws.points))] for _ in range(count)]
     nv, codim = ws.system.num_vars, ws.slice.codim
-    moved = _retried_moves(ws, lambda _: random_slice(nv, codim, rng), count, rng)
+    moved = _retried_moves(ws, lambda _: random_slice(nv, codim, rng), count, rng,
+                           endgame=False)
     for m in moved:
         if isinstance(m, PathFailure):
             raise m

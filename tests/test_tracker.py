@@ -478,6 +478,29 @@ def test_sphere_slice_move_does_not_depend_on_its_batch(sphere_line):
         assert np.array_equal(q, res.endpoint)
 
 
+def test_endgame_free_paths_reach_the_same_regular_roots_at_t_zero(katsura4):
+    start = total_degree_start(katsura4)
+    h = straight_line_homotopy(katsura4, start.start_system, random_unit_complex(Rng(3)))
+    with_endgame = track_paths(h, start.start_points)
+    without = track_paths(h, start.start_points, endgame=False)
+    for a, b in zip(with_endgame, without, strict=True):
+        assert a.status is b.status is PathStatus.SUCCESS
+        assert b.last_t == 0.0 and b.cycle_number == 1
+        assert b.function_residual <= 1e-8 * (1.0 + vec_inf_norm(b.endpoint))
+        assert vec_inf_norm(a.endpoint - b.endpoint) <= 1e-12 * (1.0 + vec_inf_norm(a.endpoint))
+        assert b.steps_taken < a.steps_taken
+
+
+def test_without_the_endgame_a_double_root_fails_the_gate():
+    # H(x,t) = x^2 - t: the endgame finds the cycle-2 limit 0; tracked straight
+    # to t = 0 the corrector stops short of it, and the gate says so
+    h = straight_line_homotopy(_sys(["x^2"], ["x"]), _sys(["x^2 - 1"], ["x"]), 1.0)
+    for res in track_paths(h, [[1.0], [-1.0]], endgame=False):
+        assert res.status is PathStatus.STEP_FAILURE
+        assert res.reason == "residual above the success gate"
+        assert res.last_t == 0.0
+
+
 class _FlatOnTheRight(Homotopy):
     """H = z + t on the left half-plane, a regular path z = -t; on the right
     _FlatBelowBoundary, whose path meets an exactly singular Jacobian."""

@@ -42,13 +42,13 @@ def sphere_nv(sphere_line):
 
 
 def _record_calls(monkeypatch, name):
-    """Wrap polypath.witness.<name>; the returned list gets (args, result)
-    of every call."""
+    """Wrap polypath.witness.<name>; the returned list gets (args, result,
+    kwargs) of every call."""
     calls = []
     original = getattr(witness, name)
 
-    def recorded(*args):
-        calls.append((args, original(*args)))
+    def recorded(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs), kwargs))
         return calls[-1][1]
 
     monkeypatch.setattr(witness, name, recorded)
@@ -127,6 +127,27 @@ def test_superset_dimension_range(sphere_line):
         witness_superset(sphere_line, -1, Rng(0))
 
 
+@pytest.mark.parametrize("texts, variables, projective, dims", [
+    (None, "sphere_line", False, [2, 1]),
+    (["x^2 + y^2 + z^2 - 1"], ["x", "y", "z"], False, [2]),
+    # a zero equation lowers the bound, and the scan stays correct
+    (["x^2 + y^2 + z^2 - 1", "0"], ["x", "y", "z"], False, [2, 1]),
+    (None, "circles", False, [1, 0]),
+    (None, "conic_point", True, [1, 0]),
+])
+def test_decomposition_scans_down_to_the_krull_bound(texts, variables, projective, dims,
+                                                     request, monkeypatch):
+    # n equations in N unknowns leave no component below dimension N - n
+    # (N - 1 - n projective)
+    system = (request.getfixturevalue(variables) if texts is None
+              else _sys(texts, variables))
+    calls = _record_calls(monkeypatch, "_superset")
+    nv = numerical_irreducible_decomposition(system, projective=projective, seed=0)
+    assert [args[1] for args, *_ in calls] == dims
+    if texts is not None:
+        assert {d: [ws.degree for ws in nv.components[d]] for d in nv.dims()} == {2: [2]}
+
+
 # -- slice moving ---------------------------------------------------------------
 
 def _sphere_witness(seed=3):
@@ -169,6 +190,46 @@ def test_circle_always_meets_a_generic_line_twice():
         assert len(_dedupe_points(ws.points)) == 2
 
 
+def test_endgame_free_moves_land_on_the_endgame_points(monkeypatch):
+    ws = _sphere_witness()
+    rng = Rng(81)
+    targets = [random_slice(3, 2, rng) for _ in range(8)]
+    calls = _record_calls(monkeypatch, "track_paths")
+    with_endgame = witness._move(ws, targets, Rng(82))
+    without = witness._move(ws, targets, Rng(82), endgame=False)
+    assert [kwargs for *_, kwargs in calls] == [{"endgame": True}, {"endgame": False}]
+    assert all(res.last_t == 0.0 for res in calls[1][1])
+    for a, b in zip(with_endgame, without, strict=True):
+        assert len(a) == len(b) == 2
+        for p, q in zip(a, b):
+            assert vec_inf_norm(p - q) <= 1e-12 * (1.0 + vec_inf_norm(p))
+
+
+def test_only_moves_to_random_slices_skip_the_endgame(sphere_line, sphere_nv, monkeypatch):
+    sphere = sphere_nv.components[2][0]
+    rng = Rng(11)
+    supersets = {}
+    for dim in (2, 1):
+        res = witness_superset(sphere_line, dim, rng.fork())
+        supersets[dim] = res.__class__(points=_dedupe_points(res.points), slice=res.slice,
+                                       paths_tracked=res.paths_tracked)
+    calls = _record_calls(monkeypatch, "track_paths")
+
+    def endgame_flags(run):
+        calls.clear()
+        run()
+        return {kwargs["endgame"] for *_, kwargs in calls}
+
+    # randomly drawn targets: their endpoints are nonsingular
+    assert endgame_flags(lambda: sample(sphere, 3, Rng(1))) == {False}
+    assert endgame_flags(lambda: monodromy_partition(sphere, Rng(21))) == {False}
+    assert endgame_flags(lambda: trace_test(sphere, {0, 1}, Rng(31))) == {False}
+    # slices through given points, which may be singular
+    assert endgame_flags(lambda: membership_test(sphere_nv, [[0.0, 0.0, 1.0]])) == {True}
+    assert endgame_flags(lambda: junk_removal(supersets, sphere_line, Rng(12))) == {True}
+    assert endgame_flags(lambda: move_slice(sphere, random_slice(3, 2, Rng(2)), Rng(3))) == {True}
+
+
 def test_move_slice_codim_mismatch():
     ws = _sphere_witness()
     with pytest.raises(DimensionMismatch):
@@ -202,7 +263,7 @@ def test_junk_removal_makes_one_membership_batch_per_confirmed_set(sphere_line, 
     cleaned = junk_removal(supersets, sphere_line, rng.fork())
     # the sphere tests every point of dimensions 1 and 0 at once, then the
     # line tests what is left of dimension 0
-    assert [args[0].dimension for args, _ in calls] == [2, 1]
+    assert [args[0].dimension for args, *_ in calls] == [2, 1]
     assert len(calls[0][0][1]) == len(supersets[1].points) + len(supersets[0].points)
     assert len(cleaned[2]) == 2 and cleaned[0] == []
     assert len(cleaned[1]) == 1 and _on_axis(cleaned[1][0])
@@ -370,6 +431,15 @@ def test_monodromy_blocks_stable_under_extra_loops(sphere_nv):
 def test_membership_origin_on_line_only(sphere_nv):
     hits = membership_test(sphere_nv, [[0.0, 0.0, 0.0]])
     assert hits == [[(1, 0)]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_membership_of_the_poles_on_both_components(sphere_line, seed):
+    # (0, 0, +-1) are singular points of the variety, where the line meets
+    # the sphere; the moves through them need the endgame
+    nv = numerical_irreducible_decomposition(sphere_line, seed=seed)
+    hits = membership_test(nv, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert [sorted(h) for h in hits] == [[(1, 0), (2, 0)]] * 2
 
 
 def test_membership_off_variety(sphere_nv):
