@@ -14,8 +14,6 @@ from .tracker import (
     Homotopy,
     PathResult,
     PathStatus,
-    TrackerConfig,
-    endgame,
     homotopy_eval,
     straight_line_homotopy,
     track_path,
@@ -61,8 +59,6 @@ __all__ = [
     "Homotopy",
     "PathResult",
     "PathStatus",
-    "TrackerConfig",
-    "endgame",
     "homotopy_eval",
     "straight_line_homotopy",
     "track_path",

@@ -33,10 +33,6 @@ class StartPointInvalid(PolyPathError):
     """The supplied start point does not solve the start system."""
 
 
-class EndgameDivergence(PolyPathError):
-    """Endgame samples are not Cauchy; the path has no finite limit."""
-
-
 class PathFailure(PolyPathError):
     """A tracked point failed to reach its target; callers may retry."""
 

@@ -13,21 +13,21 @@ are one batch.
 
 track_paths advances all paths of one homotopy in lock-step.  Each path
 keeps its own t, step size, success count, step count and status; the
-paths share the work, so a predictor stage or a Newton iteration is one
+paths share the work, so an RK4 stage or a Newton iteration is one
 evaluation of H on the stack of their points and one stacked LAPACK
 solve.  Every evaluation passes the path index of each row, so each row
 is evaluated at its own path's parameters.  A path that finishes or fails
-leaves the stack, and track_path and endgame are the one-path case.
+leaves the stack, and track_path is the one-path case.
 Predictor and corrector solves form no condition number: a row fails only
 on an exactly singular Jacobian or a non-finite solution.  lin_solve's bound
 kappa_inf < 1e14 applies to the reported limits (the Newton polish at t = 0).
 
-Paths are tracked from t = 1 to the endgame boundary with an RK4 predictor
+Paths are tracked from t = 1 to the endgame boundary with RK4 steps
 on the Davidenko ODE dz/dt = -(dH/dz)^-1 dH/dt and a short Newton corrector
 at fixed t.  From the boundary, the endgame samples every path at the same
-t_k = t_EG * 2^-k, estimates the winding (cycle) number from the geometric
-convergence rate of the samples, and Richardson-extrapolates in t^(1/c) to
-the limit point.  Tracking runs entirely at hardware precision.
+t_k = ENDGAME_START * 2^-k, estimates the winding (cycle) number from the
+geometric convergence rate of the samples, and Richardson-extrapolates in
+t^(1/c) to the limit point.  Tracking runs entirely at hardware precision.
 
 A caller that knows its paths end at nonsingular points (a move to a
 randomly drawn target, say) may skip the endgame: track_paths(...,
@@ -44,11 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import conditioned_solve_stack, solve_stack
-from .errors import (
-    DimensionMismatch,
-    EndgameDivergence,
-    StartPointInvalid,
-)
+from .errors import DimensionMismatch, StartPointInvalid
 from .polysys import LinearSlice, Polynomial, PolySystem
 
 
@@ -70,30 +66,21 @@ STEP_BUDGET = "step budget"
 ABOVE_GATE = "residual above the success gate"
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    initial_step: float = 0.1
-    min_step: float = 1e-7
-    max_step: float = 0.1
-    corrector_tol: float = 1e-7
-    newton_iterations: int = 3
-    growth_successes: int = 5        # consecutive successes before growing
-    step_growth: float = 2.0
-    step_shrink: float = 0.5
-    endgame_start: float = 0.1
-    final_tol: float = 1e-11
-    infinity_threshold: float = 1e8
-    max_steps: int = 100_000
-    predictor: str = "rk4"           # "rk4" or "euler"
-    endgame_max_halvings: int = 12
-    endgame_last_t_max: float = 1e-3  # every Success must report lastT below this
-
-    def __post_init__(self):
-        if not 0.0 < self.min_step < self.max_step <= self.endgame_start <= 1.0:
-            raise ValueError(
-                "need 0 < min_step < max_step <= endgame_start <= 1")
-        if self.predictor not in ("rk4", "euler"):
-            raise ValueError(f"unknown predictor {self.predictor!r}")
+# Tracker settings.  Every call reads them afresh from the module.
+INITIAL_STEP = 0.1
+MIN_STEP = 1e-7
+MAX_STEP = 0.1
+CORRECTOR_TOL = 1e-7
+NEWTON_ITERATIONS = 3
+GROWTH_SUCCESSES = 5             # consecutive successes before growing
+STEP_GROWTH = 2.0
+STEP_SHRINK = 0.5
+ENDGAME_START = 0.1
+FINAL_TOL = 1e-11
+INFINITY_THRESHOLD = 1e8
+MAX_STEPS = 100_000
+ENDGAME_MAX_HALVINGS = 12
+ENDGAME_LAST_T_MAX = 1e-3        # every Success must report lastT below this
 
 
 @dataclass(frozen=True)
@@ -350,7 +337,7 @@ def _pick(rows, mask):
     return np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
 
 
-def _cycle_numbers(samples, final_tol):
+def _cycle_numbers(samples):
     """Winding number of every row from the geometric decay of its samples.
 
     Consecutive samples halve t, so differences of a cycle-c path shrink by
@@ -363,7 +350,7 @@ def _cycle_numbers(samples, final_tol):
         return np.ones(samples.shape[0], dtype=int)
     a, b = diffs[:, :-1], diffs[:, 1:]
     r = b / a
-    usable = (a > final_tol) & (b > final_tol) & (r > 0.0) & (r < 0.95)
+    usable = (a > FINAL_TOL) & (b > FINAL_TOL) & (r > 0.0) & (r < 0.95)
     usable &= np.cumsum(usable[:, ::-1], axis=1)[:, ::-1] <= 3
     count = usable.sum(axis=1)
     tail = np.sort(np.where(usable, r, np.inf), axis=1)
@@ -384,14 +371,6 @@ def _extrapolate(samples, cycles):
     return tab[:, 0]
 
 
-class _AtInfinity(EndgameDivergence):
-    """The tracked point escaped past the infinity threshold."""
-
-
-class _StepBudgetExhausted(Exception):
-    pass
-
-
 # -- the lock-step tracker -------------------------------------------------------
 
 class _Paths:
@@ -400,7 +379,7 @@ class _Paths:
     Per row: point z, time t, step size, consecutive successes, steps taken
     (limit: where the phase's step budget runs out, each phase has its own),
     the Jacobian and dH/dt of the last evaluation at (z, t), so the next
-    predictor step needs no new one, and in the endgame the samples, the
+    RK4 step needs no new one, and in the endgame the samples, the
     growth count of their differences, the last extrapolant, cycle number
     and Newton update.  A path that finishes or fails leaves the stack;
     its outcome goes to the per-path arrays at its index idx.
@@ -409,16 +388,16 @@ class _Paths:
     _ROWS = ("idx", "z", "t", "step", "succ", "steps", "limit", "jac", "dt",
              "samples", "grew", "extrap", "cycle", "newton")
 
-    def __init__(self, h: Homotopy, cfg: TrackerConfig, z, t):
+    def __init__(self, h: Homotopy, z, t):
         m, n = z.shape
-        self.h, self.cfg = h, cfg
+        self.h = h
         self.idx = np.arange(m)
         self.z = z
         self.t = np.full(m, float(t))
-        self.step = np.full(m, cfg.initial_step)
+        self.step = np.full(m, INITIAL_STEP)
         self.succ = np.zeros(m, dtype=int)
         self.steps = np.zeros(m, dtype=int)
-        self.limit = np.full(m, cfg.max_steps)
+        self.limit = np.full(m, MAX_STEPS)
         self.jac = np.full((m, n, n), np.nan, dtype=complex)
         self.dt = np.full((m, n), np.nan, dtype=complex)
         self.samples = np.empty((m, 0, n), dtype=complex)
@@ -469,16 +448,14 @@ class _Paths:
         self._split(mask)
 
     def _first_tangent(self):
-        """The predictor's first tangent, from the evaluation kept at (z, t)."""
+        """The first RK4 tangent, from the evaluation kept at (z, t)."""
         return _solve_rows(self.jac, -self.dt)[0]
 
     def _predict(self, s):
-        """One explicit predictor step of signed size s[i] in t for every row."""
+        """One RK4 step of signed size s[i] in t for every row."""
         z, t, h = self.z, self.t, self.h
         k1 = self._first_tangent()
         sc = s[:, None]
-        if self.cfg.predictor == "euler":
-            return z + sc * k1
         half, t_half = 0.5 * sc, t + 0.5 * s
         idx = self.idx
         k2 = _tangent(h, z + half * k1, t_half, idx)
@@ -490,12 +467,11 @@ class _Paths:
         """Adaptive steps of every row from its t down to t_to.
 
         A step is accepted when the corrector converges; every
-        growth_successes accepted steps in a row grow the step size, and a
+        GROWTH_SUCCESSES accepted steps in a row grow the step size, and a
         rejected step shrinks it.  A row leaves on collapse (its step size
-        below min_step), past the infinity threshold, or at the step budget.
+        below MIN_STEP), past INFINITY_THRESHOLD, or at the step budget.
         Rows that reach t_to wait aside until every row has.
         """
-        cfg = self.cfg
         arrived = []
         while self.idx.size:
             spent = self.steps >= self.limit
@@ -510,25 +486,25 @@ class _Paths:
             some = not ok.all()
             zc, _, code, jac, dt = _newton(
                 self.h, zp[ok] if some else zp, t1[ok] if some else t1,
-                self.idx[ok] if some else self.idx, cfg.corrector_tol, cfg.newton_iterations)
+                self.idx[ok] if some else self.idx, CORRECTOR_TOL, NEWTON_ITERATIONS)
             conv = code == _CONVERGED
             ok[ok] = conv
             if ok.all():
                 self.z, self.t, self.jac, self.dt = zc, t1, jac, dt
                 self.succ += 1
-                gone = _norms(self.z) > cfg.infinity_threshold
+                gone = _norms(self.z) > INFINITY_THRESHOLD
             else:
                 self.z[ok], self.t[ok] = zc[conv], t1[ok]
                 self.jac[ok], self.dt[ok] = jac[conv], dt[conv]
                 self.succ[ok] += 1
                 self.succ[~ok] = 0
-                self.step[~ok] *= cfg.step_shrink
-                gone = ok & (_norms(self.z) > cfg.infinity_threshold)
-                gone |= ~ok & (self.step < cfg.min_step)
-            grow = self.succ >= cfg.growth_successes
+                self.step[~ok] *= STEP_SHRINK
+                gone = ok & (_norms(self.z) > INFINITY_THRESHOLD)
+                gone |= ~ok & (self.step < MIN_STEP)
+            grow = self.succ >= GROWTH_SUCCESSES
             if grow.any():
                 grow &= ok
-                self.step[grow] = np.minimum(self.step[grow] * cfg.step_growth, cfg.max_step)
+                self.step[grow] = np.minimum(self.step[grow] * STEP_GROWTH, MAX_STEP)
                 self.succ[grow] = 0
             if gone.any():
                 far = ok & gone
@@ -551,50 +527,49 @@ class _Paths:
 
     def _polish(self):
         """Newton beyond the tracking tolerance, so extrapolation sees tracking
-        noise well below final_tol.  A singular Jacobian fails the path."""
+        noise well below FINAL_TOL.  A singular Jacobian fails the path."""
         code = self._correct(1e-13 * (1.0 + _norms(self.z)), 6)
         self._leave(code == _SINGULAR, PathStatus.STEP_FAILURE, ENDGAME_SINGULAR)
 
     def endgame(self):
         """Drive every row from the endgame boundary to its limit at t = 0.
 
-        Samples the rows at t_k = t_EG * 2^-k together; a row stops once two
-        consecutive extrapolants agree within final_tol (never before t_k is
-        at or below endgame_last_t_max) or at the halving cap.  Then each
-        limit is polished against H(. , 0) when Newton stays consistent
-        with the extrapolation.
+        Samples the rows at t_k = ENDGAME_START * 2^-k together; a row stops
+        once two consecutive extrapolants agree within FINAL_TOL (never
+        before t_k is at or below ENDGAME_LAST_T_MAX) or at the halving cap.
+        Then each limit is polished against H(. , 0) when Newton stays
+        consistent with the extrapolation.
         """
-        cfg = self.cfg
-        self.t[:] = cfg.endgame_start
-        self.step[:] = min(cfg.initial_step, cfg.endgame_start / 2.0)
+        self.t[:] = ENDGAME_START
+        self.step[:] = min(INITIAL_STEP, ENDGAME_START / 2.0)
         self.succ[:] = 0
-        self.limit = self.steps + cfg.max_steps
-        code = self._correct(cfg.corrector_tol, cfg.newton_iterations + 3)
+        self.limit = self.steps + MAX_STEPS
+        code = self._correct(CORRECTOR_TOL, NEWTON_ITERATIONS + 3)
         self._leave(code == _SINGULAR, PathStatus.STEP_FAILURE, ENDGAME_SINGULAR)
         self._leave((code == _STALLED)[code != _SINGULAR], PathStatus.STEP_FAILURE,
                     BOUNDARY_FAILED)
         self._polish()
         self.samples = self.z[:, None, :].copy()
         self.extrap = self.samples[:, 0]
-        for k in range(1, cfg.endgame_max_halvings + 1):
-            t_next = cfg.endgame_start * 0.5 ** k
+        for k in range(1, ENDGAME_MAX_HALVINGS + 1):
+            t_next = ENDGAME_START * 0.5 ** k
             self.advance(t_next, ENDGAME_COLLAPSE)
             self.t[:] = t_next
             self._polish()
-            self._leave(_norms(self.z) > cfg.infinity_threshold,
+            self._leave(_norms(self.z) > INFINITY_THRESHOLD,
                         PathStatus.AT_INFINITY, BEYOND_INFINITY)
             self.samples = np.concatenate([self.samples, self.z[:, None, :]], axis=1)
             if k >= 2:
                 d = np.abs(self.samples[:, -2:] - self.samples[:, -3:-1]).max(axis=2)
-                grew = (d[:, 1] > d[:, 0]) & (d[:, 0] > cfg.final_tol)
+                grew = (d[:, 1] > d[:, 0]) & (d[:, 0] > FINAL_TOL)
                 self.grew = np.where(grew, self.grew + 1, 0)
                 self._leave(self.grew >= 3, PathStatus.STEP_FAILURE, NOT_CAUCHY)
-            self.cycle = _cycle_numbers(self.samples, cfg.final_tol)
+            self.cycle = _cycle_numbers(self.samples)
             extrap = _extrapolate(self.samples, self.cycle)
             stop = np.zeros(extrap.shape[0], dtype=bool)
-            if k >= 2 and t_next <= cfg.endgame_last_t_max:
+            if k >= 2 and t_next <= ENDGAME_LAST_T_MAX:
                 stop = (_norms(extrap - self.extrap)
-                        <= cfg.final_tol * (1.0 + _norms(extrap)))
+                        <= FINAL_TOL * (1.0 + _norms(extrap)))
             self.extrap = extrap
             self._leave(stop)
             if not self.idx.size:
@@ -665,48 +640,7 @@ class _Paths:
 
 # -- entry points ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndgameResult:
-    endpoint: np.ndarray
-    cycle_number: int
-    last_t: float
-    newton_residual: float
-    function_residual: float
-    steps_taken: int
-
-
-def endgame(h: Homotopy, z_boundary, cfg: TrackerConfig | None = None) -> EndgameResult:
-    """Drive a path from the endgame boundary to its limit at t = 0.
-
-    Samples the path at t_k = t_EG * 2^-k, stops once two consecutive
-    extrapolants agree within final_tol (never before lastT is at or below
-    endgame_last_t_max) or at the halving cap, then polishes the limit
-    against H(. , 0) when Newton stays consistent with the extrapolation.
-
-    Raises EndgameDivergence when the samples are not Cauchy or a Newton
-    correction meets a singular Jacobian.
-    """
-    cfg = cfg or TrackerConfig()
-    _check_path_count(h, 1)
-    paths = _Paths(h, cfg, _as_point(h, z_boundary)[None].copy(), cfg.endgame_start)
-    with np.errstate(all="ignore"):
-        paths.endgame()
-    if paths.status[0] is not None:
-        reason = paths.reason[0]
-        error = {BEYOND_INFINITY: _AtInfinity, STEP_BUDGET: _StepBudgetExhausted}
-        raise error.get(reason, EndgameDivergence)(reason)
-    return EndgameResult(
-        endpoint=paths.out_z[0].copy(),
-        cycle_number=int(paths.out_cycle[0]),
-        last_t=float(paths.out_t[0]),
-        newton_residual=float(paths.out_newton[0]),
-        function_residual=float(paths.out_fres[0]),
-        steps_taken=int(paths.out_steps[0]),
-    )
-
-
-def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None, *,
-                endgame: bool = True) -> list[PathResult]:
+def track_paths(h: Homotopy, starts, *, endgame: bool = True) -> list[PathResult]:
     """Track every start point's path of H from t = 1 to t = 0, in lock-step.
 
     Each start point must be finite and satisfy the start system (H at
@@ -717,12 +651,14 @@ def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None, *,
     it: Success (finite endpoint with small target residual), AtInfinity,
     StepFailure, or MaxSteps, with the reason of a non-success.
 
-    With endgame=False the paths advance straight to t = 0 and their
-    endpoints are polished and gated as endgame limits are (cycle number 1,
-    last_t 0).  Only paths known to end at nonsingular points should skip
-    the endgame: a path to a singular endpoint then stalls or fails the gate.
+    The step sizes and tolerances are the module's constants.  The paths
+    are tracked to t = ENDGAME_START, and the endgame (entered only from
+    here) drives them from there to their limits.  With endgame=False the
+    paths advance straight to t = 0 and their endpoints are polished and
+    gated as endgame limits are (cycle number 1, last_t 0).  Only paths
+    known to end at nonsingular points should skip the endgame: a path to
+    a singular endpoint then stalls or fails the gate.
     """
-    cfg = cfg or TrackerConfig()
     try:
         z = np.array(starts, dtype=complex)
     except ValueError as exc:
@@ -741,17 +677,17 @@ def track_paths(h: Homotopy, starts, cfg: TrackerConfig | None = None, *,
             raise StartPointInvalid(
                 f"start point {i}: residual {start_res[i]:.3e} too large for a "
                 "start-system solution")
-        paths = _Paths(h, cfg, z, 1.0)
+        paths = _Paths(h, z, 1.0)
         paths.jac, paths.dt = jac, dt
         if endgame:
-            paths.advance(cfg.endgame_start, MAIN_COLLAPSE)
+            paths.advance(ENDGAME_START, MAIN_COLLAPSE)
             paths.endgame()
         else:
             paths.straight_to_zero()
         return paths.results()
 
 
-def track_path(h: Homotopy, z_start, cfg: TrackerConfig | None = None) -> PathResult:
+def track_path(h: Homotopy, z_start) -> PathResult:
     """Track one solution path of H from t = 1 to t = 0: track_paths of one start.
 
     The start point must satisfy the start system (H at t = 1); otherwise
@@ -759,4 +695,4 @@ def track_path(h: Homotopy, z_start, cfg: TrackerConfig | None = None) -> PathRe
     Success (finite endpoint with small target residual), AtInfinity,
     StepFailure, or MaxSteps.
     """
-    return track_paths(h, _as_point(h, z_start)[None], cfg)[0]
+    return track_paths(h, _as_point(h, z_start)[None])[0]

@@ -138,18 +138,25 @@ def _superset_once(system, dim, rng, patch):
     start = total_degree_start(square)
     homotopy = straight_line_homotopy(square, start.start_system, gamma)
     results = track_paths(homotopy, start.start_points)
-    landed = [res.endpoint for res in results if res.status is PathStatus.SUCCESS]
+    landed = [res for res in results if res.status is PathStatus.SUCCESS]
+
+    def shared(q, ends):
+        return sum(vec_inf_norm(q - e.endpoint) <= _MATCH_TOL for e in ends) > 1
+
+    regular = [res for res in landed if res.cycle_number == 1]
     points = []
     failures = 0
     for res in results:
         if res.status is PathStatus.SUCCESS:
             q = res.endpoint
+            # two paths at one regular root means a path jumped, and the point
+            # it should have reached may be lost; a root off the variety is
+            # dropped, and a singular one (cycle >= 2) may end several paths
             if _on_variety(system, q, patch):
                 points.append(q)
-            elif sum(vec_inf_norm(q - e) <= _MATCH_TOL for e in landed) > 1:
-                # a root of the randomized system off the variety is dropped,
-                # but two paths at one regular root means a path jumped, and
-                # the point it should have reached may be lost
+                if res.cycle_number == 1 and shared(q, regular):
+                    failures += 1
+            elif shared(q, landed):
                 failures += 1
         elif res.status is not PathStatus.AT_INFINITY:
             failures += 1

@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import polypath.tracker
 from polypath.algebra import Rng, random_unit_complex, vec_inf_norm
-from polypath.errors import DimensionMismatch, EndgameDivergence, StartPointInvalid
+from polypath.errors import DimensionMismatch, StartPointInvalid
 from polypath.parser import parse_polynomial
 from polypath.polysys import PolySystem, random_slice
 from polypath.tracker import (
+    ENDGAME_START,
     Homotopy,
     ParameterPathHomotopy,
     PathStatus,
-    TrackerConfig,
     _Paths,
     _solve_rows,
     _tangent,
-    endgame,
     homotopy_eval,
     slice_move_homotopy,
     straight_line_homotopy,
@@ -105,7 +105,7 @@ def test_rk4_predictor_exact_on_linear_path():
     f = _sys(["x - 1"], ["x"])
     g = _sys(["x - 2"], ["x"])
     h = straight_line_homotopy(f, g, 1.0)
-    paths = _Paths(h, TrackerConfig(), np.array([[2.0 + 0.0j]]), 1.0)
+    paths = _Paths(h, np.array([[2.0 + 0.0j]]), 1.0)
     _, paths.jac, paths.dt = h.eval_batch(paths.z, paths.t)
     predicted = paths._predict(np.array([-0.5]))[0]
     assert abs(predicted[0] - 1.5) <= 1e-12
@@ -193,40 +193,21 @@ def test_determinism_bitwise(circles):
     assert a.steps_taken == b.steps_taken
 
 
-def test_euler_predictor_option(circles):
-    start = total_degree_start(circles)
-    h = straight_line_homotopy(circles, start.start_system, random_unit_complex(Rng(7)))
-    cfg = TrackerConfig(predictor="euler")
-    finite = [track_path(h, p, cfg) for p in start.start_points]
-    endpoints = [r.endpoint for r in finite if r.status is PathStatus.SUCCESS]
-    expected = [np.array([0.5, math.sqrt(3) / 2]), np.array([0.5, -math.sqrt(3) / 2])]
-    hits = {i for z in endpoints for i, e in enumerate(expected)
-            if vec_inf_norm(z - e) <= 1e-6}
-    assert hits == {0, 1}
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TrackerConfig(min_step=0.5, max_step=0.1)
-    with pytest.raises(ValueError):
-        TrackerConfig(predictor="leapfrog")
-
-
-def test_max_steps_is_reported(circles):
+def test_max_steps_is_reported(circles, monkeypatch):
     start = total_degree_start(circles)
     h = straight_line_homotopy(circles, start.start_system, GAMMA)
-    cfg = TrackerConfig(max_steps=3)
-    res = track_path(h, start.start_points[0], cfg)
+    monkeypatch.setattr(polypath.tracker, "MAX_STEPS", 3)
+    res = track_path(h, start.start_points[0])
     assert res.status is PathStatus.MAX_STEPS
 
 
-def test_all_paths_diverge_for_infeasible_system():
+def test_all_paths_diverge_for_infeasible_system(monkeypatch):
     # x = 0 contradicts x*y = 1, so both Bezout paths leave every compact set
     f = _sys(["x*y - 1", "x"], ["x", "y"])
     start = total_degree_start(f)
     h = straight_line_homotopy(f, start.start_system, random_unit_complex(Rng(10)))
-    cfg = TrackerConfig(infinity_threshold=1e3)
-    statuses = {track_path(h, p, cfg).status for p in start.start_points}
+    monkeypatch.setattr(polypath.tracker, "INFINITY_THRESHOLD", 1e3)
+    statuses = {track_path(h, p).status for p in start.start_points}
     assert PathStatus.SUCCESS not in statuses
     assert statuses <= {PathStatus.AT_INFINITY, PathStatus.STEP_FAILURE}
 
@@ -319,9 +300,18 @@ class _FlatBelowBoundary(Homotopy):
         return value, np.array([[0.0 if below else 1.0]], dtype=complex), np.array([-1.0 + 0j])
 
 
+def _from_the_boundary(h, points):
+    """Paths of h started at t = ENDGAME_START and driven through the endgame."""
+    paths = _Paths(h, np.array(points, dtype=complex), ENDGAME_START)
+    with np.errstate(all="ignore"):
+        paths.endgame()
+    return paths.results()
+
+
 def test_endgame_reports_a_singular_jacobian_as_divergence():
-    with pytest.raises(EndgameDivergence):
-        endgame(_FlatBelowBoundary(), np.array([0.1 + 1e-10], dtype=complex))
+    [res] = _from_the_boundary(_FlatBelowBoundary(), [[0.1 + 1e-10]])
+    assert res.status is PathStatus.STEP_FAILURE
+    assert res.reason == "singular Jacobian in the endgame"
 
 
 class _PowerMinusT(Homotopy):
@@ -339,23 +329,24 @@ class _PowerMinusT(Homotopy):
 
 
 def test_endgame_finds_the_cycle_of_a_double_root():
-    res = endgame(_PowerMinusT(2), np.array([math.sqrt(0.1)], dtype=complex))
+    res = track_path(_PowerMinusT(2), np.array([1.0], dtype=complex))
+    assert res.status is PathStatus.SUCCESS
     assert abs(res.endpoint[0]) <= 1e-12
     assert res.cycle_number == 2
     assert res.last_t <= 1e-3
 
 
 def test_endgame_of_a_regular_root_has_cycle_one():
-    res = endgame(_PowerMinusT(1), np.array([0.1], dtype=complex))
+    res = track_path(_PowerMinusT(1), np.array([1.0], dtype=complex))
+    assert res.status is PathStatus.SUCCESS
     assert abs(res.endpoint[0]) <= 1e-12
     assert res.cycle_number == 1
 
 
 def test_singular_jacobian_in_the_endgame_is_a_step_failure():
-    # an Euler step takes its tangent at the start of the step, so the main
-    # phase never solves with the singular Jacobian at t = 0.1
-    res = track_path(_FlatBelowBoundary(), np.array([1.0], dtype=complex),
-                     TrackerConfig(predictor="euler"))
+    # started at the boundary: from t = 1 the last RK4 stage of the step to
+    # t = 0.1 would already solve with the singular Jacobian there
+    [res] = _from_the_boundary(_FlatBelowBoundary(), [[0.1]])
     assert res.status is PathStatus.STEP_FAILURE
     assert res.last_t == 0.1
     assert abs(res.endpoint[0] - 0.1) <= 1e-9
@@ -408,8 +399,7 @@ def test_track_paths_of_no_starts_is_empty(circles):
 
 
 def test_reason_names_a_singular_jacobian_in_the_endgame():
-    res = track_path(_FlatBelowBoundary(), np.array([1.0], dtype=complex),
-                     TrackerConfig(predictor="euler"))
+    [res] = _from_the_boundary(_FlatBelowBoundary(), [[0.1]])
     assert res.status is PathStatus.STEP_FAILURE
     assert res.reason == "singular Jacobian in the endgame"
 
@@ -430,18 +420,21 @@ def test_reason_names_a_diverging_cyclic5_path(cyclic5):
     assert finite.status is PathStatus.SUCCESS and finite.reason is None
 
 
-def test_reasons_of_infinity_and_step_budget(circles):
+def test_reasons_of_infinity_and_step_budget(circles, monkeypatch):
     f = _sys(["x*y - 1", "x"], ["x", "y"])
     start = total_degree_start(f)
     h = straight_line_homotopy(f, start.start_system, random_unit_complex(Rng(10)))
     # both paths pass |z| = 3 in the main phase and |z| = 10 in the endgame
     for threshold in (3.0, 10.0):
-        for res in track_paths(h, start.start_points, TrackerConfig(infinity_threshold=threshold)):
+        monkeypatch.setattr(polypath.tracker, "INFINITY_THRESHOLD", threshold)
+        for res in track_paths(h, start.start_points):
             assert res.status is PathStatus.AT_INFINITY
             assert res.reason == "beyond the infinity threshold"
             assert vec_inf_norm(res.endpoint) > threshold
+    monkeypatch.undo()
     h = straight_line_homotopy(circles, total_degree_start(circles).start_system, GAMMA)
-    res = track_path(h, total_degree_start(circles).start_points[0], TrackerConfig(max_steps=3))
+    monkeypatch.setattr(polypath.tracker, "MAX_STEPS", 3)
+    res = track_path(h, total_degree_start(circles).start_points[0])
     assert res.status is PathStatus.MAX_STEPS and res.reason == "step budget"
 
 
@@ -514,12 +507,12 @@ class _FlatOnTheRight(Homotopy):
 
 
 def test_an_exactly_singular_jacobian_fails_only_its_own_path():
-    h, cfg = _FlatOnTheRight(), TrackerConfig(predictor="euler")
-    left, right = np.array([-1.0 + 0j]), np.array([1.0 + 0j])
-    batch = track_paths(h, [left, right, left], cfg)
+    h = _FlatOnTheRight()
+    left, right = [-0.1], [0.1]
+    batch = _from_the_boundary(h, [left, right, left])
     assert batch[1].status is PathStatus.STEP_FAILURE
     assert batch[1].reason == "singular Jacobian in the endgame"
-    alone = track_path(h, left, cfg)
+    [alone] = _from_the_boundary(h, [left])
     assert alone.status is PathStatus.SUCCESS
     for res in (batch[0], batch[2]):
         _assert_same_path(res, alone)
@@ -593,8 +586,6 @@ def test_per_path_parameter_rows_must_match_the_starts(family):
         with pytest.raises(DimensionMismatch):
             track_paths(h, starts)
     with pytest.raises(DimensionMismatch):
-        endgame(h, start)
-    with pytest.raises(DimensionMismatch):
         ParameterPathHomotopy(family, np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(DimensionMismatch):
         ParameterPathHomotopy(family, np.ones((2, 2)), np.ones(3))
@@ -629,7 +620,6 @@ def _counting(monkeypatch, module, name):
 
 def test_only_the_limit_polish_computes_a_condition_number(katsura4, monkeypatch):
     import polypath.algebra
-    import polypath.tracker
 
     start = total_degree_start(katsura4)
     h = straight_line_homotopy(katsura4, start.start_system, random_unit_complex(Rng(3)))
@@ -658,14 +648,12 @@ class _NearSingularLines(Homotopy):
 
 
 def test_limit_polish_keeps_the_extrapolant_past_the_condition_bound(monkeypatch):
-    import polypath.tracker
-
     # one exact Newton step from here reaches the root (1, 1)
     extrapolant = np.array([1.0 + 2.0 ** -20, 1.0], dtype=complex)
     h = _NearSingularLines()
 
     def polished():
-        paths = _Paths(h, TrackerConfig(), extrapolant[None].copy(), 0.0)
+        paths = _Paths(h, extrapolant[None].copy(), 0.0)
         paths._polish_limits()
         return paths.out_z[0], paths.out_fres[0]
 

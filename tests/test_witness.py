@@ -85,23 +85,50 @@ def test_superset_drops_an_extraneous_root_without_a_redraw(sphere_line, monkeyp
     assert all(np.array_equal(p, q) for p, q in zip(res.points, first.points, strict=True))
 
 
+def _superset_draws(monkeypatch, system, endpoints, cycles=None):
+    """How many superset draws _superset makes when every draw's paths all
+    succeed at endpoints, with the given cycle numbers (all 1 by default)."""
+    calls = []
+    cycles = cycles or [1] * len(endpoints)
+
+    def track(homotopy, starts):
+        calls.append(homotopy)
+        return [PathResult(PathStatus.SUCCESS, np.array(q, dtype=complex), 0.0, c,
+                           0.0, 0.0, 1) for q, c in zip(endpoints, cycles)]
+
+    monkeypatch.setattr(witness, "track_paths", track)
+    _superset(system, 2, Rng(1), None)
+    return len(calls)
+
+
 def test_superset_redraws_when_two_paths_meet_off_the_variety(sphere_line, monkeypatch):
     def draws(endpoints):
-        calls = []
-
-        def track(homotopy, starts):
-            calls.append(homotopy)
-            return [PathResult(PathStatus.SUCCESS, np.array(q, dtype=complex), 0.0, 1,
-                               0.0, 0.0, 1) for q in endpoints]
-
-        monkeypatch.setattr(witness, "track_paths", track)
-        _superset(sphere_line, 2, Rng(1), None)
-        return len(calls)
+        return _superset_draws(monkeypatch, sphere_line, endpoints)
 
     # two paths at one regular root: a path jumped, so every draw fails
     assert draws([[3.0, 3.0, 3.0], [3.0, 3.0, 3.0 + 1e-9]]) == witness._RETRIES
     # two distinct roots off the variety are only dropped
     assert draws([[3.0, 3.0, 3.0], [3.0, 3.0, 4.0]]) == 1
+
+
+def test_superset_redraws_when_two_regular_paths_meet_on_the_variety(sphere_line,
+                                                                     monkeypatch):
+    def draws(cycles, second=(0.6, 0.0, 0.8 + 1e-9)):
+        return _superset_draws(monkeypatch, sphere_line, [(0.6, 0.0, 0.8), second], cycles)
+
+    # two cycle-1 paths at one point of the sphere: a path jumped
+    assert draws([1, 1]) == witness._RETRIES
+    # a singular endpoint may end several paths, and distinct points are fine
+    assert draws([2, 2]) == draws([1, 2]) == 1
+    assert draws([1, 1], second=(0.0, 0.6, 0.8)) == 1
+
+
+@pytest.mark.parametrize("seed", [174, 649688356])
+def test_decomposition_where_a_superset_path_jumped_on_the_sphere(sphere_line, seed):
+    # the dimension-2 superset's first draw ends two cycle-1 paths at one
+    # sphere point; kept, it left the sphere one witness point
+    nv = numerical_irreducible_decomposition(sphere_line, seed=seed)
+    assert {d: [ws.degree for ws in nv.components[d]] for d in nv.dims()} == {1: [1], 2: [2]}
 
 
 def test_superset_of_two_lines(xy_lines):
