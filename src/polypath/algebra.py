@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -57,23 +58,23 @@ def vec_inf_norm(v) -> float:
 
 
 def solve_stack(a, b):
-    """x[i] = a[i]^-1 b[i] for a stack of square systems, a (m, n, n) and b
-    (m, n, k), and a mask ok: row i fails, and x[i] is NaN, when a[i] is
-    exactly singular or x[i] is not finite.  No condition number is formed:
-    the tracker's solve.  One exactly singular matrix makes LAPACK reject
-    the whole stack, which is then solved one matrix at a time."""
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan, dtype=complex)
-        for i in range(a.shape[0]):
-            try:
-                x[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-    ok = np.isfinite(x).all(axis=(1, 2))
-    if not ok.all():
-        x[~ok] = np.nan
+    """x[i] = a[i]^-1 b[i] for a stack of square complex systems, a (m, n, n)
+    and b (m, n, k), and a mask ok: row i fails, and x[i] is NaN, when a[i]
+    is exactly singular or x[i] is not finite.  No condition number is
+    formed: the tracker's solve.
+
+    Calls LAPACK's gesv through numpy's gufunc directly, the one
+    np.linalg.solve wraps, so every row gets the bits np.linalg.solve gives
+    it.  Without np.linalg.solve's error handler an exactly singular a[i]
+    does not reject the stack: the gufunc fills x[i] with NaN and solves the
+    other rows as it would alone."""
+    with np.errstate(all="ignore"):
+        x = _umath_linalg.solve(a, b, signature="DD->D")
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) == finite.size:
+        return x, np.ones(x.shape[0], dtype=bool)
+    ok = finite.all(axis=(1, 2))
+    x[~ok] = np.nan
     return x, ok
 
 

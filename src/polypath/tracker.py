@@ -162,7 +162,7 @@ class ParameterPathHomotopy(Homotopy):
     def eval_batch(self, z, t, idx=None):
         p_target, dp = self.p_target, self._dp
         if idx is not None and self.num_paths is not None:
-            p_target, dp = p_target[idx], dp[idx]
+            p_target, dp = p_target.take(idx, axis=0), dp.take(idx, axis=0)
         p = p_target + t[:, None] * dp
         # rows [F | dF/dz | dF/dp] of the family's kernel, one block per point
         out = self._kernel(np.concatenate([z, p], axis=1))
@@ -274,7 +274,18 @@ def homotopy_eval(homotopy: Homotopy, z, t):
 
 def _norms(v):
     """Infinity norm of every row of a (rows, n) array."""
-    return np.abs(v).max(axis=1)
+    return np.maximum.reduce(np.abs(v), axis=1)
+
+
+# A mask's any() and all() by count_nonzero, the cheapest reduction on the
+# few rows of a lock-step stack.
+
+def _any(mask) -> bool:
+    return np.count_nonzero(mask) > 0
+
+
+def _all(mask) -> bool:
+    return np.count_nonzero(mask) == mask.size
 
 
 def _solve_rows(a, b):
@@ -312,16 +323,19 @@ def _newton(h: Homotopy, z, t, idx, tol, iters):
     rows = slice(None)      # the rows still iterating: all, until one stops
     for it in range(iters + 1):
         res = _norms(value)
-        done = res <= (tol if np.ndim(tol) == 0 else tol[rows])
-        go = ~done & np.isfinite(res)
-        if done.any():
-            code[_pick(rows, done)] = _CONVERGED
-        if it == iters or not go.any():
+        done = res <= (tol[rows] if isinstance(tol, np.ndarray) else tol)
+        if _all(done):      # after an RK4 step, usually at once
+            code[rows] = _CONVERGED
             break
-        if not go.all():
+        go = ~done & np.isfinite(res)
+        if _any(done):
+            code[_pick(rows, done)] = _CONVERGED
+        if it == iters or not _any(go):
+            break
+        if not _all(go):
             rows, value = _pick(rows, go), value[go]
         delta, ok = _solve_rows(jac[rows], -value)
-        if not ok.all():
+        if not _all(ok):
             code[_pick(rows, ~ok)] = _SINGULAR
             rows, delta = _pick(rows, ok), delta[ok]
             if not rows.size:
@@ -334,7 +348,7 @@ def _newton(h: Homotopy, z, t, idx, tol, iters):
 
 def _pick(rows, mask):
     """The rows (a slice of all rows or an index array) where mask holds."""
-    return np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
+    return mask.nonzero()[0] if isinstance(rows, slice) else rows[mask]
 
 
 def _cycle_numbers(samples):
@@ -345,17 +359,19 @@ def _cycle_numbers(samples):
     ratios (the larger of two) recovers c.  Converged (tiny) differences
     mean a regular endpoint, cycle 1.
     """
-    diffs = np.abs(np.diff(samples, axis=1)).max(axis=2)
-    if diffs.shape[1] < 2:
-        return np.ones(samples.shape[0], dtype=int)
+    m = samples.shape[0]
+    if samples.shape[1] < 3:
+        return np.ones(m, dtype=int)
+    diffs = np.maximum.reduce(np.abs(samples[:, 1:] - samples[:, :-1]), axis=2)
     a, b = diffs[:, :-1], diffs[:, 1:]
     r = b / a
     usable = (a > FINAL_TOL) & (b > FINAL_TOL) & (r > 0.0) & (r < 0.95)
-    usable &= np.cumsum(usable[:, ::-1], axis=1)[:, ::-1] <= 3
+    usable &= usable[:, ::-1].cumsum(axis=1)[:, ::-1] <= 3
     count = usable.sum(axis=1)
-    tail = np.sort(np.where(usable, r, np.inf), axis=1)
-    mid = np.take_along_axis(tail, (count // 2)[:, None], axis=1)[:, 0]
-    c = np.clip(np.round(np.log(2.0) / -np.log(mid)), 1, 8)
+    tail = np.where(usable, r, np.inf)
+    tail.sort(axis=1)
+    mid = tail[np.arange(m), count // 2]
+    c = np.minimum(np.maximum(np.rint(np.log(2.0) / -np.log(mid)), 1), 8)
     return np.where(count > 0, c, 1).astype(int)
 
 
@@ -418,13 +434,16 @@ class _Paths:
 
     def _split(self, mask):
         """Drop the rows in mask from the stack and return them."""
-        out = {}
-        keep = ~mask
-        for name in self._ROWS:
-            rows = getattr(self, name)
-            out[name] = rows[mask]
-            setattr(self, name, rows[keep])
+        rows = mask.nonzero()[0]
+        out = {name: getattr(self, name).take(rows, axis=0) for name in self._ROWS}
+        self._drop(mask)
         return out
+
+    def _drop(self, mask):
+        """Drop the rows in mask from the stack."""
+        keep = (~mask).nonzero()[0]
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name).take(keep, axis=0))
 
     def _join(self, parts):
         """Put rows returned by _split back on the stack."""
@@ -434,18 +453,19 @@ class _Paths:
 
     def _leave(self, mask, status=None, reason=None):
         """Record the rows in mask as finished (status None) or failed, and drop them."""
-        if not mask.any():
+        where = mask.nonzero()[0]
+        if not where.size:
             return
-        rows = self.idx[mask]
-        self.out_z[rows] = self.extrap[mask] if status is None else self.z[mask]
-        self.out_t[rows] = self.t[mask]
-        self.out_steps[rows] = self.steps[mask]
+        rows = self.idx[where]
+        self.out_z[rows] = (self.extrap if status is None else self.z)[where]
+        self.out_t[rows] = self.t[where]
+        self.out_steps[rows] = self.steps[where]
         if status is None:
-            self.out_cycle[rows] = self.cycle[mask]
-            self.out_newton[rows] = self.newton[mask]
+            self.out_cycle[rows] = self.cycle[where]
+            self.out_newton[rows] = self.newton[where]
         for i in rows.tolist():
             self.status[i], self.reason[i] = status, reason
-        self._split(mask)
+        self._drop(mask)
 
     def _first_tangent(self):
         """The first RK4 tangent, from the evaluation kept at (z, t)."""
@@ -475,21 +495,22 @@ class _Paths:
         arrived = []
         while self.idx.size:
             spent = self.steps >= self.limit
-            if spent.any():
+            if _any(spent):
                 self._leave(spent, PathStatus.MAX_STEPS, STEP_BUDGET)
                 continue
             self.steps += 1
             s = np.minimum(self.step, self.t - t_to)
             t1 = self.t - s
             zp = self._predict(-s)
-            ok = np.isfinite(zp).all(axis=1)
-            some = not ok.all()
-            zc, _, code, jac, dt = _newton(
-                self.h, zp[ok] if some else zp, t1[ok] if some else t1,
-                self.idx[ok] if some else self.idx, CORRECTOR_TOL, NEWTON_ITERATIONS)
-            conv = code == _CONVERGED
-            ok[ok] = conv
-            if ok.all():
+            finite = np.isfinite(zp)
+            live = slice(None) if _all(finite) else finite.all(axis=1)
+            zc, _, code, jac, dt = _newton(self.h, zp[live], t1[live], self.idx[live],
+                                           CORRECTOR_TOL, NEWTON_ITERATIONS)
+            ok = conv = code == _CONVERGED
+            if isinstance(live, np.ndarray):    # a non-finite prediction fails its row
+                live[live] = conv
+                ok = live
+            if _all(ok):
                 self.z, self.t, self.jac, self.dt = zc, t1, jac, dt
                 self.succ += 1
                 gone = _norms(self.z) > INFINITY_THRESHOLD
@@ -502,18 +523,19 @@ class _Paths:
                 gone = ok & (_norms(self.z) > INFINITY_THRESHOLD)
                 gone |= ~ok & (self.step < MIN_STEP)
             grow = self.succ >= GROWTH_SUCCESSES
-            if grow.any():
+            if _any(grow):
                 grow &= ok
                 self.step[grow] = np.minimum(self.step[grow] * STEP_GROWTH, MAX_STEP)
                 self.succ[grow] = 0
-            if gone.any():
+            if _any(gone):
                 far = ok & gone
                 self._leave(far, PathStatus.AT_INFINITY, BEYOND_INFINITY)
                 self._leave(gone[~far], PathStatus.STEP_FAILURE, collapse)
             done = self.t <= t_to + 1e-16
-            if done.all():
+            count = np.count_nonzero(done)
+            if count == done.size:
                 break
-            if done.any():
+            if count:
                 arrived.append(self._split(done))
         if arrived:
             self._join(arrived)
@@ -537,8 +559,13 @@ class _Paths:
         Samples the rows at t_k = ENDGAME_START * 2^-k together; a row stops
         once two consecutive extrapolants agree within FINAL_TOL (never
         before t_k is at or below ENDGAME_LAST_T_MAX) or at the halving cap.
-        Then each limit is polished against H(. , 0) when Newton stays
-        consistent with the extrapolation.
+        Cycle numbers and extrapolants are formed only where something reads
+        them: from the halving before the first with t_k at or below
+        ENDGAME_LAST_T_MAX (the stop rule compares each extrapolant with the
+        one before) and at the cap (finish() records them).  A row that
+        leaves for any other reason records its last sample, not an
+        extrapolant.  Then each limit is polished against H(. , 0) when
+        Newton stays consistent with the extrapolation.
         """
         self.t[:] = ENDGAME_START
         self.step[:] = min(INITIAL_STEP, ENDGAME_START / 2.0)
@@ -552,6 +579,8 @@ class _Paths:
         self.samples = self.z[:, None, :].copy()
         self.extrap = self.samples[:, 0]
         for k in range(1, ENDGAME_MAX_HALVINGS + 1):
+            if not self.idx.size:
+                break
             t_next = ENDGAME_START * 0.5 ** k
             self.advance(t_next, ENDGAME_COLLAPSE)
             self.t[:] = t_next
@@ -564,16 +593,13 @@ class _Paths:
                 grew = (d[:, 1] > d[:, 0]) & (d[:, 0] > FINAL_TOL)
                 self.grew = np.where(grew, self.grew + 1, 0)
                 self._leave(self.grew >= 3, PathStatus.STEP_FAILURE, NOT_CAUCHY)
+            if t_next > 2.0 * ENDGAME_LAST_T_MAX and k < ENDGAME_MAX_HALVINGS:
+                continue        # neither the stop rule nor finish() reads it
             self.cycle = _cycle_numbers(self.samples)
-            extrap = _extrapolate(self.samples, self.cycle)
-            stop = np.zeros(extrap.shape[0], dtype=bool)
+            previous, self.extrap = self.extrap, _extrapolate(self.samples, self.cycle)
             if k >= 2 and t_next <= ENDGAME_LAST_T_MAX:
-                stop = (_norms(extrap - self.extrap)
-                        <= FINAL_TOL * (1.0 + _norms(extrap)))
-            self.extrap = extrap
-            self._leave(stop)
-            if not self.idx.size:
-                break
+                self._leave(_norms(self.extrap - previous)
+                            <= FINAL_TOL * (1.0 + _norms(self.extrap)))
         self.finish()
 
     def straight_to_zero(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from polypath.algebra import (
     condition_estimate,
     lin_solve,
     random_unit_complex,
+    solve_stack,
     vec_inf_norm,
 )
 from polypath.errors import DimensionMismatch, SingularMatrix
@@ -142,3 +144,40 @@ def test_condition_matches_numpy_on_random_matrices():
         a = rng.unit_complex((5, 5)) * rng.uniform(0.1, 10.0, size=(5, 1))
         expect = np.linalg.cond(a, np.inf)
         assert abs(condition_estimate(a) - expect) <= 1e-12 * expect
+
+
+# -- solve_stack: the tracker's stacked solve -------------------------------------
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_solve_stack_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for m in (1, 2, 5, 33, 129):
+        for n in range(2, 8):
+            a = _complex_normal(rng, (m, n, n))
+            for k in (1, n + 1):
+                b = _complex_normal(rng, (m, n, k))
+                x, ok = solve_stack(a, b)
+                assert ok.all() and ok.shape == (m,)
+                assert x.shape == (m, n, k)
+                assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_solve_stack_fails_only_the_singular_and_non_finite_rows():
+    rng = np.random.default_rng(17)
+    a = _complex_normal(rng, (7, 4, 4))
+    b = _complex_normal(rng, (7, 4, 2))
+    a[1, :, 2] = 0.0                  # a zero column: exactly singular
+    a[3, 0, 0] = math.nan
+    b[5, 2, 1] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, ok = solve_stack(a, b)
+    assert ok.tolist() == [True, False, True, False, True, False, True]
+    assert np.isnan(x[~ok]).all()
+    good = ok.nonzero()[0]
+    assert x[good].tobytes() == np.linalg.solve(a[good], b[good]).tobytes()
+    for i in good:
+        assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()

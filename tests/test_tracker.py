@@ -343,6 +343,25 @@ def test_endgame_of_a_regular_root_has_cycle_one():
     assert res.cycle_number == 1
 
 
+@pytest.mark.parametrize("last_t_max, last_t", [
+    (None, 0.1 * 2.0 ** -7),          # the default, 1e-3
+    (0.02, 0.0125),
+    (0.004, 0.003125),
+    (1e-9, 0.1 * 2.0 ** -12),         # below the halving cap: stops there
+])
+def test_a_regular_path_stops_at_the_first_halving_the_stop_rule_allows(
+        last_t_max, last_t, monkeypatch):
+    # H = z - t: the samples are linear in t, so every extrapolant is the
+    # limit 0 and two agree as soon as the stop rule may compare them
+    if last_t_max is not None:
+        monkeypatch.setattr(polypath.tracker, "ENDGAME_LAST_T_MAX", last_t_max)
+    res = track_path(_PowerMinusT(1), np.array([1.0], dtype=complex))
+    assert res.status is PathStatus.SUCCESS
+    assert res.last_t == last_t
+    assert res.cycle_number == 1
+    assert res.endpoint[0] == 0.0
+
+
 def test_singular_jacobian_in_the_endgame_is_a_step_failure():
     # started at the boundary: from t = 1 the last RK4 stage of the step to
     # t = 0.1 would already solve with the singular Jacobian there
