@@ -537,6 +537,38 @@ def test_an_exactly_singular_jacobian_fails_only_its_own_path():
         _assert_same_path(res, alone)
 
 
+class _SingularOnceOnTheRight(_PowerMinusT):
+    """H = z^2 - t, whose Jacobian reads exactly 0 on the right half-plane
+    at the midpoint time of the first RK4 step from t = 1: that stage's
+    solve fails, so the step from z = 1 predicts NaN and is rejected."""
+
+    T_HALF = 1.0 + 0.5 * -polypath.tracker.INITIAL_STEP
+
+    def __init__(self):
+        super().__init__(2)
+
+    def eval(self, z, t):
+        value, jac, dt = super().eval(z, t)
+        if t == self.T_HALF and z[0].real > 0:
+            jac = np.zeros_like(jac)
+        return value, jac, dt
+
+
+def test_a_non_finite_prediction_rejects_only_its_own_step():
+    # Homotopy.eval_batch evaluates every point alone, so a path's bits do
+    # not depend on its batch and the batch must equal each path alone
+    h = _SingularOnceOnTheRight()
+    batch = track_paths(h, [[1.0], [-1.0], [1.0]])
+    for res, start in zip(batch, (1.0, -1.0, 1.0)):
+        [alone] = track_paths(h, [[start]])
+        assert res.status is PathStatus.SUCCESS and res.cycle_number == 2
+        assert res.endpoint.tobytes() == alone.endpoint.tobytes()
+        assert (res.last_t, res.steps_taken, res.newton_residual, res.function_residual) == \
+            (alone.last_t, alone.steps_taken, alone.newton_residual, alone.function_residual)
+    # the rejected first step costs the right-hand paths steps
+    assert batch[0].steps_taken > batch[1].steps_taken
+
+
 def test_track_paths_on_a_homotopy_that_defines_only_eval(circles):
     start = total_degree_start(circles)
     base = straight_line_homotopy(circles, start.start_system, random_unit_complex(Rng(7)))
