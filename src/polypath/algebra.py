@@ -71,7 +71,7 @@ def solve_stack(a, b):
     with np.errstate(all="ignore"):
         x = _umath_linalg.solve(a, b, signature="DD->D")
     finite = np.isfinite(x)
-    if np.count_nonzero(finite) == finite.size:
+    if np.count_nonzero(finite) == finite.size:     # the common case, no mask
         return x, np.ones(x.shape[0], dtype=bool)
     ok = finite.all(axis=(1, 2))
     x[~ok] = np.nan

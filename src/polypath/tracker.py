@@ -593,8 +593,11 @@ class _Paths:
                 grew = (d[:, 1] > d[:, 0]) & (d[:, 0] > FINAL_TOL)
                 self.grew = np.where(grew, self.grew + 1, 0)
                 self._leave(self.grew >= 3, PathStatus.STEP_FAILURE, NOT_CAUCHY)
-            if t_next > 2.0 * ENDGAME_LAST_T_MAX and k < ENDGAME_MAX_HALVINGS:
-                continue        # neither the stop rule nor finish() reads it
+            # The stop rule below compares each extrapolant with the one a
+            # halving before, so form it when the next halving (at t_next / 2)
+            # may stop, and at the cap, where finish() reads it.
+            if k < ENDGAME_MAX_HALVINGS and t_next / 2.0 > ENDGAME_LAST_T_MAX:
+                continue
             self.cycle = _cycle_numbers(self.samples)
             previous, self.extrap = self.extrap, _extrapolate(self.samples, self.cycle)
             if k >= 2 and t_next <= ENDGAME_LAST_T_MAX:

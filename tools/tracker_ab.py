@@ -3,7 +3,7 @@
 
 Usage, from the root of a source tree:
 
-    python3 tools/tracker_ab.py OLD_TREE/src NEW_TREE/src [--pairs 21]
+    python3 tools/tracker_ab.py OLD_TREE/src NEW_TREE/src
 
 Both trees' polypath packages are loaded into one process under different
 names (polypath_old, polypath_new).  Each runs the same fixed inputs, built
@@ -16,7 +16,8 @@ from perfbench/systems.py:
 - katsura-5 and cyclic-5: `zero_dim_solve` at a fixed seed;
 - posdim: sphere-line `numerical_irreducible_decomposition` at a fixed seed.
 
-The sides alternate, the order flipping every pair.  For each input the
+The sides alternate for PAIRS timed pairs per input, the order flipping
+every pair.  For each input the
 tool prints the median time per call of each side, the median of the
 per-pair ratios new/old, the kernel evaluations (MonomialKernel calls) and
 solve_stack calls per call on each side, counted in one extra untimed run,
@@ -49,6 +50,7 @@ import systems  # noqa: E402
 
 TRACK_TARGETS = 10      # track-2 calls per timed sample
 SEED = 3
+PAIRS = 21              # timed old/new pairs per input
 
 
 def _load(src: str, name: str):
@@ -143,20 +145,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old_src", help="directory holding the old polypath package")
     p.add_argument("new_src", help="directory holding the new polypath package")
-    p.add_argument("--pairs", type=int, default=21, help="timed old/new pairs per input")
-    p.add_argument("--only", help="run only the input of this name")
     args = p.parse_args(argv)
     packages = [_load(args.old_src, "polypath_old"), _load(args.new_src, "polypath_new")]
     print(f"{'input':10s} {'old ms':>9s} {'new ms':>9s} {'ratio':>7s} "
           f"{'kernel old/new':>15s} {'solves old/new':>15s}  same")
     for (name, calls, run_old, digest), (_, _, run_new, _) in zip(*map(_inputs, packages)):
-        if args.only and name != args.only:
-            continue
         same = digest(run_old()) == digest(run_new())      # also a warm-up
         counts = [_counts(pp, run) for pp, run in zip(packages, (run_old, run_new))]
         old, new = [], []
         sides = ((run_old, old), (run_new, new))
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for run, times in (sides[::-1] if i % 2 else sides):
                 times.append(_timed(run))
         ratio = statistics.median(b / a for a, b in zip(old, new))
