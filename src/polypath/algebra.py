@@ -57,38 +57,65 @@ def vec_inf_norm(v) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
+# The mask of a stack whose every row solved: a read-only view of one
+# all-True array, replaced by a longer one when a larger stack comes.
+_ALL_OK = np.ones(0, dtype=bool)
+
+
+def _all_ok(m: int):
+    global _ALL_OK
+    if _ALL_OK.size < m:
+        _ALL_OK = np.ones(m, dtype=bool)
+        _ALL_OK.flags.writeable = False
+    return _ALL_OK[:m]
+
+
+def gesv_stack(a, b):
+    """solve_stack without an error state of its own: the caller holds
+    np.errstate(all="ignore"), as track_paths does around all its solves,
+    or numpy warns about an exactly singular or non-finite a[i].  The mask
+    of a stack whose rows all solve is a read-only view."""
+    x = _umath_linalg.solve(a, b, signature="DD->D")
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) == finite.size:     # the common case, no mask
+        return x, _all_ok(x.shape[0])
+    ok = finite.all(axis=(1, 2))
+    x[~ok] = np.nan
+    return x, ok
+
+
 def solve_stack(a, b):
     """x[i] = a[i]^-1 b[i] for a stack of square complex systems, a (m, n, n)
     and b (m, n, k), and a mask ok: row i fails, and x[i] is NaN, when a[i]
     is exactly singular or x[i] is not finite.  No condition number is
-    formed: the tracker's solve.
+    formed.
 
     Calls LAPACK's gesv through numpy's gufunc directly, the one
     np.linalg.solve wraps, so every row gets the bits np.linalg.solve gives
     it.  Without np.linalg.solve's error handler an exactly singular a[i]
     does not reject the stack: the gufunc fills x[i] with NaN and solves the
-    other rows as it would alone."""
+    other rows as it would alone.  The call holds its own
+    np.errstate(all="ignore"), so it emits no warning; the tracker, which
+    holds one error state for a whole track, calls gesv_stack instead."""
     with np.errstate(all="ignore"):
-        x = _umath_linalg.solve(a, b, signature="DD->D")
-    finite = np.isfinite(x)
-    if np.count_nonzero(finite) == finite.size:     # the common case, no mask
-        return x, np.ones(x.shape[0], dtype=bool)
-    ok = finite.all(axis=(1, 2))
-    x[~ok] = np.nan
-    return x, ok
+        return gesv_stack(a, b)
 
 
 def conditioned_solve_stack(a, b):
     """solve_stack with kappa_inf(a[i]) = ||a[i]|| ||a[i]^-1||, as lin_solve
     needs: solving against [b | I] yields x and the inverses from one LAPACK
     call.  Returns x, kappa (inf where solve_stack fails row i) and ok,
-    which also fails row i when kappa[i] >= 1 / _PIVOT_RTOL."""
+    which also fails row i when kappa[i] >= 1 / _PIVOT_RTOL.  It holds its
+    own np.errstate(all="ignore") around the solve and the norms, since
+    lin_solve, refinement and the condition numbers of roots call it
+    outside any error state (the tracker's limit polish, inside one)."""
     m, n, k = b.shape
     rhs = np.empty((m, n, k + n), dtype=complex)
     rhs[:, :, :k] = b
     rhs[:, :, k:] = np.eye(n)
-    sol, ok = solve_stack(a, rhs)
-    kappa = np.abs(a).sum(2).max(1) * np.abs(sol[:, :, k:]).sum(2).max(1)
+    with np.errstate(all="ignore"):
+        sol, ok = gesv_stack(a, rhs)
+        kappa = np.abs(a).sum(2).max(1) * np.abs(sol[:, :, k:]).sum(2).max(1)
     kappa[~ok] = np.inf
     return sol[:, :, :k], kappa, kappa < 1.0 / _PIVOT_RTOL
 

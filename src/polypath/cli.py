@@ -12,6 +12,7 @@ success, 1 parse/validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ from .errors import (
     PathFailure,
     RefinementDiverged,
     SchemaVersionMismatch,
+    StartPointInvalid,
 )
 from .parser import parse_complex_literal, parse_input_file, render_problem
 from .polysys import LinearSlice, PolySystem, empty_slice
@@ -55,7 +57,8 @@ SCHEMA_VERSION = 1
 
 _USAGE_ERRORS = (ParseError, CorruptFile, SchemaVersionMismatch, DimensionMismatch,
                  NotSquare, NotHomogeneous, ValueError)
-_NUMERIC_ERRORS = (RefinementDiverged, DecompositionIncomplete, PathFailure)
+_NUMERIC_ERRORS = (RefinementDiverged, DecompositionIncomplete, PathFailure,
+                   StartPointInvalid)
 
 
 # -- number formatting ---------------------------------------------------------
@@ -402,7 +405,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The command-line parser, built on the first call and then shared by
+    every main() call in the process: parse_args keeps no state between
+    calls."""
     parser = _ArgumentParser(prog="polypath",
                              description="Polynomial system solving by homotopy continuation")
     sub = parser.add_subparsers(dest="mode", required=True)

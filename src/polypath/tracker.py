@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import conditioned_solve_stack, solve_stack
+from .algebra import conditioned_solve_stack, gesv_stack
 from .errors import DimensionMismatch, StartPointInvalid
 from .polysys import LinearSlice, Polynomial, PolySystem
 
@@ -289,9 +289,10 @@ def _all(mask) -> bool:
 
 
 def _solve_rows(a, b):
-    """x[i] = a[i]^-1 b[i] for every row (a stack of vectors) by solve_stack,
-    and the mask of rows that solved."""
-    x, ok = solve_stack(a, b[:, :, None])
+    """x[i] = a[i]^-1 b[i] for every row (a stack of vectors) by gesv_stack,
+    and the mask of rows that solved.  Called only inside track_paths's
+    error state."""
+    x, ok = gesv_stack(a, b[:, :, None])
     return x[:, :, 0], ok
 
 
@@ -697,6 +698,7 @@ def track_paths(h: Homotopy, starts, *, endgame: bool = True) -> list[PathResult
         return []
     if z.ndim != 2 or z.shape[1] != h.num_vars:
         raise DimensionMismatch(f"starts have shape {z.shape}, homotopy has {h.num_vars} variables")
+    # one error state for the whole track: every solve in it is gesv_stack's
     with np.errstate(all="ignore"):
         value, jac, dt = h.eval_batch(z, np.ones(z.shape[0]))
         start_res = _norms(value)

@@ -320,6 +320,79 @@ def test_projective_and_patch_must_agree(workdir, capsys, name, projective):
     assert json.loads(out)["error"]["type"] == "CorruptFile"
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_param_with_an_invalid_stage_two_start_is_an_error_payload(workdir, capsys, seed):
+    # with a tuple 1e10 times the unit-modulus start parameters, p(1) is not
+    # p_start to the last bits, and the stage-1 roots miss the start check
+    code, out = _run(capsys, "param", workdir / "family.sys", "--values", "1e10,1,1",
+                     "--seed", seed)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "StartPointInvalid"
+
+
+@pytest.fixture
+def moved_witness_point(workdir, capsys):
+    """A sphere-line decomposition whose first sphere witness point is moved
+    0.3 off its slice."""
+    path = workdir / "nv.json"
+    code, _ = _run(capsys, "posdim", workdir / "sphereline.sys", "--seed", 0, "--out", path)
+    assert code == 0
+    data = json.loads(path.read_text())
+    sphere = next(c for c in data["components"] if c["dim"] == 2)
+    x = sphere["points"][0][0]
+    x["re"] = repr(float(x["re"]) + 0.3)
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--point", "0,0,0"],
+    ["sample", "--dim", "2", "--index", "0", "--count", "2"],
+])
+def test_a_witness_point_off_its_slice_is_an_error_payload(workdir, capsys,
+                                                           moved_witness_point, argv):
+    code, out = _run(capsys, argv[0], workdir / "sphereline.sys",
+                     "--decomposition", moved_witness_point, *argv[1:])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "StartPointInvalid"
+
+
+# -- successive calls in one process ---------------------------------------------
+
+def test_successive_member_calls_answer_only_their_own_points(workdir, capsys):
+    nv_path = workdir / "nv.json"
+    _run(capsys, "posdim", workdir / "sphereline.sys", "--seed", 0, "--out", nv_path)
+    member = ["member", workdir / "sphereline.sys", "--decomposition", nv_path]
+    code, out = _run(capsys, *member, "--point", "0,0,0", "--point", "5,5,5")
+    assert code == 0
+    assert json.loads(out)["memberships"] == [["1/0"], []]
+    code, out = _run(capsys, *member, "--point", "1,0,0")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["points"]) == 1 and float(data["points"][0][0]["re"]) == 1.0
+    assert data["memberships"] == [["2/0"]]
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(workdir, capsys):
+    solve = ["solve", workdir / "circles.sys", "--seed", 7]
+    code, expected = _run(capsys, *solve)
+    assert code == 0
+    assert main(["solve", str(workdir / "circles.sys"), "--frobnicate"]) == 1
+    assert main(["sample"]) == 1
+    capsys.readouterr()
+    assert _run(capsys, *solve) == (0, expected)
+
+
+def test_a_projective_solve_leaves_the_next_solve_affine(workdir, capsys):
+    quadrics = workdir / "quadrics-plain.sys"
+    quadrics.write_text(QUADRICS.replace("projective;\n", ""))
+    code, out = _run(capsys, "solve", quadrics, "--projective", "--seed", 3)
+    assert code == 0 and json.loads(out)["projective"] is True
+    code, out = _run(capsys, "solve", workdir / "circles.sys", "--seed", 7)
+    data = json.loads(out)
+    assert code == 0 and data["projective"] is False and len(data["solutions"]) == 2
+
+
 # -- 160-bit decimal strings ----------------------------------------------------
 
 def _mpf_value(x) -> Fraction:
