@@ -34,10 +34,11 @@ from .errors import (
     StartPointInvalid,
 )
 from .parser import parse_complex_literal, parse_input_file, render_problem
-from .polysys import LinearSlice, PolySystem, empty_slice
+from .polysys import LinearSlice, PolySystem
 from .witness import (
     NumericalVariety,
     WitnessSet,
+    _dimension_range,
     membership_test,
     numerical_irreducible_decomposition,
     sample as sample_witness,
@@ -193,7 +194,21 @@ def decomposition_to_json(nv: NumericalVariety) -> dict:
     }
 
 
+def _read_vector(values, length: int, what: str) -> np.ndarray:
+    """length finite JSON complex numbers as a complex128 vector."""
+    out = np.array([_read_complex128(c) for c in values], dtype=complex)
+    if out.shape != (length,):
+        raise CorruptFile(f"{what} has {out.size} entries, expected {length}")
+    if not np.isfinite(out).all():
+        raise CorruptFile(f"{what} has a non-finite entry")
+    return out
+
+
 def decomposition_from_json(data: dict) -> NumericalVariety:
+    """The decomposition a JSON object describes.  CorruptFile unless each
+    component has as many slice rows and constants as its dimension, which
+    is at most the top one, every row, point and patch has one finite entry
+    per variable, and each dimension's indices are 0, 1, 2, ..."""
     if not isinstance(data, dict) or "schemaVersion" not in data:
         raise CorruptFile("not a decomposition file")
     if data["schemaVersion"] != SCHEMA_VERSION:
@@ -202,31 +217,35 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
     try:
         spec = parse_input_file(data["system"], "<embedded>")
         system = spec.system
-        patch = (np.array([_read_complex128(c) for c in data["patch"]])
+        width = system.num_vars
+        patch = (_read_vector(data["patch"], width, "the patch")
                  if data.get("patch") is not None else None)
         if bool(data["projective"]) != (patch is not None):
             raise CorruptFile('"projective" and "patch" disagree')
+        top, _ = _dimension_range(system, patch)
         components: dict[int, list[WitnessSet]] = {}
         for comp in data["components"]:
             dim = int(comp["dim"])
+            if not 0 <= dim <= top:
+                raise CorruptFile(f"component dimension {dim} is outside 0..{top}")
             rows = comp["slice"]["coefficients"]
-            if rows:
-                coeffs = np.array([[_read_complex128(c) for c in row]
-                                   for row in rows])
-                consts = np.array([_read_complex128(c)
-                                   for c in comp["slice"]["constants"]])
-                slice_ = LinearSlice(coeffs, consts)
-            else:
-                slice_ = empty_slice(system.num_vars)
-            points = [np.array([_read_complex128(c) for c in p])
-                      for p in comp["points"]]
+            if len(rows) != dim:
+                raise CorruptFile(f"a dimension-{dim} component has {len(rows)} slice rows")
+            coeffs = np.array([_read_vector(row, width, "a slice row") for row in rows],
+                              dtype=complex).reshape(dim, width)
+            consts = _read_vector(comp["slice"]["constants"], dim, "the slice constants")
+            points = [_read_vector(p, width, "a witness point") for p in comp["points"]]
             if len(points) != int(comp["degree"]):
                 raise CorruptFile("degree does not match the stored point count")
-            ws = WitnessSet(system=system, slice=slice_, points=points,
+            ws = WitnessSet(system=system, slice=LinearSlice(coeffs, consts), points=points,
                             dimension=dim, component_index=int(comp["index"]), patch=patch)
             components.setdefault(dim, []).append(ws)
-        for sets in components.values():
+        for dim, sets in components.items():
+            # sample --index picks a component by its position in sets
             sets.sort(key=lambda w: w.component_index)
+            if [w.component_index for w in sets] != list(range(len(sets))):
+                raise CorruptFile(f"the dimension-{dim} component indices are not "
+                                  f"0..{len(sets) - 1}")
         return NumericalVariety(components=components, system=system,
                                 seed=int(data["seed"]), patch=patch)
     except ParseError as exc:

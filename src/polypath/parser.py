@@ -11,12 +11,17 @@ Grammar (UTF-8, ``%`` starts a line comment)::
     term      := factor ("*" factor)* ;
     factor    := "-" factor | base ("^" UINT)? ;
     base      := NAME | NUMBER | "I" | "(" expr ")" ;
+    NAME      := (letter | "_") (letter | digit | "_")* ;
+    NUMBER    := (digit+ ("." digit*)? | "." digit+) (("e"|"E") ("+"|"-")? digit+)? ;
 
-Notes on conventions: ``^`` binds tighter than unary minus, so ``-x^2``
-is ``-(x^2)``.  Multiplication is always explicit (``2*x``, never ``2x``).
-``I`` is the imaginary unit and ``vars``/``params``/``projective``/``I``
-are reserved words.  Coefficient arithmetic happens in hardware precision;
-literals with more than 15 significant digits are accepted but rounded.
+A letter is any Unicode letter and a digit any decimal digit; UINT is a
+NUMBER of digits only.  Notes on conventions: ``^`` binds tighter than
+unary minus, so ``-x^2`` is ``-(x^2)``.  Multiplication is always explicit
+(``2*x``, never ``2x``).  ``I`` is the imaginary unit and
+``vars``/``params``/``projective``/``I`` are reserved words.  Coefficient
+arithmetic happens in hardware precision; literals with more than 15
+significant digits are accepted but rounded, one too large for a double is
+a parse error, and one too small rounds to 0.
 Exactly one ``vars`` statement is required and at most one ``params``;
 assignment left-hand names are equation labels, unique and unusable
 inside expressions.
@@ -24,6 +29,8 @@ inside expressions.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +41,8 @@ _RESERVED = {"vars", "params", "projective", "I"}
 _MAX_EXPONENT = 10_000
 _MAX_TERMS = 500_000
 _MAX_DEPTH = 400
+_NAME = re.compile(r"\w+")
+_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class Token(NamedTuple):
@@ -54,59 +63,26 @@ class ProblemSpec:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
+    for line, row in enumerate(text.split("\n"), 1):
+        # a comment runs to the end of its line and takes no column, so the
+        # end of input after a final comment is at the comment's column
+        row = row.partition("%")[0]
+        i, n = 0, len(row)
+        while i < n:
+            c = row[i]
+            if c in " \t\r":
                 i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in "+-*^()=,;":
-            tokens.append(Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"illegal character {c!r}", line, start_col, c)
-    tokens.append(Token("EOF", "", line, col))
+            elif c in "+-*^()=,;":
+                tokens.append(Token(c, c, line, i + 1))
+                i += 1
+            else:
+                kind, pattern = ("NAME", _NAME) if c.isalpha() or c == "_" else ("NUMBER", _NUMBER)
+                match = pattern.match(row, i)
+                if match is None:
+                    raise ParseError(f"illegal character {c!r}", line, i + 1, c)
+                tokens.append(Token(kind, match.group(), line, i + 1))
+                i = match.end()
+    tokens.append(Token("EOF", "", line, n + 1))
     return tokens
 
 
@@ -247,7 +223,11 @@ class _Parser:
             return out
         if tok.kind == "NUMBER":
             self.take()
-            return {tuple([0] * self.width): complex(float(tok.text))}
+            value = float(tok.text)
+            if value == math.inf:
+                raise ParseError(f"number {tok.text} is out of range",
+                                 tok.line, tok.column, tok.text)
+            return {tuple([0] * self.width): complex(value)}
         if tok.kind == "NAME":
             self.take()
             if tok.text == "I":
@@ -288,40 +268,30 @@ def parse_complex_literal(text: str) -> complex:
 
 
 def _split_statements(tokens):
-    stmts, current = [], []
-    for tok in tokens:
-        if tok.kind == "EOF":
-            break
+    """The non-empty token lists between ';'s; tokens ends with EOF."""
+    stmts, start = [], 0
+    for k, tok in enumerate(tokens):
         if tok.kind == ";":
-            if current:
-                stmts.append(current)
-                current = []
-            continue
-        current.append(tok)
-    if current:
-        tok = current[-1]
+            stmts.append(tokens[start:k])
+            start = k + 1
+    if start < len(tokens) - 1:
+        tok = tokens[-2]
         raise ParseError("missing ';' at end of statement", tok.line, tok.column, tok.text)
-    return stmts
+    return [stmt for stmt in stmts if stmt]
 
 
 def _parse_namelist(stmt):
-    names = []
-    expect_name = True
-    for tok in stmt[1:]:
-        if expect_name:
-            if tok.kind != "NAME":
-                raise ParseError("expected a name", tok.line, tok.column, tok.text)
-            names.append(tok)
-            expect_name = False
-        else:
-            if tok.kind != ",":
-                raise ParseError("expected ','", tok.line, tok.column, tok.text)
-            expect_name = True
-    if expect_name:
-        tok = stmt[0]
+    """The names of a 'vars' or 'params' statement, in which NAME and ','
+    alternate."""
+    for k, tok in enumerate(stmt[1:]):
+        if tok.kind != ("," if k % 2 else "NAME"):
+            raise ParseError("expected ','" if k % 2 else "expected a name",
+                             tok.line, tok.column, tok.text)
+    if len(stmt) % 2:
+        head = stmt[0]
         raise ParseError("expected a name after ','" if len(stmt) > 1 else "empty name list",
-                         tok.line, tok.column, tok.text)
-    return names
+                         head.line, head.column, head.text)
+    return stmt[1::2]
 
 
 def parse_input_file(text: str, source_name: str = "<input>") -> ProblemSpec:
@@ -329,8 +299,7 @@ def parse_input_file(text: str, source_name: str = "<input>") -> ProblemSpec:
     tokens = _tokenize(text)
     stmts = _split_statements(tokens)
 
-    var_tokens = None
-    param_tokens = None
+    lists = {"vars": None, "params": None}
     projective = False
     assigns = []
     seen = {}
@@ -345,36 +314,31 @@ def parse_input_file(text: str, source_name: str = "<input>") -> ProblemSpec:
 
     for stmt in stmts:
         head = stmt[0]
-        if head.kind == "NAME" and head.text == "vars" and not (len(stmt) > 1 and stmt[1].kind == "="):
-            if var_tokens is not None:
-                raise DuplicateName("second 'vars' statement", head.line, head.column, head.text)
-            var_tokens = _parse_namelist(stmt)
-            for tok in var_tokens:
-                declare(tok)
-        elif head.kind == "NAME" and head.text == "params" and not (len(stmt) > 1 and stmt[1].kind == "="):
-            if param_tokens is not None:
-                raise DuplicateName("second 'params' statement", head.line, head.column, head.text)
-            param_tokens = _parse_namelist(stmt)
-            for tok in param_tokens:
+        assign = len(stmt) >= 2 and stmt[1].kind == "="
+        if head.kind == "NAME" and head.text in lists and not assign:
+            if lists[head.text] is not None:
+                raise DuplicateName(f"second {head.text!r} statement",
+                                    head.line, head.column, head.text)
+            lists[head.text] = _parse_namelist(stmt)
+            for tok in lists[head.text]:
                 declare(tok)
         elif head.kind == "NAME" and head.text == "projective" and len(stmt) == 1:
             projective = True
-        elif head.kind == "NAME" and len(stmt) >= 2 and stmt[1].kind == "=":
+        elif head.kind == "NAME" and assign:
             declare(head)
             assigns.append((head, stmt[2:]))
         else:
             raise ParseError("expected 'vars', 'params', 'projective', or 'name = expr'",
                              head.line, head.column, head.text)
 
-    if var_tokens is None:
-        last = tokens[-1]
-        raise ParseError("missing 'vars' statement", last.line, last.column)
+    end = tokens[-1]
+    if lists["vars"] is None:
+        raise ParseError("missing 'vars' statement", end.line, end.column)
     if not assigns:
-        last = tokens[-1]
-        raise ParseError("no equations given", last.line, last.column)
+        raise ParseError("no equations given", end.line, end.column)
 
-    variables = [tok.text for tok in var_tokens]
-    parameters = [tok.text for tok in param_tokens] if param_tokens else []
+    variables = [tok.text for tok in lists["vars"]]
+    parameters = [tok.text for tok in lists["params"] or ()]
     names = {name: i for i, name in enumerate(variables + parameters)}
     width = len(names)
 

@@ -186,16 +186,13 @@ class MonomialKernel:
 
     def __call__(self, point):
         """The table at one point, or a stack of tables, one per row of a
-        (points, width) array."""
-        if point.ndim == 1:
-            pw = point[:, None] ** self.powers
-            mon = pw.ravel()[self.gather].prod(axis=0)
-            return (mon @ self.coeffs).reshape(self.shape)
-        pw = point[:, :, None] ** self.powers
-        mon = pw.reshape(point.shape[0], -1)[:, self.gather].prod(axis=1)
-        # a stack of one-row products: each equals the one-point product bit
-        # for bit, and none goes to the threaded BLAS matrix product
-        return (mon[:, None, :] @ self.coeffs).reshape((point.shape[0],) + self.shape)
+        (points, width) array.  One point is computed as a stack of one."""
+        stack = point.reshape(-1, point.shape[-1])
+        pw = stack[:, :, None] ** self.powers
+        mon = pw.reshape(stack.shape[0], -1)[:, self.gather].prod(axis=1)
+        # a stack of one-row products, none of which goes to the threaded
+        # BLAS matrix product
+        return (mon[:, None, :] @ self.coeffs).reshape(point.shape[:-1] + self.shape)
 
 
 class PolySystem:

@@ -1,3 +1,4 @@
+import copy
 import decimal
 import json
 import math
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from polypath import cli, zerodim
-from polypath.cli import main, read_decomposition, write_decomposition
+from polypath.cli import (decomposition_to_json, main, read_decomposition,
+                          write_decomposition)
 from polypath.errors import CorruptFile, RefinementDiverged, SchemaVersionMismatch
 from polypath.parser import parse_input_file
 from polypath.witness import membership_test, numerical_irreducible_decomposition
@@ -355,6 +357,152 @@ def test_a_witness_point_off_its_slice_is_an_error_payload(workdir, capsys,
                      "--decomposition", moved_witness_point, *argv[1:])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "StartPointInvalid"
+
+
+@pytest.fixture(scope="module")
+def sphere_line_data():
+    """The JSON of the sphere-line decomposition at seed 0: the line as
+    dimension 1, then the sphere as dimension 2."""
+    nv = numerical_irreducible_decomposition(parse_input_file(SPHERE_LINE).system, seed=0)
+    return decomposition_to_json(nv)
+
+
+def _written(path, data):
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return path
+
+
+def _degree_off(data):
+    data["components"][0]["degree"] += 1
+    return data
+
+
+def _system_broken(data):
+    data["system"] = "vars x, y, z"
+    return data
+
+
+# Each input error that no other test reaches: argv from (workdir, the
+# sphere-line decomposition's JSON), and the error type of the payload.
+EXIT_ONE = {
+    "unreadable problem file": (lambda d, nv: ["solve", d / "missing.sys"], "CorruptFile"),
+    "unreadable decomposition": (
+        lambda d, nv: ["member", d / "sphereline.sys", "--decomposition", d / "missing.json",
+                       "--point", "0,0,0"], "CorruptFile"),
+    "decomposition not JSON": (
+        lambda d, nv: ["member", d / "sphereline.sys", "--decomposition",
+                       _written(d / "nv.json", "{"), "--point", "0,0,0"], "CorruptFile"),
+    "not a decomposition": (
+        lambda d, nv: ["member", d / "sphereline.sys", "--decomposition",
+                       _written(d / "nv.json", "[]"), "--point", "0,0,0"], "CorruptFile"),
+    "degree mismatch": (
+        lambda d, nv: ["member", d / "sphereline.sys", "--decomposition",
+                       _written(d / "nv.json", _degree_off(nv)), "--point", "0,0,0"],
+        "CorruptFile"),
+    "embedded system does not parse": (
+        lambda d, nv: ["member", d / "sphereline.sys", "--decomposition",
+                       _written(d / "nv.json", _system_broken(nv)), "--point", "0,0,0"],
+        "CorruptFile"),
+    "solutions not JSON": (
+        lambda d, nv: ["refine", d / "circles.sys", "--solutions", _written(d / "s.json", "{"),
+                       "--digits", "20"], "CorruptFile"),
+    "solutions without solutions": (
+        lambda d, nv: ["refine", d / "circles.sys", "--solutions", _written(d / "s.json", "{}"),
+                       "--digits", "20"], "CorruptFile"),
+    "point of the wrong length": (
+        lambda d, nv: ["member", d / "sphereline.sys", "--decomposition",
+                       _written(d / "nv.json", nv), "--point", "0,0"], "DimensionMismatch"),
+    "param without params": (
+        lambda d, nv: ["param", d / "circles.sys", "--values", "1"], "DimensionMismatch"),
+    "values without a tuple": (
+        lambda d, nv: ["param", d / "family.sys", "--values", " ; "], "DimensionMismatch"),
+    "sample of a missing component": (
+        lambda d, nv: ["sample", d / "sphereline.sys", "--decomposition",
+                       _written(d / "nv.json", nv), "--dim", "0", "--index", "0",
+                       "--count", "1"], "DimensionMismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_ONE))
+def test_each_input_error_is_an_exit_one_payload(workdir, capsys, sphere_line_data, case):
+    argv, error = EXIT_ONE[case]
+    code, out = _run(capsys, *argv(workdir, copy.deepcopy(sphere_line_data)))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
+def _line(data):
+    return next(c for c in data["components"] if c["dim"] == 1)
+
+
+def _sphere(data):
+    return next(c for c in data["components"] if c["dim"] == 2)
+
+
+def _listed_twice(data, index):
+    data["components"].append({**copy.deepcopy(_line(data)), "index": index})
+
+
+# Hand edits of the sphere-line decomposition that the reader refuses.  Read
+# unchecked, some of them make `member` answer wrongly with exit 0, and
+# others fail deep in the tracker or in numpy.  tools/golden_cli.py runs
+# `member` of MALFORMED_QUERIES and `sample` against each.
+MALFORMED_DECOMPOSITIONS = {
+    "line at dimension 0": lambda d: _line(d).update(dim=0),
+    "component listed twice": lambda d: _listed_twice(d, 0),
+    "indices 0 and 5": lambda d: _listed_twice(d, 5),
+    "dimension above the top": lambda d: _sphere(d).update(dim=3),
+    "point one coordinate short": lambda d: _line(d)["points"][0].pop(),
+    "slice row one entry short": lambda d: _line(d)["slice"]["coefficients"][0].pop(),
+    "one extra constant": lambda d: _line(d)["slice"]["constants"].append(
+        {"re": "1.0", "im": "0.0"}),
+    "nan coordinate": lambda d: _line(d)["points"][0][0].update(re="nan"),
+    "infinite slice constant": lambda d: _sphere(d)["slice"]["constants"][0].update(im="inf"),
+}
+MALFORMED_QUERIES = ["0,0,1", "0,0,0.5", "0.6,0.8,0"]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DECOMPOSITIONS))
+def test_a_malformed_decomposition_is_corrupt(workdir, capsys, sphere_line_data, case):
+    data = copy.deepcopy(sphere_line_data)
+    MALFORMED_DECOMPOSITIONS[case](data)
+    path = _written(workdir / "nv.json", data)
+    with pytest.raises(CorruptFile):
+        read_decomposition(str(path))
+    for argv in (["member", *(a for q in MALFORMED_QUERIES for a in ("--point", q))],
+                 ["sample", "--dim", "1", "--index", "1", "--count", "2"]):
+        code, out = _run(capsys, argv[0], workdir / "sphereline.sys", "--decomposition", path,
+                         *argv[1:])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "CorruptFile"
+
+
+def test_a_projective_patch_of_the_wrong_length_is_corrupt(workdir, capsys):
+    path = workdir / "cp.json"
+    code, _ = _run(capsys, "posdim", workdir / "conicpoint.sys", "--seed", 0, "--out", path)
+    data = json.loads(path.read_text())
+    data["patch"].pop()
+    _written(path, data)
+    code, out = _run(capsys, "member", workdir / "conicpoint.sys", "--decomposition", path,
+                     "--point", "1,-1,1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CorruptFile"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "huge.sys"],
+    ["param", "family.sys", "--values", "1e400,1,1"],
+    ["member", "sphereline.sys", "--decomposition", "nv.json", "--point", "1e400,0,0"],
+])
+def test_a_literal_beyond_the_float_range_is_a_parse_error(workdir, capsys, sphere_line_data,
+                                                          argv):
+    _written(workdir / "huge.sys", "vars x, y;\nf1 = 1e400*x^2 + y^2 - 1;\nf2 = x - y;\n")
+    _written(workdir / "nv.json", sphere_line_data)
+    code, out = _run(capsys, argv[0], *(workdir / a if a.endswith((".sys", ".json")) else a
+                                        for a in argv[1:]))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and "1e400" in error["message"]
 
 
 # -- successive calls in one process ---------------------------------------------

@@ -236,3 +236,59 @@ def test_parameterized_paper_expression():
     poly = parse_polynomial("a*x^2+b*y^2-c", ["x", "y"], ["a", "b", "c"])
     assert poly.terms() == {(2, 0, 1, 0, 0): 1.0, (0, 2, 0, 1, 0): 1.0,
                             (0, 0, 0, 0, 1): -1.0}
+
+
+_TEN = "a+b+c+d+e+f+g+h+i+j+1"
+
+# One input for each place where the parser raises, with the error's class,
+# line, column and token.  The entry point is parse_input_file ("file"),
+# parse_complex_literal ("literal") or parse_polynomial ("polynomial", whose
+# input is (text, variables, parameters)).  tools/golden_cli.py runs the
+# file cases through `solve` and the literal cases through `param --values`.
+PARSE_ERRORS = [
+    ("file", "vars x;\nf1 = x $ 1;", ParseError, 2, 8, "$"),
+    ("file", "vars x;\nf1 = ²;", ParseError, 2, 6, "²"),
+    ("file", f"vars a, b, c, d, e, f, g, h, i, j;\nf1 = ({_TEN})^4*({_TEN})^4;",
+     ParseError, 2, 31, "*"),
+    ("file", "vars x;\nf1 = (x + 1;", ParseError, 2, 11, ""),
+    ("literal", "", ParseError, 1, 1, ""),
+    ("literal", "1 2", ParseError, 1, 3, "2"),
+    ("file", "vars x;\nf1 = " + "-" * 401 + "x;", ParseError, 2, 406, ""),
+    ("file", "vars x;\nf1 = x^2.5;", ParseError, 2, 8, "2.5"),
+    ("file", "vars x;\nf1 = x^10001;", ParseError, 2, 8, "10001"),
+    ("file", "vars x, y;\nf1 = x + w;", UndeclaredIdentifier, 2, 10, "w"),
+    ("file", "vars x;\nf1 = x + *;", ParseError, 2, 10, "*"),
+    ("file", "vars x;\nf1 = 1e400*x;", ParseError, 2, 6, "1e400"),
+    ("literal", "2e308", ParseError, 1, 1, "2e308"),
+    ("polynomial", ("1", [], []), ParseError, 1, 1, ""),
+    ("polynomial", ("x", ["x"], ["x"]), DuplicateName, 1, 1, ""),
+    ("polynomial", ("I", ["I"], []), ParseError, 1, 1, ""),
+    ("file", "vars x;\nf1 = x", ParseError, 2, 6, "x"),
+    ("file", "vars x, 1;\nf1 = x;", ParseError, 1, 9, "1"),
+    ("file", "vars x y;\nf1 = x;", ParseError, 1, 8, "y"),
+    ("file", "vars x,;\nf1 = x;", ParseError, 1, 1, "vars"),
+    ("file", "params;\nvars x;\nf1 = x;", ParseError, 1, 1, "params"),
+    ("file", "vars x, I;\nf1 = x;", ParseError, 1, 9, "I"),
+    ("file", "vars x;\nf1 = x;\nf1 = x + 1;", DuplicateName, 3, 1, "f1"),
+    ("file", "vars x;\nvars y;\nf1 = x;", DuplicateName, 2, 1, "vars"),
+    ("file", "vars x;\nparams a;\nparams b;\nf1 = x;", DuplicateName, 3, 1, "params"),
+    ("file", "vars x;\nf1 x;", ParseError, 2, 1, "f1"),
+    ("file", "f1 = 1;", ParseError, 1, 8, ""),
+    ("file", "vars x; % no equations", ParseError, 1, 9, ""),
+    ("file", "vars x;\nf1 = ;", ParseError, 2, 1, "f1"),
+]
+
+
+@pytest.mark.parametrize("entry, text, error, line, column, token", PARSE_ERRORS)
+def test_every_parse_error_reports_its_position(entry, text, error, line, column, token):
+    call = {"file": parse_input_file, "literal": parse_complex_literal,
+            "polynomial": lambda args: parse_polynomial(*args)}[entry]
+    with pytest.raises(ParseError) as err:
+        call(text)
+    assert type(err.value) is error
+    assert (err.value.line, err.value.column, err.value.token) == (line, column, token)
+
+
+@pytest.mark.parametrize("text, value", [("1e-400", 0.0), ("1.7976931348623157e308", 1.7976931348623157e308)])
+def test_literals_at_the_ends_of_the_float_range_are_read(text, value):
+    assert parse_complex_literal(text) == value

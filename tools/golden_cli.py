@@ -15,7 +15,11 @@ Runs the CLI in-process on the benchmark's inputs (perfbench/systems.py):
 - `param` of the conic family over 16 tuples at seeds 0-9;
 - sphere-line `posdim` at seeds 0-39;
 - `member` of 16 query points and `sample` of the dimension-2 and
-  dimension-1 components against the `posdim` result at seeds 0-9.
+  dimension-1 components against the `posdim` result at seeds 0-9;
+- malformed inputs, whose calls print error payloads: `solve` of each
+  problem-file case of tests/test_parser.py's PARSE_ERRORS, `param --values`
+  of each literal case, and `member` and `sample` against each of
+  tests/test_cli.py's MALFORMED_DECOMPOSITIONS of the seed-0 `posdim` result.
 
 Each call's exit code, stdout and `--out` file go into one JSON object keyed
 by call name.  With `--against FILE` the calls whose record differs from
@@ -105,6 +109,36 @@ def _calls(work: Path, systems):
                                            "--decomposition", str(nv), "--dim", str(dim),
                                            "--index", "0", "--count", str(SAMPLE_COUNT),
                                            "--seed", str(seed), "--out", str(out)], out
+    yield from _error_calls(work, files)
+
+
+def _error_calls(work: Path, files):
+    """The malformed-input calls; each prints an error payload to stdout."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_cli
+    import test_parser
+
+    none = work / "no-out"
+    for k, (entry, text, *_) in enumerate(test_parser.PARSE_ERRORS):
+        if entry == "file":
+            path = work / f"error-{k}.sys"
+            path.write_text(text, encoding="utf-8")
+            yield f"error solve {k}", ["solve", str(path)], none
+        elif entry == "literal":
+            yield f"error param {k}", ["param", str(files["family"]), "--values",
+                                       f"{text},1,1"], none
+    base = json.loads((work / "posdim-0.json").read_text(encoding="utf-8"))
+    for case, edit in sorted(test_cli.MALFORMED_DECOMPOSITIONS.items()):
+        data = json.loads(json.dumps(base))
+        edit(data)
+        nv = work / f"malformed-{case.replace(' ', '-')}.json"
+        nv.write_text(json.dumps(data), encoding="utf-8")
+        points = [a for q in test_cli.MALFORMED_QUERIES for a in ("--point", q)]
+        yield f"error member {case}", ["member", str(files["sphereline"]),
+                                       "--decomposition", str(nv), *points], none
+        yield f"error sample {case}", ["sample", str(files["sphereline"]),
+                                       "--decomposition", str(nv), "--dim", "1", "--index",
+                                       "1", "--count", "2"], none
 
 
 def capture(src: str) -> dict:
@@ -185,7 +219,7 @@ def _parsed(record) -> dict:
     for key in ("stdout", "out"):
         try:
             out[key] = json.loads(record[key])
-        except (TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             pass
     return out
 
