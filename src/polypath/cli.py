@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,13 +45,12 @@ from .witness import (
     sample as sample_witness,
 )
 from .zerodim import (
-    ExactComplex,
     SolutionPoint,
+    _DyadicComplex,
     _dyadic,
     _float,
-    _fraction,
+    _sharpen,
     parameter_homotopy,
-    refine_solutions,
     zero_dim_solve,
 )
 
@@ -66,69 +66,78 @@ _NUMERIC_ERRORS = (RefinementDiverged, DecompositionIncomplete, PathFailure,
 
 # Bits that mpmath's nstr(x, 33) carries in the binary fixed-point number it
 # cuts the decimal digits from: it works with 33 + 3 digits.
-_FIX_BITS = int(36 * math.log(10, 2)) + 10
+_LOG2_10 = math.log(10, 2)
+_LOG10_2 = math.log10(2)
+_FIX_BITS = int(36 * _LOG2_10) + 10
 
 
 def _fmt_real(x) -> str:
-    """repr of a float; a Fraction (a 160-bit coordinate) to 33 significant
-    digits, exactly as mpmath's nstr(x, 33) prints it.  The value is cut to
-    a binary fixed-point number of about _FIX_BITS bits, whose decimal
-    digits are truncated and then rounded half up at the 34th; it is
-    printed in fixed point when the leading digit's decimal exponent is
-    between -11 and 33 (both excluded), trailing zeros stripped."""
-    if not isinstance(x, Fraction):
+    """repr of a float; a 160-bit coordinate, a dyadic pair (m, e) with
+    value m * 2**e or a Fraction, to 33 significant digits, exactly as
+    mpmath's nstr(x, 33) prints it.  The value is cut to a binary
+    fixed-point number of about _FIX_BITS bits, whose decimal digits are
+    truncated and then rounded half up at the 34th; it is printed in fixed
+    point when the leading digit's decimal exponent is between -11 and 33
+    (both excluded), trailing zeros stripped."""
+    if isinstance(x, Fraction):
+        x = _dyadic(x)
+    elif not isinstance(x, tuple):
         return repr(float(x))
-    m, e = _dyadic(x)
+    m, e = x
     if not m:
         return "0.0"
     sign, m = ("-" if m < 0 else ""), abs(m)
-    fix = max(_FIX_BITS - e - m.bit_length(), 0)
+    fix = _FIX_BITS - e - m.bit_length()
+    if fix < 0:
+        fix = 0
     shift = e + fix
     scaled = m << shift if shift >= 0 else m >> -shift
-    k = int(fix / math.log(10, 2) + 0.5)
+    k = int(fix / _LOG2_10 + 0.5)
     n = scaled * 10 ** k >> fix
     # n has about 38 digits unless x is huge; then the 40 or more leading
     # ones are enough, and str() of n itself could exceed Python's limit
-    cut = max(int(n.bit_length() * math.log10(2)) - 40, 0)
-    digits = str(n // 10 ** cut)
+    cut = int(n.bit_length() * _LOG10_2) - 40
+    if cut > 0:
+        n //= 10 ** cut
+    else:
+        cut = 0
+    digits = str(n)
     exponent = len(digits) + cut - k - 1
-    head = int(digits[:33])
+    head = digits[:33]
     if digits[33] in "56789":
-        head += 1
-        if head == 10 ** 33:
-            head, exponent = 10 ** 32, exponent + 1
-    digits, split = str(head), 1
+        head = str(int(head) + 1)
+        if len(head) > 33:  # rounded up to 10**33
+            head, exponent = head[:33], exponent + 1
+    split = 1
     if -11 < exponent < 0:
-        digits, exponent = "0" * -exponent + digits, 0
+        head, exponent = "0" * -exponent + head, 0
     elif 0 <= exponent < 33:
         split, exponent = exponent + 1, 0
-    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    text = (head[:split] + "." + head[split:]).rstrip("0")
     if text.endswith("."):
         text += "0"
     return sign + text + (f"e{exponent:+d}" if exponent else "")
 
 
 def _fmt_complex(z) -> dict:
-    if not isinstance(z, ExactComplex):
+    """A number, or a 160-bit coordinate as an (re, im) tuple of parts
+    _fmt_real prints, as {"re", "im"} strings."""
+    if not isinstance(z, tuple):
         z = complex(z)
-    return {"re": _fmt_real(z.real), "im": _fmt_real(z.imag)}
-
-
-def _read_real(x):
-    """A JSON decimal string or number read at 160 bits: a Fraction, or a
-    float for inf and nan."""
-    part = _dyadic(x)
-    return float(x) if part is None else _fraction(*part)
+        z = (z.real, z.imag)
+    return {"re": _fmt_real(z[0]), "im": _fmt_real(z[1])}
 
 
 def _read_float(x) -> float:
-    """_read_real rounded to a float."""
+    """A JSON decimal string or number read at 160 bits (see _dyadic), then
+    rounded to a float."""
     part = _dyadic(x)
     return float(x) if part is None else _float(*part)
 
 
-def _read_complex(d) -> ExactComplex:
-    return ExactComplex(_read_real(d["re"]), _read_real(d["im"]))
+def _read_complex(d) -> _DyadicComplex:
+    """A JSON complex number, each part read at 160 bits (None if not finite)."""
+    return _DyadicComplex((_dyadic(d["re"]), _dyadic(d["im"])))
 
 
 def _read_complex128(d) -> complex:
@@ -271,7 +280,26 @@ def read_decomposition(path: str) -> NumericalVariety:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, written
+    directly: json's encoder is pure Python when it indents."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, indent: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it at the
+    line break and blanks indent."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        return "{" + ",".join([f"{inner}{encode_basestring_ascii(k)}: {_json(obj[k], inner)}"
+                               for k in sorted(obj)]) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        return "[" + ",".join([inner + _json(v, inner) for v in obj]) + indent + "]"
+    if type(obj) is int:
+        return repr(obj)
+    return json.dumps(obj)  # a bool, None, a float or an empty container
 
 
 # -- request handling ------------------------------------------------------------
@@ -344,7 +372,7 @@ def _refine(args) -> dict:
     if not isinstance(data, dict) or "solutions" not in data:
         raise CorruptFile("solutions file has no 'solutions' array")
     points = [_solution_from_json(d) for d in data["solutions"]]
-    refined = refine_solutions(spec.system, points, args.digits)
+    refined = _sharpen(spec.system, points, args.digits)
     return {
         "schemaVersion": SCHEMA_VERSION,
         "mode": "refine",

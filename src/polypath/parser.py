@@ -20,8 +20,9 @@ unary minus, so ``-x^2`` is ``-(x^2)``.  Multiplication is always explicit
 (``2*x``, never ``2x``).  ``I`` is the imaginary unit and
 ``vars``/``params``/``projective``/``I`` are reserved words.  Coefficient
 arithmetic happens in hardware precision; literals with more than 15
-significant digits are accepted but rounded, one too large for a double is
-a parse error, and one too small rounds to 0.
+significant digits are accepted but rounded, one too small rounds to 0, and
+one too large for a double is a parse error, as is a sum, product or power
+whose coefficient overflows.  Parentheses nest at most 99 deep.
 Exactly one ``vars`` statement is required and at most one ``params``;
 assignment left-hand names are equation labels, unique and unusable
 inside expressions.
@@ -29,6 +30,7 @@ inside expressions.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -90,7 +92,14 @@ def _tokenize(text: str) -> list[Token]:
 # A working polynomial is a dict mapping exponent tuples to complex
 # coefficients; exact zero coefficients are removed eagerly.
 
-def _tadd(a, b):
+def _finite(terms, tok):
+    """terms, unless the arithmetic of the operator tok overflowed."""
+    if all(map(cmath.isfinite, terms.values())):
+        return terms
+    raise ParseError(f"coefficient out of range at {tok.text!r}", tok.line, tok.column, tok.text)
+
+
+def _tadd(a, b, tok):
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0j) + c
@@ -98,7 +107,7 @@ def _tadd(a, b):
             out.pop(e, None)
         else:
             out[e] = s
-    return out
+    return _finite(out, tok)
 
 
 def _tneg(a):
@@ -118,7 +127,7 @@ def _tmul(a, b, tok):
                 out.pop(e, None)
             else:
                 out[e] = s
-    return out
+    return _finite(out, tok)
 
 
 def _tpow(a, k, tok):
@@ -178,7 +187,7 @@ class _Parser:
         while self.peek().kind in "+-":
             op = self.take()
             rhs = self.term()
-            out = _tadd(out, rhs if op.kind == "+" else _tneg(rhs))
+            out = _tadd(out, rhs if op.kind == "+" else _tneg(rhs), op)
         return out
 
     def term(self):
@@ -218,7 +227,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.take()
+            # a level of parentheses takes the frames of base, expr and term
+            # besides factor's, so that any nesting ends in the check there
+            self.depth += 3
             out = self.expr()
+            self.depth -= 3
             self.expect(")")
             return out
         if tok.kind == "NUMBER":

@@ -8,7 +8,8 @@ equation.  Refinement is mixed-precision Newton on all roots in lock-step:
 residuals computed exactly in integers at the 160-bit iterates and rounded
 once, corrections from one stacked hardware-precision Jacobian solve.
 The 160-bit iterates are dyadic rationals m * 2**e in Python integers from
-the decimal strings they are read from to the exact Fractions returned.
+the decimal strings they are read from to the strings the CLI prints, or to
+the exact Fractions refine_solutions returns.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ DEDUPE_TOL = 1e-6
 EXTENDED_PREC_BITS = 160
 
 # A decimal string's exponent, as fractions.Fraction reads it, and the
-# largest magnitude read: Fraction forms 10**|exponent| exactly.
+# largest magnitude read: reading forms 10**|exponent| exactly.
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 _MAX_DECIMAL_EXPONENT = 10_000
+# A plain decimal literal, what the CLI prints and JSON files carry: blanks,
+# a sign, digits with an optional point (a digit on either side), an
+# optional exponent, blanks.  Its digits and exponent as groups 2-4.
+_PLAIN_DECIMAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*\Z")
 
 
 @dataclass(frozen=True)
@@ -246,8 +251,12 @@ def zero_dim_solve(system: PolySystem, *, projective: bool = False,
 
 def _float(m: int, e: int) -> float:
     """m * 2**e rounded to the nearest float (ties to even), +-inf past the
-    float range: Python's int-to-float and int / int are correctly rounded."""
+    float range: Python's int-to-float and int / int are correctly rounded,
+    and so is ldexp of a float when the result is a normal number."""
+    bits = m.bit_length()
     try:
+        if bits <= 1000 and bits + e > -1021:
+            return math.ldexp(float(m), e)
         return float(m << e) if e >= 0 else m / (1 << -e)
     except OverflowError:
         return math.inf if m > 0 else -math.inf
@@ -268,12 +277,41 @@ def _round_bits(m: int, e: int):
     return (q if m > 0 else -q), e + excess
 
 
+def _quotient(num: int, den: int, e: int):
+    """num / den * 2**e rounded to EXTENDED_PREC_BITS bits, ties to even,
+    for den > 0."""
+    # a quotient of at least 162 bits whose lowest bit is sticky (set when
+    # the division is inexact) rounds as the exact quotient does
+    shift = max(EXTENDED_PREC_BITS + 2 - abs(num).bit_length() + den.bit_length(), 0)
+    q, r = divmod(abs(num) << shift, den)
+    q |= r > 0
+    return _round_bits(q if num > 0 else -q, e - shift)
+
+
 def _dyadic(x):
     """x rounded to EXTENDED_PREC_BITS bits, ties to even, as (m, e) with
     value m * 2**e, or None when x is inf or nan.  x is a float, a Fraction,
-    an int or a decimal string, which is read exactly first ("1/3" too);
-    "inf", "+inf", "-inf" and "nan" are the non-finite strings."""
+    an int or a decimal string, which is read exactly first, as
+    fractions.Fraction reads it ("1/3" too); "inf", "+inf", "-inf" and "nan"
+    are the non-finite strings.  Only the value is defined: one number can
+    come as more than one pair."""
     if isinstance(x, str):
+        plain = _PLAIN_DECIMAL.match(x)
+        # int() refuses more than 4300 digits, which Fraction reads when
+        # they lie on both sides of the point
+        if plain and len(x) < 4000:
+            sign, whole, frac, power = plain.groups(default="")
+            power = int(power or 0)
+            if abs(power) > _MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent of {x.strip()!r} exceeds "
+                                 f"{_MAX_DECIMAL_EXPONENT} in magnitude")
+            # the value is m * 10**power
+            m, power = int(sign + whole + frac), power - len(frac)
+            if not m:
+                return 0, 0
+            if power >= 0:
+                return _round_bits(m * 10 ** power, 0)
+            return _quotient(m, 5 ** -power, power)
         if x.strip().lower() in ("inf", "+inf", "-inf", "nan"):
             return None
         # reading 10**|exponent| takes time and memory that grow with it
@@ -289,12 +327,7 @@ def _dyadic(x):
     num, den = x.as_integer_ratio()
     if not den & (den - 1):
         return _round_bits(num, 1 - den.bit_length())
-    # a quotient of at least 162 bits whose lowest bit is sticky (set when
-    # the division is inexact) rounds as the exact quotient does
-    shift = max(EXTENDED_PREC_BITS + 2 - abs(num).bit_length() + den.bit_length(), 0)
-    q, r = divmod(abs(num) << shift, den)
-    q |= r > 0
-    return _round_bits(q if num > 0 else -q, -shift)
+    return _quotient(num, den, 0)
 
 
 def _fraction(m: int, e: int) -> Fraction:
@@ -311,26 +344,31 @@ class ExactComplex(NamedTuple):
         return complex(float(self.real), float(self.imag))
 
 
+class _DyadicComplex(tuple):
+    """A coordinate read already: its (re, im) parts as _dyadic returns them."""
+
+
 def _dyadic_point(coordinates):
     """A point as ((re_m, re_e), (im_m, im_e)) per coordinate, or None if a
-    coordinate is not finite.  Coordinates are (re, im) pairs, ExactComplex
-    among them, whose parts _dyadic reads at 160 bits, or anything complex()
-    takes."""
+    coordinate is not finite.  Coordinates are _DyadicComplex values, (re,
+    im) pairs, ExactComplex among them, whose parts _dyadic reads at 160
+    bits, or anything complex() takes."""
     out = []
     for c in coordinates:
-        if not isinstance(c, tuple):
-            c = complex(c)
-            c = (c.real, c.imag)
-        parts = (_dyadic(c[0]), _dyadic(c[1]))
-        if None in parts:
+        if not isinstance(c, _DyadicComplex):
+            if not isinstance(c, tuple):
+                c = complex(c)
+                c = (c.real, c.imag)
+            c = (_dyadic(c[0]), _dyadic(c[1]))
+        if None in c:
             return None
-        out.append(parts)
+        out.append(c)
     return out
 
 
-def _complex(point) -> np.ndarray:
-    """A dyadic point rounded to complex128."""
-    return np.array([complex(_float(*re), _float(*im)) for re, im in point])
+def _complex(point) -> list:
+    """A dyadic point rounded to complex128, as a list of Python complex."""
+    return [complex(_float(*re), _float(*im)) for re, im in point]
 
 
 class _ExactSystem:
@@ -369,9 +407,10 @@ class _ExactSystem:
 
         mon_slot = [slot(tuple(row)) for row in mons.tolist()]
         degrees = mons.sum(axis=1).tolist()
-        # each polynomial as (fmin, top, terms): fmin its smallest coefficient
-        # exponent, top its largest degree, and each term (slot, p, q, f, d)
-        # with coefficient (p + iq) * 2**(fmin + f) and degree top - d
+        # each polynomial as (fmin, top, groups): fmin its smallest coefficient
+        # exponent, top its largest degree, and each group (d, terms) its
+        # terms of degree top - d, each (slot, p, q) with coefficient
+        # (p + iq) * 2**fmin
         self.rows, k = [], 0
         for poly in system.polys:
             coeffs = [(_dyadic(c.real), _dyadic(c.imag)) for c in poly.coeffs.tolist()]
@@ -379,12 +418,11 @@ class _ExactSystem:
             k += len(coeffs)
             fmin = min(e for part in coeffs for _, e in part)
             top = max(degrees[i] for i in idx)
-            terms = []
+            groups = {}
             for i, ((rm, re), (im, ie)) in zip(idx, coeffs):
-                t = min(re, ie)
-                terms.append((mon_slot[i], rm << (re - t), im << (ie - t), t - fmin,
-                              top - degrees[i]))
-            self.rows.append((fmin, top, terms))
+                groups.setdefault(top - degrees[i], []).append(
+                    (mon_slot[i], rm << (re - fmin), im << (ie - fmin)))
+            self.rows.append((fmin, top, sorted(groups.items())))
 
     def __call__(self, point) -> np.ndarray:
         """f(point) for a dyadic point (see _dyadic_point), rounded to complex128."""
@@ -395,26 +433,35 @@ class _ExactSystem:
             x, y = vals[parent]
             u, v = vals[1 + j]
             vals.append((x * u - y * v, x * v + y * u))
-        out = np.empty(len(self.rows), dtype=complex)
-        for i, (fmin, top, terms) in enumerate(self.rows):
-            # term value (p + iq) * mon * 2**(fmin + f + e0 * (top - d))
+        out = []
+        for fmin, top, groups in self.rows:
+            # a term's value is (p + iq) * mon * 2**(fmin + e0 * (top - d))
             sr = si = 0
-            for sl, p, q, f, d in terms:
-                x, y = vals[sl]
-                shift = f - e0 * d
-                sr += (p * x - q * y) << shift
-                si += (p * y + q * x) << shift
+            for d, terms in groups:
+                gr = gi = 0
+                for sl, p, q in terms:
+                    x, y = vals[sl]
+                    if q:
+                        gr += p * x - q * y
+                        gi += p * y + q * x
+                    else:
+                        gr += p * x
+                        gi += p * y
+                sr += gr << -e0 * d
+                si += gi << -e0 * d
             base = fmin + e0 * top
-            out[i] = complex(_float(sr, base), _float(si, base))
-        return out
+            out.append(complex(_float(sr, base), _float(si, base)))
+        return np.array(out)
 
 
 def _add(part, d: float):
-    """A 160-bit dyadic real plus a float, rounded to 160 bits."""
+    """A 160-bit dyadic real plus a finite float, rounded to 160 bits."""
     m, e = part
-    dm, de = _dyadic(d)
-    lo = min(e, de)
-    return _round_bits((m << (e - lo)) + (dm << (de - lo)), lo)
+    dm, den = d.as_integer_ratio()
+    de = 1 - den.bit_length()
+    if de < e:
+        return _round_bits((m << (e - de)) + dm, de)
+    return _round_bits(m + (dm << (de - e)), e)
 
 
 def _singular(kappa) -> RefinementDiverged:
@@ -440,6 +487,14 @@ def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPo
     is raised as RefinementDiverged.  Coordinates are returned as
     ExactComplex values holding the 160-bit iterates exactly.
     """
+    return [replace(sp, coordinates=tuple(ExactComplex(_fraction(*re), _fraction(*im))
+                                          for re, im in sp.coordinates))
+            for sp in _sharpen(system, points, digits)]
+
+
+def _sharpen(system: PolySystem, points, digits: int) -> list[SolutionPoint]:
+    """refine_solutions with each coordinate left a dyadic point's
+    ((re_m, re_e), (im_m, im_e))."""
     if not 1 <= digits <= 30:
         raise ValueError("digits must be between 1 and 30")
     tol = 10.0 ** -digits
@@ -459,11 +514,13 @@ def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPo
     failed = {r: _singular(math.inf) for r, z in enumerate(zs) if z is None}
     updates = [[] for _ in zs]
     live = [r for r, z in enumerate(zs) if z is not None]
+    # each live iterate rounded to complex128, formed once per update
+    rounded = {r: _complex(zs[r]) for r in live}
     for _ in range(30):
         if not live:
             break
         fval = np.array([exact(zs[r]) for r in live])
-        jac = system.kernel(np.array([_complex(zs[r]) for r in live]))[:, :, 1:]
+        jac = system.kernel(np.array([rounded[r] for r in live]))[:, :, 1:]
         delta, kappa, ok = conditioned_solve_stack(jac, -fval[:, :, None])
         still = []
         for r, d, k, good in zip(live, delta[:, :, 0].tolist(), kappa.tolist(), ok):
@@ -471,9 +528,10 @@ def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPo
                 failed[r] = _singular(k)
                 continue
             zs[r] = [(_add(re, di.real), _add(im, di.imag)) for (re, im), di in zip(zs[r], d)]
+            rounded[r] = _complex(zs[r])
             steps = updates[r]
             steps.append(max(abs(di) for di in d))
-            if max(abs(di) / max(1.0, abs(zi)) for zi, di in zip(_complex(zs[r]), d)) <= tol:
+            if max(abs(di) / max(1.0, abs(zi)) for zi, di in zip(rounded[r], d)) <= tol:
                 continue
             if len(steps) >= 5 and steps[-1] > steps[-2] >= steps[-3]:
                 failed[r] = RefinementDiverged("Newton updates stopped contracting")
@@ -484,9 +542,7 @@ def refine_solutions(system: PolySystem, points, digits: int) -> list[SolutionPo
         failed[r] = RefinementDiverged(f"no agreement to {digits} digits within 30 iterations")
     if failed:
         raise failed[min(failed)]
-    return [replace(sp, coordinates=tuple(ExactComplex(_fraction(*re), _fraction(*im))
-                                          for re, im in z),
-                    max_precision_bits=EXTENDED_PREC_BITS,
+    return [replace(sp, coordinates=tuple(z), max_precision_bits=EXTENDED_PREC_BITS,
                     function_residual=float(np.abs(exact(z)).max()), newton_residual=steps[-1])
             for sp, z, steps in zip(sps, zs, updates)]
 

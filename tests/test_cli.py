@@ -505,6 +505,15 @@ def test_a_literal_beyond_the_float_range_is_a_parse_error(workdir, capsys, sphe
     assert error["type"] == "ParseError" and "1e400" in error["message"]
 
 
+@pytest.mark.parametrize("body", ["(" * 300 + "x" + ")" * 300 + " - 1",
+                                  "1e200*1e200*x^2 + y^2 - 1"], ids=["nesting", "overflow"])
+def test_deep_nesting_and_an_overflowing_coefficient_are_parse_errors(workdir, capsys, body):
+    path = _written(workdir / "bad.sys", f"vars x, y;\nf1 = {body};\nf2 = x - y;\n")
+    code, out = _run(capsys, "solve", path)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 # -- successive calls in one process ---------------------------------------------
 
 def test_successive_member_calls_answer_only_their_own_points(workdir, capsys):
@@ -543,6 +552,11 @@ def test_a_projective_solve_leaves_the_next_solve_affine(workdir, capsys):
 
 # -- 160-bit decimal strings ----------------------------------------------------
 
+def _read_real(x) -> Fraction:
+    """A JSON coordinate part read at 160 bits, as the solutions reader reads it."""
+    return zerodim._fraction(*zerodim._dyadic(x))
+
+
 def _mpf_value(x) -> Fraction:
     """A finite mpmath mpf as an exact Fraction."""
     sign, m, e, _ = x._mpf_
@@ -578,17 +592,89 @@ def test_decimal_strings_match_mpmath_on_random_160_bit_values():
             if 2.0 ** -1022 <= abs(float(x)) < math.inf:
                 strings.append(repr(float(x)))
             for s in strings:
-                assert cli._read_real(s) == _mpf_value(mpmath.mpf(s)), s
+                assert _read_real(s) == _mpf_value(mpmath.mpf(s)), s
     assert carried >= 1500
+
+
+def _rounded_to_160_bits(x: Fraction) -> Fraction:
+    """x rounded to a 160-bit mantissa, ties to even, in Fraction arithmetic."""
+    if not x:
+        return x
+    a = abs(x)
+    e = a.numerator.bit_length() - a.denominator.bit_length()
+    if a >= Fraction(2) ** e:
+        e += 1
+    # 2**(e - 1) <= a < 2**e
+    scaled = a * Fraction(2) ** (160 - e)
+    q = scaled.numerator // scaled.denominator
+    rest = scaled - q
+    if rest > Fraction(1, 2) or (rest == Fraction(1, 2) and q & 1):
+        q += 1
+    return (1 if x > 0 else -1) * q * Fraction(2) ** (e - 160)
+
+
+def _random_plain_literal(rng):
+    """A decimal literal of up to 60 digits, in any of the plain forms the
+    reader takes: blanks, a sign, digits with or without a point ("1.",
+    ".5" too), an exponent up to 10 000 in magnitude with e or E, a sign and
+    leading zeros."""
+    digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 60)))
+    cut = rng.randint(0, len(digits))
+    mantissa = rng.choice([digits, digits[:cut] + "." + digits[cut:], digits + ".",
+                           "." + digits])
+    exponent = ""
+    if rng.random() < 0.8:
+        bound = rng.choice((60, 10_000))
+        exponent = (rng.choice("eE") + rng.choice(("", "+", "-")) + "0" * rng.randint(0, 2)
+                    + str(rng.randint(0, bound)))
+    blanks = ("", " ", "\t", " \n ")
+    return rng.choice(blanks) + rng.choice(("", "+", "-")) + mantissa + exponent + rng.choice(blanks)
+
+
+def test_plain_literals_read_as_their_exact_value_rounded_to_160_bits():
+    rng = random.Random(20)
+    for _ in range(4000):
+        text = _random_plain_literal(rng)
+        assert _read_real(text) == _rounded_to_160_bits(Fraction(text)), text
+    # forms outside the plain pattern keep Fraction's reading
+    for text in ["1_000.5", "1.5e1_0", " 22/7 ", "-1/3", "0/5", "+.5e-3", "00012.50e-0004",
+                 "1" * 2100 + "." + "3" * 2100]:
+        assert _read_real(text) == _rounded_to_160_bits(Fraction(text)), text
+
+
+def test_pair_printer_matches_mpmath_on_reduced_and_unreduced_pairs():
+    rng = random.Random(12)
+    with mpmath.workprec(160):
+        for m, e in _random_dyadics(rng, 10_000):
+            k = rng.choice((0, rng.randint(1, 64)))
+            assert cli._fmt_real((m << k, e - k)) == mpmath.nstr(mpmath.mpf((m, e)), 33), (m, e)
+    assert cli._fmt_real((0, -500)) == cli._fmt_real((0, 7)) == "0.0"
+
+
+def test_refine_solutions_returns_the_fractions_the_cli_prints(workdir, capsys):
+    system = parse_input_file(CIRCLES).system
+    y = "0.8660254037844386"
+    points = [[zerodim.ExactComplex(Fraction(1, 2), Fraction(0)), (y, "0")],
+              [0.5, complex(float(y), 1e-9)], [("0.5", "-0.0"), (-float(y), 0)],
+              *zerodim.zero_dim_solve(system, seed=7)]
+    refined = zerodim.refine_solutions(system, points, 30)
+    for sp in refined:
+        assert all(type(c) is zerodim.ExactComplex and type(c.real) is Fraction
+                   and type(c.imag) is Fraction for c in sp.coordinates)
+    sols = _solutions_file(workdir / "sols.json", [{"re": "0.5", "im": "0.0"}, {"re": y, "im": "0"}])
+    code, out = _run(capsys, "refine", workdir / "circles.sys", "--solutions", sols, "--digits", 30)
+    assert code == 0
+    assert json.loads(out)["solutions"][0]["coordinates"] == [
+        {"re": cli._fmt_real(c.real), "im": cli._fmt_real(c.imag)} for c in refined[0].coordinates]
 
 
 @pytest.mark.parametrize("text", ["1/3", "-2/7", " 0.1 ", "1e-320", "5e-324", "-0.0", "0",
                                   "1.7976931348623157e308", "2.5E+3", "-1e400", "1e-400"])
 def test_reader_matches_mpmath_on_fractions_subnormals_and_zeros(text):
     with mpmath.workprec(160):
-        assert cli._read_real(text) == _mpf_value(mpmath.mpf(text))
+        assert _read_real(text) == _mpf_value(mpmath.mpf(text))
         assert cli._read_float(text) == float(mpmath.mpf(text))
-    assert cli._fmt_real(cli._read_real("-0.0")) == "0.0"
+    assert cli._fmt_real(_read_real("-0.0")) == "0.0"
 
 
 def test_exact_midpoints_round_to_even():
@@ -602,7 +688,7 @@ def test_exact_midpoints_round_to_even():
                 text = str(decimal.Decimal(mid.numerator) / mid.denominator)
                 assert Fraction(text) == mid
                 want = (q + (q & 1)) * Fraction(2) ** e
-                assert cli._read_real(text) == want
+                assert _read_real(text) == want
 
 
 def test_reader_rounds_correctly_past_mpmaths_exponent_range():
@@ -621,8 +707,8 @@ def test_reader_rounds_correctly_past_mpmaths_exponent_range():
                 ctx.rounding = rounding
                 text = str(decimal.Decimal(mid.numerator) / mid.denominator)
                 assert abs(int(text.split("E")[1])) > 400 and Fraction(text) != mid
-                assert cli._read_real(text) == want * Fraction(2) ** e
-                assert cli._read_real("-" + text) == -want * Fraction(2) ** e
+                assert _read_real(text) == want * Fraction(2) ** e
+                assert _read_real("-" + text) == -want * Fraction(2) ** e
 
 
 @pytest.mark.parametrize("text", ["1e999999999", "-1e999999999", "1e-999999999",
@@ -630,7 +716,7 @@ def test_reader_rounds_correctly_past_mpmaths_exponent_range():
 def test_reader_refuses_a_decimal_exponent_beyond_ten_thousand_at_once(text):
     start = time.perf_counter()
     with pytest.raises(ValueError):
-        cli._read_real(text)
+        _read_real(text)
     with pytest.raises(ValueError):
         cli._read_float(text)
     assert time.perf_counter() - start < 0.05
@@ -640,7 +726,7 @@ def test_reader_refuses_a_decimal_exponent_beyond_ten_thousand_at_once(text):
 def test_reader_is_exact_up_to_the_exponent_bound(exponent):
     # the string and its exact value as a Fraction round to one 160-bit value
     text = f"-2.{'3' * 40}e{exponent}"
-    assert cli._read_real(text) == cli._read_real(Fraction(text)) != 0
+    assert _read_real(text) == _read_real(Fraction(text)) != 0
 
 
 def test_writer_past_mpmaths_exponent_range_is_within_half_a_unit():
@@ -681,7 +767,7 @@ def test_json_numbers_read_as_their_exact_values(workdir, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
-    assert cli._read_real(0.1) == Fraction(0.1) and cli._read_real(3) == 3
+    assert _read_real(0.1) == Fraction(0.1) and _read_real(3) == 3
 
 
 @pytest.mark.parametrize("part", ["inf", "-inf", "+inf", "nan", " NaN ", math.inf])

@@ -292,3 +292,35 @@ def test_every_parse_error_reports_its_position(entry, text, error, line, column
 @pytest.mark.parametrize("text, value", [("1e-400", 0.0), ("1.7976931348623157e308", 1.7976931348623157e308)])
 def test_literals_at_the_ends_of_the_float_range_are_read(text, value):
     assert parse_complex_literal(text) == value
+
+
+@pytest.mark.parametrize("levels", [250, 300])
+def test_deep_parentheses_are_a_parse_error(levels):
+    text = "(" * levels + "x" + ")" * levels
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_polynomial(text, ["x"])
+    assert (err.value.line, err.value.column) == (1, 101)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_input_file(f"vars x;\nf1 = {text};")
+
+
+def test_parentheses_parse_up_to_the_depth_bound():
+    assert parse_polynomial("(" * 99 + "x" + ")" * 99, ["x"]).terms() == {(1,): 1.0}
+
+
+@pytest.mark.parametrize("text, column, token", [
+    ("vars x, y;\nf1 = 1e200*1e200*x^2 + y^2 - 1;\nf2 = x - y;", 11, "*"),
+    ("vars x;\nf1 = 1e200^2*x + 1;", 11, "^"),
+    ("vars x;\nf1 = x + 1.5e308 + 1.5e308;", 18, "+"),
+    ("vars x;\nf1 = -1.5e308*x^2 - 1.5e308*x^2;", 19, "-"),
+])
+def test_a_coefficient_that_overflows_is_a_parse_error_at_its_operator(text, column, token):
+    with pytest.raises(ParseError, match="out of range") as err:
+        parse_input_file(text)
+    assert (err.value.line, err.value.column, err.value.token) == (2, column, token)
+
+
+def test_coefficient_arithmetic_up_to_the_float_range_is_kept():
+    assert parse_complex_literal("1e300*1e8") == 1e308
+    assert parse_complex_literal("(1e154)^2") == 1e154 ** 2
+    assert parse_complex_literal("1e308 + 7.9e307") == 1e308 + 7.9e307

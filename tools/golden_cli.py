@@ -16,6 +16,10 @@ Runs the CLI in-process on the benchmark's inputs (perfbench/systems.py):
 - sphere-line `posdim` at seeds 0-39;
 - `member` of 16 query points and `sample` of the dimension-2 and
   dimension-1 components against the `posdim` result at seeds 0-9;
+- `refine --digits 30` of a hand-written katsura-5 solutions file whose
+  coordinates use every form the reader takes (LITERAL_POINTS), and of
+  the same file with one coordinate "1/3" and with one decimal exponent of
+  10 001, whose call prints an error payload;
 - malformed inputs, whose calls print error payloads: `solve` of each
   problem-file case of tests/test_parser.py's PARSE_ERRORS, `param --values`
   of each literal case, and `member` and `sample` against each of
@@ -50,6 +54,23 @@ POSDIM_SEEDS = range(40)
 TUPLES = 16
 QUERIES = 16
 SAMPLE_COUNT = 8
+
+# katsura-5's root (1, 0, 0, 0, 0, 0), three times, its coordinates written
+# in every form the solutions reader takes: a sign, blanks, "1." and ".5",
+# 40-digit mantissas, subnormal and exponent-10000 strings, an integer
+# quotient and JSON numbers
+LITERAL_POINTS = [
+    [("+1", " -0.0 "), ("0.", "1e-320"), (".0", "5e-324"), ("0e10000", "1e-10000"),
+     (0, 0.0), ("\t-0E-5 ", ".5e-30")],
+    [("0.9999999999999999999999999999999999999999",
+      "-1.234567890123456789012345678901234567890e-25"),
+     ("1.e-20", "+.5e-17"), ("-2.5E-19", "1/300000000000000000000"),
+     ("-1e-10000", "0e-10000"), (1e-300, "-0"),
+     ("  4.000000000000000000000000000000000000001e-22 ", "0.0")],
+    [("1.000000000000000000000000000000000000001", "5E-324"), (".5e-16", "-1.e-19"),
+     (2.5e-17, "+0.0"), ("+1e-18", "-.5e-18"), ("3e-320", "-5e-324"),
+     ("1E+0", "-0.0000000000000000000000000000000000000001")],
+]
 
 
 def _parse_args(argv):
@@ -109,7 +130,28 @@ def _calls(work: Path, systems):
                                            "--decomposition", str(nv), "--dim", str(dim),
                                            "--index", "0", "--count", str(SAMPLE_COUNT),
                                            "--seed", str(seed), "--out", str(out)], out
+    yield from _literal_calls(work, files)
     yield from _error_calls(work, files)
+
+
+def _literal_calls(work: Path, files):
+    """refine of LITERAL_POINTS, and of two edits of it."""
+    edits = {"": None, " one-third": (1, 0, "re", "1/3"),
+             " exponent-10001": (0, 3, "im", "1e-10001")}
+    for suffix, edit in edits.items():
+        points = [[{"re": re, "im": im} for re, im in p] for p in LITERAL_POINTS]
+        if edit:
+            k, j, part, text = edit
+            points[k][j][part] = text
+        sols = work / f"literals{suffix.replace(' ', '-')}.json"
+        sols.write_text(json.dumps({"solutions": [{
+            "conditionNumber": "1.0", "coordinates": p, "cycleNumber": 1,
+            "functionResidual": "0.0", "lastT": "0.0", "maxPrecisionBits": 53,
+            "newtonResidual": "0.0", "solutionNumber": k,
+        } for k, p in enumerate(points)]}), encoding="utf-8")
+        out = work / f"refine-{sols.name}"
+        yield f"refine literals{suffix}", ["refine", str(files["katsura5"]), "--solutions",
+                                           str(sols), "--digits", "30", "--out", str(out)], out
 
 
 def _error_calls(work: Path, files):
