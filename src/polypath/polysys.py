@@ -189,7 +189,11 @@ class MonomialKernel:
         (points, width) array.  One point is computed as a stack of one."""
         stack = point.reshape(-1, point.shape[-1])
         pw = stack[:, :, None] ** self.powers
-        mon = pw.reshape(stack.shape[0], -1)[:, self.gather].prod(axis=1)
+        # take gives a C-contiguous (points, width, monomials) array, whose
+        # product over the width runs in the same order for every row, so a
+        # row's bits do not depend on the stack it is evaluated in
+        mon = np.multiply.reduce(pw.reshape(stack.shape[0], -1).take(self.gather, axis=1),
+                                 axis=1)
         # a stack of one-row products, none of which goes to the threaded
         # BLAS matrix product
         return (mon[:, None, :] @ self.coeffs).reshape(point.shape[:-1] + self.shape)

@@ -203,10 +203,12 @@ def test_kernel_matches_term_values_and_finite_differences(family):
         assert vec_inf_norm((out[:, 1:] - exact_partials).ravel()) <= 1e-14
         fd = _fd_partials(system, z, p)
         assert vec_inf_norm((fd - out[:, 1:]).ravel()) <= 1e-8
-        # one point is computed as a one-row stack, with the bits of a
-        # one-point vector-matrix product
+        # one point is computed as a one-row stack: the product of each
+        # monomial's factors over a C-contiguous gather, then a one-point
+        # vector-matrix product
         kernel = system.kernel
-        mon = (point[:, None] ** kernel.powers).ravel()[kernel.gather].prod(axis=0)
+        pw = (point[:, None] ** kernel.powers).reshape(1, -1)
+        mon = np.multiply.reduce(pw.take(kernel.gather, axis=1), axis=1)[0]
         assert np.array_equal(out, (mon @ kernel.coeffs).reshape(kernel.shape))
     assert np.all(out[2:, 1:] == 0) and out[2, 0] == 0 and out[3, 0] == 2.5 - 1j
 

@@ -22,7 +22,7 @@ from polypath.tracker import (
     track_path,
     track_paths,
 )
-from polypath.zerodim import total_degree_start
+from polypath.zerodim import total_degree_start, zero_dim_solve
 
 
 def _sys(texts, variables, params=()):
@@ -460,7 +460,7 @@ def test_reasons_of_infinity_and_step_budget(circles, monkeypatch):
 def _assert_same_path(a, b):
     assert (a.status, a.reason, a.cycle_number, a.steps_taken) == \
         (b.status, b.reason, b.cycle_number, b.steps_taken)
-    assert vec_inf_norm(a.endpoint - b.endpoint) <= 1e-12 * (1.0 + vec_inf_norm(b.endpoint))
+    assert a.endpoint.tobytes() == b.endpoint.tobytes()
 
 
 def test_katsura4_paths_do_not_depend_on_their_batch(katsura4):
@@ -488,6 +488,40 @@ def test_sphere_slice_move_does_not_depend_on_its_batch(sphere_line):
     moved = move_slice(ws, target, Rng(5))
     for q, res in zip(moved.points, batch):
         assert np.array_equal(q, res.endpoint)
+
+
+def _same_bits(a, b):
+    return (a.status, a.reason, a.endpoint.tobytes(), a.last_t, a.cycle_number,
+            a.newton_residual, a.function_residual, a.steps_taken) == \
+        (b.status, b.reason, b.endpoint.tobytes(), b.last_t, b.cycle_number,
+         b.newton_residual, b.function_residual, b.steps_taken)
+
+
+@pytest.mark.parametrize("name", ["katsura4", "cyclic5"])
+def test_a_path_tracked_in_a_batch_has_the_bits_it_has_alone(name, request):
+    system = request.getfixturevalue(name)
+    start = total_degree_start(system)
+    h = straight_line_homotopy(system, start.start_system, random_unit_complex(Rng(3)))
+    starts = np.array(start.start_points)
+    batch = track_paths(h, starts)
+    differ = [i for i, res in enumerate(batch)
+              if not _same_bits(res, track_paths(h, starts[i:i + 1])[0])]
+    assert differ == []
+
+
+def test_a_per_path_homotopy_row_has_the_bits_it_has_alone(family):
+    rng = Rng(31)
+    p0 = rng.unit_complex(3)
+    starts = [sp.coordinate_array() for sp in zero_dim_solve(family.specialize(p0), seed=1)]
+    assert len(starts) == 2
+    targets = np.repeat(rng.unit_complex((16, 3)) * rng.uniform(0.5, 2.0, size=(16, 1)),
+                        2, axis=0)
+    batch = track_paths(ParameterPathHomotopy(family, p0, targets), starts * 16)
+    assert len(batch) == 32
+    differ = [i for i, res in enumerate(batch)
+              if not _same_bits(res, track_paths(
+                  ParameterPathHomotopy(family, p0, targets[i:i + 1]), starts[i % 2:i % 2 + 1])[0])]
+    assert differ == []
 
 
 def test_endgame_free_paths_reach_the_same_regular_roots_at_t_zero(katsura4):
