@@ -9,7 +9,7 @@ of the polynomials and of their partials, times a coefficient matrix with
 one column per output entry (the straight-line-program form used by
 Bertini and HomotopyContinuation.jl).  PolySystem.evaluate, jacobian and
 param_jacobian are slices of one such call, and every homotopy of the
-tracker evaluates as one call of its parameterized family's kernel.
+tracker evaluates as one call of a kernel over the columns (z, s, t).
 """
 
 from __future__ import annotations
@@ -147,46 +147,76 @@ def _distinct_rows(exps):
     return srt[first], where
 
 
+def _terms(polys):
+    """The terms of a list of polynomials: their exponent rows, coefficients
+    and the index of the polynomial each term belongs to."""
+    return (np.vstack([p.exps for p in polys]), np.concatenate([p.coeffs for p in polys]),
+            np.repeat(np.arange(len(polys)), [p.coeffs.size for p in polys]))
+
+
 class MonomialKernel:
     """Values and first partials of several polynomials at a point or a stack.
 
-    Built once, with numpy: each polynomial and each of its partials with
-    respect to every exponent column becomes one column of a coefficient
-    matrix over the distinct exponent rows (monomials) they use.  A call
+    Built once, with numpy, from the polynomials' terms: each polynomial and
+    each of its partials becomes one column of a coefficient matrix over the
+    distinct exponent rows (monomials) they use.  A partial is taken along a
+    direction, an integer combination of the exponent columns;
+    MonomialKernel(polys, width) takes every column alone, in order.  A call
     is one power table, one gather of every monomial's factors, their
     product and one product mon @ C.  The result has shape
-    (len(polys), 1 + width), or (points, len(polys), 1 + width) for a
-    stack of points: column 0 holds the values, column 1 + j the partials
-    by column j.
+    (polynomials, 1 + directions), or (points, polynomials, 1 + directions)
+    for a stack of points: column 0 holds the values, column 1 + j the
+    partials along direction j.
+
+    A per-path kernel (of_terms with a coefficient row per path) holds one
+    coefficient matrix per path, and its call takes the path of every point.
     """
 
     __slots__ = ("powers", "gather", "coeffs", "shape")
 
     def __init__(self, polys, width: int):
-        k = 1 + width
-        exps = np.vstack([p.exps for p in polys])
-        coeffs = np.concatenate([p.coeffs for p in polys])
-        cols = np.repeat(np.arange(len(polys)) * k, [p.coeffs.size for p in polys])
-        blocks = [(exps, coeffs, cols)]
-        for j in range(width):
-            keep = exps[:, j] > 0
-            lowered = exps[keep]
-            lowered[:, j] -= 1
-            blocks.append((lowered, coeffs[keep] * exps[keep, j], cols[keep] + 1 + j))
-        mons, where = _distinct_rows(np.vstack([b[0] for b in blocks]))
-        # canonical polynomials have distinct exponent rows, so no two
-        # terms land on the same (monomial, column) entry
-        self.coeffs = np.zeros((mons.shape[0], len(polys) * k), dtype=complex)
-        self.coeffs[where, np.concatenate([b[2] for b in blocks])] = \
-            np.concatenate([b[1] for b in blocks])
+        self._tabulate(*_terms(polys), len(polys), np.eye(width, dtype=np.int64))
+
+    @classmethod
+    def of_terms(cls, exps, coeffs, rows, count: int, directions) -> "MonomialKernel":
+        """The kernel of count polynomials given term by term: term i is
+        coeffs[..., i] times the monomial with exponent row exps[i], in
+        polynomial rows[i]; terms may share a monomial.  coeffs is a vector,
+        or a (paths, terms) array with one coefficient row per path.
+        directions is an integer (partials, width) array."""
+        kernel = cls.__new__(cls)
+        kernel._tabulate(exps, np.asarray(coeffs, dtype=complex), rows, count,
+                         np.asarray(directions, dtype=np.int64))
+        return kernel
+
+    def _tabulate(self, exps, coeffs, rows, count, directions):
+        k = 1 + directions.shape[0]
+        # the terms of every partial: per (direction, column) pair of a
+        # nonzero weight, each term of positive power in that column, lowered
+        d, j = directions.nonzero()
+        pair, term = (exps[:, j] > 0).T.nonzero()
+        d, j = d[pair], j[pair]
+        lowered = exps[term]
+        at = (np.arange(term.size), j)
+        weight = directions[d, j] * lowered[at]
+        lowered[at] -= 1
+        mons, where = _distinct_rows(np.vstack([exps, lowered]))
+        cols = np.concatenate([rows * k, rows[term] * k + 1 + d])
+        # terms that share a (monomial, column) entry add up, in term order
+        table = np.zeros(coeffs.shape[:-1] + (mons.shape[0] * count * k,), dtype=complex)
+        np.add.at(table, (..., where * (count * k) + cols),
+                  np.concatenate([coeffs, coeffs[..., term] * weight], axis=-1))
+        self.coeffs = table.reshape(coeffs.shape[:-1] + (mons.shape[0], count * k))
         self.powers = np.arange(int(mons.max()) + 1 if mons.size else 1)
         # flat indices into the (width, max_deg + 1) power table
-        self.gather = mons.T + (np.arange(width) * self.powers.size)[:, None]
-        self.shape = (len(polys), k)
+        self.gather = mons.T + (np.arange(exps.shape[1]) * self.powers.size)[:, None]
+        self.shape = (count, k)
 
-    def __call__(self, point):
+    def __call__(self, point, paths=None):
         """The table at one point, or a stack of tables, one per row of a
-        (points, width) array.  One point is computed as a stack of one."""
+        (points, width) array.  One point is computed as a stack of one.  A
+        per-path kernel evaluates point i with the coefficients of path
+        paths[i]; paths None means point i is path i."""
         stack = point.reshape(-1, point.shape[-1])
         pw = stack[:, :, None] ** self.powers
         # take gives a C-contiguous (points, width, monomials) array, whose
@@ -194,9 +224,12 @@ class MonomialKernel:
         # row's bits do not depend on the stack it is evaluated in
         mon = np.multiply.reduce(pw.reshape(stack.shape[0], -1).take(self.gather, axis=1),
                                  axis=1)
+        coeffs = self.coeffs
+        if paths is not None and coeffs.ndim == 3:
+            coeffs = coeffs.take(paths, axis=0)
         # a stack of one-row products, none of which goes to the threaded
         # BLAS matrix product
-        return (mon[:, None, :] @ self.coeffs).reshape(point.shape[:-1] + self.shape)
+        return (mon[:, None, :] @ coeffs).reshape(point.shape[:-1] + self.shape)
 
 
 class PolySystem:

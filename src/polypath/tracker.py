@@ -1,13 +1,14 @@
 """Predictor-corrector path tracking with a geometric-sequence endgame.
 
-Every homotopy is a ParameterPathHomotopy: a parameterized family F(z; p)
-followed along the segment p(t) = t p_start + (1-t) p_target, so
-H(z,t) = F(z; p(t)), and dH/dt = dF/dp (p_start - p_target) comes from the
-family's parameter partials.  The gamma-trick straight line
-(1-t) f + gamma t g is the family u f + v g from (u, v) = (0, gamma) to
-(1, 0); a slice move is the family [fixed(z); A z + b] over the slice
-coefficients, from gamma (A_source, b_source) to (A_target, b_target).
-A per-path homotopy gives every path its own p_start and p_target rows,
+Every homotopy is a ParameterPathHomotopy: one polynomial H(z, s, t) in the
+variables and in s = 1 - t and t, evaluated by one kernel call on the
+columns [z, 1 - t, t], which gives H, dH/dz and dH/dt = dH/dt - dH/ds.  A
+parameterized family F(z; p) followed from p_start to p_target is
+H = F(z; s p_target + t p_start), expanded term by term.  The gamma-trick
+straight line is H = s f + gamma t g, and a slice move
+H = [fixed(z); s L_target(z) + gamma t L_source(z)], both written term by
+term on N + 2 columns.  At t = 1, s is exactly 0, so H is exactly the
+start system.  A per-path homotopy holds one coefficient matrix per path,
 so the paths of many parameter tuples, or of moves to many target slices,
 are one batch.
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .algebra import conditioned_solve_stack, gesv_stack
 from .errors import DimensionMismatch, StartPointInvalid
-from .polysys import LinearSlice, Polynomial, PolySystem
+from .polysys import LinearSlice, MonomialKernel, PolySystem, _terms
 
 
 class PathStatus(Enum):
@@ -126,13 +127,28 @@ class Homotopy:
 
 
 class ParameterPathHomotopy(Homotopy):
-    """H(z,t) = F(z; t p_start + (1-t) p_target) for a parameterized family.
+    """H(z, t) = F(z; s p_target + t p_start) with s = 1 - t, for a
+    parameterized family F, written as one polynomial in (z, s, t).
+
+    Each term c z^a p^b of F, of degree d = |b| in the parameters, becomes
+    the d + 1 terms c e_k z^a s^(d-k) t^k, where e_k is the coefficient of
+    s^(d-k) t^k in prod_j (s p_target_j + t p_start_j)^(b_j): the expansion
+    is exact, whatever the degree of F in its parameters.  One kernel call
+    on the columns [z, 1 - t, t] gives H, dH/dz and dH/dt = dH/dt - dH/ds.
+    At t = 1, s is exactly 0, so H is F(z; p_start) to the last bit, however
+    large p_target is.
 
     p_start and p_target are parameter vectors shared by every path, or
     (paths, parameters) arrays with one row per path (a 1-D vector beside
-    such an array is shared by every row): a per-path homotopy, whose
-    path i runs from p_start[i] to p_target[i].
+    such an array is shared by every row): a per-path homotopy, whose path i
+    runs from p_start[i] to p_target[i] and whose kernel holds one
+    coefficient matrix per path.
+
+    straight_line_homotopy and slice_move_homotopy write their H term by
+    term, without a family; their family, p_start and p_target are None.
     """
+
+    family = p_start = p_target = None
 
     def __init__(self, family: PolySystem, p_start, p_target):
         if not family.parameters:
@@ -146,13 +162,27 @@ class ParameterPathHomotopy(Homotopy):
             if p_start.ndim == p_target.ndim and p_start.shape != p_target.shape:
                 raise DimensionMismatch("per-path parameters need one row per path at both ends")
             p_start, p_target = np.broadcast_arrays(p_start, p_target)
-            self.num_paths = p_start.shape[0]
         self.family = family
         self.p_start = p_start
         self.p_target = p_target
-        self.num_vars = family.num_vars
-        self._kernel = family.kernel
-        self._dp = p_start - p_target
+        self._build(family.num_vars, *_expanded(family, p_start, p_target), family.n)
+
+    @classmethod
+    def _of_terms(cls, num_vars, exps, coeffs, rows, count):
+        """The homotopy of count polynomials over [z, s, t] given term by
+        term, as MonomialKernel.of_terms takes them."""
+        h = cls.__new__(cls)
+        h._build(num_vars, exps, coeffs, rows, count)
+        return h
+
+    def _build(self, num_vars, exps, coeffs, rows, count):
+        self.num_vars = num_vars
+        if coeffs.ndim == 2:
+            self.num_paths = coeffs.shape[0]
+        # partials along each z_j, and along (-1, 1) in (s, t): dH/dt
+        directions = np.eye(num_vars + 1, num_vars + 2, dtype=np.int64)
+        directions[num_vars, num_vars:] = (-1, 1)
+        self._kernel = MonomialKernel.of_terms(exps, coeffs, rows, count, directions)
 
     def eval(self, z, t):
         value, dz, dt = self.eval_batch(np.asarray(z, dtype=complex)[None],
@@ -160,74 +190,75 @@ class ParameterPathHomotopy(Homotopy):
         return value[0], dz[0], dt[0]
 
     def eval_batch(self, z, t, idx=None):
-        p_target, dp = self.p_target, self._dp
-        if idx is not None and self.num_paths is not None:
-            p_target, dp = p_target.take(idx, axis=0), dp.take(idx, axis=0)
-        p = p_target + t[:, None] * dp
-        # rows [F | dF/dz | dF/dp] of the family's kernel, one block per point
-        out = self._kernel(np.concatenate([z, p], axis=1))
-        nv = 1 + self.num_vars
-        # dF/dp dp as a stack of matrix-vector products: per row, the same
-        # arithmetic (and bits) as the product with one shared vector
-        return out[:, :, 0], out[:, :, 1:nv], (out[:, :, nv:] @ dp[..., None])[..., 0]
+        nv = self.num_vars
+        point = np.empty((z.shape[0], nv + 2), dtype=complex)
+        point[:, :nv] = z
+        point[:, nv] = 1.0 - t
+        point[:, nv + 1] = t
+        # rows [H | dH/dz | dH/dt] of the kernel, one block per point
+        out = self._kernel(point, idx)
+        return out[:, :, 0], out[:, :, 1:nv + 1], out[:, :, nv + 1]
 
 
-def _lift(p: Polynomial, row):
-    """Terms of p times the monomial with exponent row over appended columns."""
-    ext = np.broadcast_to(np.asarray(row, dtype=np.int64), (p.exps.shape[0], len(row)))
-    return np.hstack([p.exps, ext]), p.coeffs
+def _expanded(family: PolySystem, p_start, p_target):
+    """The terms of F(z; s p_target + t p_start) over the columns [z, s, t],
+    with one coefficient row per path when the ends have one."""
+    nv = family.num_vars
+    exps, c, rows = _terms(family.polys)
+    powers = exps[:, nv:]
+    degree = powers.sum(axis=1)
+    # e[..., i, k]: the coefficient of s^(d-k) t^k in term i, found by
+    # multiplying c by (s p_target_j + t p_start_j) once per power of p_j
+    e = np.zeros(p_start.shape[:-1] + (c.size, int(degree.max(initial=0)) + 1), dtype=complex)
+    e[..., 0] = c
+    for j in range(powers.shape[1]):
+        a, b = p_target[..., j, None, None], p_start[..., j, None, None]
+        for r in range(1, int(powers[:, j].max(initial=0)) + 1):
+            m = powers[:, j] >= r
+            old = e[..., m, :]
+            new = old * a
+            new[..., 1:] += old[..., :-1] * b
+            e[..., m, :] = new
+    width = degree + 1
+    term = np.repeat(np.arange(c.size), width)
+    k = np.arange(term.size) - np.repeat(np.cumsum(width) - width, width)
+    out = np.zeros((term.size, nv + 2), dtype=np.int64)
+    out[:, :nv] = exps[term, :nv]
+    out[:, nv] = degree[term] - k
+    out[:, nv + 1] = k
+    return out, e[..., term, k], rows[term]
 
 
 def straight_line_homotopy(target: PolySystem, start: PolySystem,
                            gamma: complex) -> ParameterPathHomotopy:
-    """H(z,t) = (1-t) f(z) + gamma t g(z): the gamma trick as a parameter path.
-
-    The family is u f + v g, followed from (u, v) = (0, gamma) to (1, 0):
-    at path time t the parameters are (1 - t, gamma t), so
-    dH/dt = gamma g - f.
-    """
+    """H(z, t) = s f(z) + gamma t g(z) with s = 1 - t: the gamma trick,
+    whose dH/dt is gamma g - f.  f and g share the kernel's monomials."""
     if target.variables != start.variables or target.n != start.n:
         raise DimensionMismatch("target and start systems must share variables and size")
     if target.parameters or start.parameters:
         raise DimensionMismatch("straight-line homotopy needs parameter-free systems")
-    width = target.num_vars + 2
-    rows = []
-    for f, g in zip(target.polys, start.polys):
-        (ef, cf), (eg, cg) = _lift(f, (1, 0)), _lift(g, (0, 1))
-        rows.append(Polynomial(np.vstack([ef, eg]), np.concatenate([cf, cg]), width=width))
-    family = PolySystem(target.variables, rows, ("u", "v"))
-    return ParameterPathHomotopy(family, [0.0, gamma], [1.0, 0.0])
+    nv = target.num_vars
+    (fe, fc, fr), (ge, gc, gr) = _terms(target.polys), _terms(start.polys)
+    exps = np.zeros((fc.size + gc.size, nv + 2), dtype=np.int64)
+    exps[:fc.size, :nv], exps[fc.size:, :nv] = fe, ge
+    exps[:fc.size, nv] = exps[fc.size:, nv + 1] = 1
+    return ParameterPathHomotopy._of_terms(nv, exps, np.concatenate([fc, gamma * gc]),
+                                           np.concatenate([fr, gr]), target.n)
 
 
-def _slice_params(s: LinearSlice):
-    """The parameter vector of a slice in the slice family: (A_i, b_i) row by row."""
-    return np.hstack([s.coefficients, s.constants[:, None]]).ravel()
-
-
-def _slice_family(fixed: PolySystem, codim: int) -> PolySystem:
-    """F(z; A, b) = [fixed(z); A z + b], with the entries of the codim x N
-    matrix A and of b as parameters, ordered as _slice_params orders them."""
-    nv = fixed.num_vars
-    count = codim * (nv + 1)
-    width = nv + count
-    rows = [Polynomial(*_lift(p, np.zeros(count)), width=width) for p in fixed.polys]
-    for i in range(codim):
-        # terms z_j a_ij for every j, then b_i
-        exps = np.zeros((nv + 1, width), dtype=np.int64)
-        exps[:nv, :nv] = np.eye(nv, dtype=np.int64)
-        exps[:, nv + i * (nv + 1):nv + (i + 1) * (nv + 1)] += np.eye(nv + 1, dtype=np.int64)
-        rows.append(Polynomial(exps, np.ones(nv + 1), width=width))
-    names = tuple(f"s{i}_{j}" for i in range(codim) for j in range(nv + 1))
-    return PolySystem(fixed.variables, rows, names)
+def _slice_rows(slices) -> np.ndarray:
+    """[A | b] of every slice as a (slices, codim, N + 1) array."""
+    return np.concatenate([np.array([s.coefficients for s in slices], dtype=complex),
+                           np.array([s.constants for s in slices], dtype=complex)[..., None]],
+                          axis=2)
 
 
 def slice_move_homotopy(fixed: PolySystem, source, target,
                         gamma: complex) -> ParameterPathHomotopy:
-    """Fixed polynomial rows plus a moving linear slice, as a parameter path.
+    """Fixed polynomial rows plus a moving linear slice:
+    H(z, t) = [ fixed(z) ; s L_target(z) + gamma t L_source(z) ], s = 1 - t,
+    one polynomial on the N + 2 columns [z, s, t].
 
-    The family is F(z; A, b) = [fixed(z); A z + b] over the slice entries,
-    from p_start = gamma (A_source, b_source) to p_target = (A_target, b_target):
-    H(z,t) = [ fixed(z) ; (1-t) L_target(z) + gamma t L_source(z) ].
     source and target are each one LinearSlice for every path, or a sequence
     of them with one per path (a per-path homotopy, path i moving from
     source[i] to target[i]).
@@ -236,18 +267,31 @@ def slice_move_homotopy(fixed: PolySystem, source, target,
     targets = [target] if isinstance(target, LinearSlice) else list(target)
     if len({s.codim for s in sources + targets}) != 1:
         raise DimensionMismatch("source and target slices must share codimension")
-    codim = (sources + targets)[0].codim
-    if fixed.n + codim != fixed.num_vars:
+    if not isinstance(source, LinearSlice) and not isinstance(target, LinearSlice) \
+            and len(sources) != len(targets):
+        raise DimensionMismatch("per-path slices need one per path at both ends")
+    codim = sources[0].codim
+    nv = fixed.num_vars
+    if fixed.n + codim != nv:
         raise DimensionMismatch("fixed rows plus slice rows must be square")
-    family = _slice_family(fixed, codim)
-
-    def params(end, slices):
-        rows = np.array([_slice_params(s) for s in slices], dtype=complex)
-        rows = rows.reshape(len(slices), len(family.parameters))
-        return rows[0] if isinstance(end, LinearSlice) else rows
-
-    return ParameterPathHomotopy(family, gamma * params(source, sources),
-                                 params(target, targets))
+    # per slice row: A_target z_j s and b_target s, then gamma A_source z_j t
+    # and gamma b_source t
+    ends = [_slice_rows(targets), gamma * _slice_rows(sources)]
+    if isinstance(source, LinearSlice) and isinstance(target, LinearSlice):
+        ends = [end[0] for end in ends]
+    lead = np.broadcast_shapes(*(end.shape for end in ends))[:-2]
+    fe, fc, fr = _terms(fixed.polys)
+    coeffs = np.empty(lead + (fc.size + 2 * codim * (nv + 1),), dtype=complex)
+    coeffs[..., :fc.size] = fc
+    moving = coeffs[..., fc.size:].reshape(lead + (codim, 2, nv + 1))
+    moving[..., 0, :], moving[..., 1, :] = ends
+    exps = np.zeros((coeffs.shape[-1], nv + 2), dtype=np.int64)
+    exps[:fc.size, :nv] = fe
+    row = exps[fc.size:].reshape(codim, 2, nv + 1, nv + 2)
+    row[:, :, :nv, :nv] = np.eye(nv, dtype=np.int64)
+    row[:, 0, :, nv] = row[:, 1, :, nv + 1] = 1
+    rows = np.concatenate([fr, fixed.n + np.repeat(np.arange(codim), 2 * (nv + 1))])
+    return ParameterPathHomotopy._of_terms(nv, exps, coeffs, rows, nv)
 
 
 def _as_point(h: Homotopy, z):

@@ -245,6 +245,44 @@ def test_parameter_path_eval_matches_its_formula(family):
         assert vec_inf_norm(dt - expect_dt) <= 1e-14
 
 
+def test_a_family_of_higher_degree_in_its_parameters_is_expanded_not_combined():
+    # s F(z; p_target) + t F(z; p_start) would leave this family; H must
+    # be F(z; p(t)) at every t
+    family = _sys(["a^2*x + b*y - c", "y - a*b*c^3*x^2 + 2"], ["x", "y"], ["a", "b", "c"])
+    rng = Rng(17)
+    p0, p1 = rng.unit_complex(3) * 1.2, rng.unit_complex(3) * 0.8
+    h = ParameterPathHomotopy(family, p0, p1)
+    eps = 1e-6
+    for _ in range(10):
+        z = np.asarray(rng.unit_complex(2)) * 1.4
+        t = float(rng.uniform(0.05, 0.95))
+        p = t * p0 + (1.0 - t) * p1
+        value, dz, dt = h.eval(z, t)
+        expect = family.evaluate(z, p)
+        assert vec_inf_norm(value - expect) <= 1e-14 * vec_inf_norm(expect)
+        assert vec_inf_norm((dz - family.jacobian(z, p)).ravel()) <= \
+            1e-14 * vec_inf_norm(family.jacobian(z, p).ravel())
+        fd = (h.eval(z, t + eps)[0] - h.eval(z, t - eps)[0]) / (2 * eps)
+        assert vec_inf_norm(fd - dt) <= 1e-8 * vec_inf_norm(dt)
+        assert vec_inf_norm(dt - family.param_jacobian(z, p) @ (p0 - p1)) <= \
+            1e-14 * vec_inf_norm(dt)
+
+
+@pytest.mark.parametrize("per_path", [False, True])
+def test_h_at_t_one_is_the_start_system_whatever_the_target(family, per_path):
+    rng = Rng(18)
+    p0 = rng.unit_complex(3)
+    p1 = rng.unit_complex((4, 3)) if per_path else rng.unit_complex(3)
+    z = rng.unit_complex((4, 2)) * 1.3
+    ones = np.ones(4)
+    value, dz, _ = ParameterPathHomotopy(family, p0, p1).eval_batch(z, ones)
+    far, far_dz, _ = ParameterPathHomotopy(family, p0, 1e10 * p1).eval_batch(z, ones)
+    assert value.tobytes() == far.tobytes() and dz.tobytes() == far_dz.tobytes()
+    start = family.specialize(p0)
+    for i in range(4):
+        assert vec_inf_norm(value[i] - start.evaluate(z[i])) <= 1e-15 * (1 + vec_inf_norm(value[i]))
+
+
 def test_slice_move_eval_matches_its_formula(sphere_line):
     rng = Rng(15)
     fixed = PolySystem(sphere_line.variables, sphere_line.polys[:1])

@@ -19,7 +19,9 @@ from perfbench/systems.py:
   tuple per call (the benchmark's follow-up calls);
 - cli-param-16: one `param` call over 16 tuples (the benchmark's main call);
 - cli-member: one `member` call of 16 query points against the tree's own
-  sphere-line `posdim` output at a fixed seed.
+  sphere-line `posdim` output at a fixed seed;
+- cli-sample: one `sample` call of 8 points of the sphere (the dimension-2
+  component) against the same `posdim` output.
 
 The sides alternate for PAIRS timed pairs per input, the order flipping
 every pair.  For each input the
@@ -105,10 +107,13 @@ def _cli_inputs(pp, work: Path):
     member = ["member", str(sphere_line), "--decomposition", str(nv)]
     for p, _ in systems.sphere_line_queries(rng, 16):
         member += ["--point", literal(p)]
+    sample = ["sample", str(sphere_line), "--decomposition", str(nv), "--dim", "2",
+              "--index", "0", "--count", "8", "--seed", str(SEED)]
     return [
         ("cli-param-1", TRACK_TARGETS, lambda: [param(seed, [t]) for seed, t in singles], repr),
         ("cli-param-16", 1, lambda: [param(SEED, sweep)], repr),
         ("cli-member", 1, lambda: [call(member)], repr),
+        ("cli-sample", 1, lambda: [call(sample)], repr),
     ]
 
 
