@@ -48,7 +48,7 @@ from .zerodim import (
     SolutionPoint,
     _DyadicComplex,
     _dyadic,
-    _float,
+    _nearest_float as _read_float,   # the decomposition reader's numbers
     _sharpen,
     parameter_homotopy,
     zero_dim_solve,
@@ -126,13 +126,6 @@ def _fmt_complex(z) -> dict:
         z = complex(z)
         z = (z.real, z.imag)
     return {"re": _fmt_real(z[0]), "im": _fmt_real(z[1])}
-
-
-def _read_float(x) -> float:
-    """A JSON decimal string or number read at 160 bits (see _dyadic), then
-    rounded to a float."""
-    part = _dyadic(x)
-    return float(x) if part is None else _float(*part)
 
 
 def _read_complex(d) -> _DyadicComplex:

@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     NotHomogeneous,
     NotSquare,
+    PathFailure,
     RefinementDiverged,
 )
 from .polysys import Polynomial, PolySystem, _distinct_rows, affine_patch
@@ -288,6 +289,16 @@ def _quotient(num: int, den: int, e: int):
     return _round_bits(q if num > 0 else -q, e - shift)
 
 
+def _check_exponent(x: str, exponent) -> None:
+    """ValueError when exponent, the decimal exponent of x as a digit string
+    (None if x has none), exceeds _MAX_DECIMAL_EXPONENT in magnitude:
+    reading x exactly would form 10**|exponent|, at a cost in time and
+    memory that grows with it."""
+    if exponent and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {x.strip()!r} exceeds "
+                         f"{_MAX_DECIMAL_EXPONENT} in magnitude")
+
+
 def _dyadic(x):
     """x rounded to EXTENDED_PREC_BITS bits, ties to even, as (m, e) with
     value m * 2**e, or None when x is inf or nan.  x is a float, a Fraction,
@@ -301,12 +312,9 @@ def _dyadic(x):
         # they lie on both sides of the point
         if plain and len(x) < 4000:
             sign, whole, frac, power = plain.groups(default="")
-            power = int(power or 0)
-            if abs(power) > _MAX_DECIMAL_EXPONENT:
-                raise ValueError(f"decimal exponent of {x.strip()!r} exceeds "
-                                 f"{_MAX_DECIMAL_EXPONENT} in magnitude")
+            _check_exponent(x, power)
             # the value is m * 10**power
-            m, power = int(sign + whole + frac), power - len(frac)
+            m, power = int(sign + whole + frac), int(power or 0) - len(frac)
             if not m:
                 return 0, 0
             if power >= 0:
@@ -314,11 +322,8 @@ def _dyadic(x):
             return _quotient(m, 5 ** -power, power)
         if x.strip().lower() in ("inf", "+inf", "-inf", "nan"):
             return None
-        # reading 10**|exponent| takes time and memory that grow with it
         exponent = _DECIMAL_EXPONENT.search(x)
-        if exponent and int(exponent[1]) > _MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent of {x.strip()!r} exceeds "
-                             f"{_MAX_DECIMAL_EXPONENT} in magnitude")
+        _check_exponent(x, exponent and exponent[1])
         x = Fraction(x)
     elif isinstance(x, float) and not math.isfinite(x):
         return None
@@ -328,6 +333,26 @@ def _dyadic(x):
     if not den & (den - 1):
         return _round_bits(num, 1 - den.bit_length())
     return _quotient(num, den, 0)
+
+
+def _nearest_float(x) -> float:
+    """x, in any form _dyadic reads and under the same exponent bound,
+    rounded once to the nearest float, ties to even, +-inf past the float
+    range: float() of a decimal string and int / int both round so."""
+    if isinstance(x, float):
+        return x
+    if isinstance(x, str):
+        plain = _PLAIN_DECIMAL.match(x)
+        if plain or x.strip().lower() in ("inf", "+inf", "-inf", "nan"):
+            _check_exponent(x, plain and plain[4])
+            return float(x)
+        exponent = _DECIMAL_EXPONENT.search(x)
+        _check_exponent(x, exponent and exponent[1])
+    num, den = Fraction(x).as_integer_ratio()  # a TypeError for what is not a number
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _fraction(m: int, e: int) -> Fraction:
@@ -567,6 +592,11 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     nonsingular stage-1 solution to every requested parameter tuple, so each
     tuple costs exactly the generic root count in paths.  The paths of all
     tuples are tracked as one batch, each at its own tuple's parameters.
+
+    A tuple's solution set holds the finite endpoints of its paths; a path
+    that ends AtInfinity lost no root.  A path that ends StepFailure or
+    MaxSteps may have lost one, so it raises PathFailure naming the first
+    such tuple rather than return a set that could be short.
     """
     if not family.parameters:
         raise DimensionMismatch("family has no parameters")
@@ -600,6 +630,14 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     targets = np.array(tuples, dtype=complex).reshape(len(tuples), len(names))
     homotopy = ParameterPathHomotopy(family, p0, np.repeat(targets, k, axis=0))
     results = track_paths(homotopy, starts * len(tuples))
+    for j, p1 in enumerate(tuples):
+        lost = [r for r in results[j * k:(j + 1) * k]
+                if r.status in (PathStatus.STEP_FAILURE, PathStatus.MAX_STEPS)]
+        if lost:
+            values = ", ".join(f"{name}={v.real!r}" if not v.imag else f"{name}={v!r}"
+                               for name, v in zip(family.parameters, p1.tolist()))
+            raise PathFailure(f"parameter tuple {j} ({values}): {len(lost)} of {k} paths "
+                              f"failed ({lost[0].status.value}: {lost[0].reason})")
     solution_sets = []
     for j, p1 in enumerate(tuples):
         target = family.specialize(p1)

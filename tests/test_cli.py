@@ -324,12 +324,29 @@ def test_projective_and_patch_must_agree(workdir, capsys, name, projective):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_param_with_an_invalid_stage_two_start_is_an_error_payload(workdir, capsys, seed):
-    # with a tuple 1e10 times the unit-modulus start parameters, p(1) is not
-    # p_start to the last bits, and the stage-1 roots miss the start check
+    # H is exactly the stage-1 system at t = 1 however large the tuple, so
+    # the stage-1 roots pass the start check; the stage-2 paths to a tuple
+    # 1e10 times the unit-modulus start parameters then collapse, and a
+    # failed path fails the call
     code, out = _run(capsys, "param", workdir / "family.sys", "--values", "1e10,1,1",
                      "--seed", seed)
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "StartPointInvalid"
+    error = json.loads(out)["error"]
+    assert error["type"] == "PathFailure"
+    assert error["message"].startswith("parameter tuple 0 (a=10000000000.0, b=1.0, c=1.0)")
+
+
+@pytest.mark.parametrize("values", ["1e8,1,1", "0.001,1,1"])
+@pytest.mark.parametrize("seed", range(5))
+def test_param_with_a_failed_stage_two_path_exits_two(workdir, capsys, values, seed):
+    # both tuples have two finite roots that the stage-2 paths lose (a step
+    # collapse at 1e8, samples not Cauchy at 0.001): not an empty set
+    code, out = _run(capsys, "param", workdir / "family.sys",
+                     "--values", f"1,1,1;{values}", "--seed", seed)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "PathFailure"
+    assert error["message"].startswith("parameter tuple 1 ")
 
 
 @pytest.fixture
@@ -675,6 +692,21 @@ def test_reader_matches_mpmath_on_fractions_subnormals_and_zeros(text):
         assert _read_real(text) == _mpf_value(mpmath.mpf(text))
         assert cli._read_float(text) == float(mpmath.mpf(text))
     assert cli._fmt_real(_read_real("-0.0")) == "0.0"
+
+
+def test_decomposition_numbers_are_rounded_once_to_a_float():
+    # 1 + 2^-53 + 2^-200 to 120 digits lies just above the midpoint between
+    # 1 and the next float; rounded to 160 bits first, it would be the
+    # midpoint itself, which rounds to even: 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        text = str(decimal.Decimal(1) + decimal.Decimal(2) ** -53 + decimal.Decimal(2) ** -200)
+    assert len(text) == 121
+    assert cli._read_float(text) == 1.0000000000000002 == float(text)
+    assert cli._read_float(text[:20]) == 1.0
+    # the other forms: a fraction, underscores, past the float range
+    assert cli._read_float("1/3") == 1 / 3 and cli._read_float("1_000.5") == 1000.5
+    assert cli._read_float("-1e400") == -math.inf == -cli._read_float(2 ** 2000)
 
 
 def test_exact_midpoints_round_to_even():
