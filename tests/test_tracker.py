@@ -280,7 +280,8 @@ def test_h_at_t_one_is_the_start_system_whatever_the_target(family, per_path):
     assert value.tobytes() == far.tobytes() and dz.tobytes() == far_dz.tobytes()
     start = family.specialize(p0)
     for i in range(4):
-        assert vec_inf_norm(value[i] - start.evaluate(z[i])) <= 1e-15 * (1 + vec_inf_norm(value[i]))
+        expect = start.evaluate(z[i])
+        assert vec_inf_norm(value[i] - expect) <= 1e-15 * (1 + vec_inf_norm(expect))
 
 
 def test_slice_move_eval_matches_its_formula(sphere_line):
@@ -556,10 +557,10 @@ def test_a_per_path_homotopy_row_has_the_bits_it_has_alone(family):
                         2, axis=0)
     batch = track_paths(ParameterPathHomotopy(family, p0, targets), starts * 16)
     assert len(batch) == 32
-    differ = [i for i, res in enumerate(batch)
-              if not _same_bits(res, track_paths(
-                  ParameterPathHomotopy(family, p0, targets[i:i + 1]), starts[i % 2:i % 2 + 1])[0])]
-    assert differ == []
+    # path i alone: a one-row per-path homotopy from its own start
+    alone = [track_paths(ParameterPathHomotopy(family, p0, targets[i:i + 1]), [starts[i % 2]])[0]
+             for i in range(32)]
+    assert [i for i in range(32) if not _same_bits(batch[i], alone[i])] == []
 
 
 def test_endgame_free_paths_reach_the_same_regular_roots_at_t_zero(katsura4):
