@@ -71,20 +71,6 @@ def _all_ok(m: int):
 
 
 def gesv_stack(a, b):
-    """solve_stack without an error state of its own: the caller holds
-    np.errstate(all="ignore"), as track_paths does around all its solves,
-    or numpy warns about an exactly singular or non-finite a[i].  The mask
-    of a stack whose rows all solve is a read-only view."""
-    x = _umath_linalg.solve(a, b, signature="DD->D")
-    finite = np.isfinite(x)
-    if np.count_nonzero(finite) == finite.size:     # the common case, no mask
-        return x, _all_ok(x.shape[0])
-    ok = finite.all(axis=(1, 2))
-    x[~ok] = np.nan
-    return x, ok
-
-
-def solve_stack(a, b):
     """x[i] = a[i]^-1 b[i] for a stack of square complex systems, a (m, n, n)
     and b (m, n, k), and a mask ok: row i fails, and x[i] is NaN, when a[i]
     is exactly singular or x[i] is not finite.  No condition number is
@@ -94,17 +80,24 @@ def solve_stack(a, b):
     np.linalg.solve wraps, so every row gets the bits np.linalg.solve gives
     it.  Without np.linalg.solve's error handler an exactly singular a[i]
     does not reject the stack: the gufunc fills x[i] with NaN and solves the
-    other rows as it would alone.  The call holds its own
-    np.errstate(all="ignore"), so it emits no warning; the tracker, which
-    holds one error state for a whole track, calls gesv_stack instead."""
-    with np.errstate(all="ignore"):
-        return gesv_stack(a, b)
+    other rows as it would alone.  The call holds no error state of its
+    own: the caller holds np.errstate(all="ignore"), as track_paths does
+    around all its solves, or numpy warns about an exactly singular or
+    non-finite a[i].  The mask of a stack whose rows all solve is a
+    read-only view."""
+    x = _umath_linalg.solve(a, b, signature="DD->D")
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) == finite.size:     # the common case, no mask
+        return x, _all_ok(x.shape[0])
+    ok = finite.all(axis=(1, 2))
+    x[~ok] = np.nan
+    return x, ok
 
 
 def conditioned_solve_stack(a, b):
-    """solve_stack with kappa_inf(a[i]) = ||a[i]|| ||a[i]^-1||, as lin_solve
+    """gesv_stack with kappa_inf(a[i]) = ||a[i]|| ||a[i]^-1||, as lin_solve
     needs: solving against [b | I] yields x and the inverses from one LAPACK
-    call.  Returns x, kappa (inf where solve_stack fails row i) and ok,
+    call.  Returns x, kappa (inf where gesv_stack fails row i) and ok,
     which also fails row i when kappa[i] >= 1 / _PIVOT_RTOL.  It holds its
     own np.errstate(all="ignore") around the solve and the norms, since
     lin_solve, refinement and the condition numbers of roots call it

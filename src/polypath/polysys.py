@@ -3,12 +3,13 @@
 Polynomials are sparse term lists: an integer exponent matrix plus a complex
 coefficient vector.  Exponent rows span the variables followed by the
 parameters, so a system with N variables and P parameters has width N + P.
-Differentiation is exact and term-wise.  Values and first partials are
-evaluated together by a MonomialKernel: a table of the distinct monomials
-of the polynomials and of their partials, times a coefficient matrix with
-one column per output entry (the straight-line-program form used by
-Bertini and HomotopyContinuation.jl).  PolySystem.evaluate, jacobian and
-param_jacobian are slices of one such call, and every homotopy of the
+A Polynomial only holds its terms.  The one evaluator is the MonomialKernel:
+a table of the distinct monomials of the polynomials and of their partials,
+times a coefficient matrix with one column per output entry (the
+straight-line-program form used by Bertini and HomotopyContinuation.jl).
+Differentiation lives in that matrix, whose partial columns are the exact
+term-wise derivatives.  PolySystem.evaluate, jacobian and param_jacobian are
+slices of one call, for one point or a stack, and every homotopy of the
 tracker evaluates as one call of a kernel over the columns (z, s, t).
 """
 
@@ -80,26 +81,6 @@ class Polynomial:
         cols = self.exps if ncols is None else self.exps[:, :ncols]
         return int(np.max(np.sum(cols, axis=1)))
 
-    def diff(self, j: int) -> "Polynomial":
-        """Exact partial derivative with respect to column j."""
-        keep = self.exps[:, j] > 0
-        exps = self.exps[keep].copy()
-        coeffs = self.coeffs[keep] * exps[:, j]
-        exps[:, j] -= 1
-        return Polynomial(exps, coeffs, width=self.width)
-
-    def value(self, point) -> complex:
-        point = np.asarray(point, dtype=complex)
-        if point.shape[0] != self.width:
-            raise DimensionMismatch("point length does not match width")
-        if self.is_zero:
-            return 0.0 + 0.0j
-        pw = point[:, None] ** np.arange(self.exps.max() + 1)   # 0**0 == 1
-        vals = self.coeffs.copy()
-        for j in range(self.width):
-            vals *= pw[j, self.exps[:, j]]
-        return complex(np.sum(vals))
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -160,36 +141,25 @@ class MonomialKernel:
     Built once, with numpy, from the polynomials' terms: each polynomial and
     each of its partials becomes one column of a coefficient matrix over the
     distinct exponent rows (monomials) they use.  A partial is taken along a
-    direction, an integer combination of the exponent columns;
-    MonomialKernel(polys, width) takes every column alone, in order.  A call
-    is one power table, one gather of every monomial's factors, their
-    product and one product mon @ C.  The result has shape
+    direction, an integer combination of the exponent columns.  A call is
+    one power table, one gather of every monomial's factors, their product
+    and one product mon @ C.  The result has shape
     (polynomials, 1 + directions), or (points, polynomials, 1 + directions)
     for a stack of points: column 0 holds the values, column 1 + j the
     partials along direction j.
 
-    A per-path kernel (of_terms with a coefficient row per path) holds one
-    coefficient matrix per path, and its call takes the path of every point.
+    A per-path kernel (a coefficient row per path) holds one coefficient
+    matrix per path, and its call takes the path of every point.
     """
 
     __slots__ = ("powers", "gather", "coeffs", "shape")
 
-    def __init__(self, polys, width: int):
-        self._tabulate(*_terms(polys), len(polys), np.eye(width, dtype=np.int64))
-
-    @classmethod
-    def of_terms(cls, exps, coeffs, rows, count: int, directions) -> "MonomialKernel":
+    def __init__(self, exps, coeffs, rows, count: int, directions):
         """The kernel of count polynomials given term by term: term i is
         coeffs[..., i] times the monomial with exponent row exps[i], in
-        polynomial rows[i]; terms may share a monomial.  coeffs is a vector,
-        or a (paths, terms) array with one coefficient row per path.
-        directions is an integer (partials, width) array."""
-        kernel = cls.__new__(cls)
-        kernel._tabulate(exps, np.asarray(coeffs, dtype=complex), rows, count,
-                         np.asarray(directions, dtype=np.int64))
-        return kernel
-
-    def _tabulate(self, exps, coeffs, rows, count, directions):
+        polynomial rows[i]; terms may share a monomial.  coeffs is a complex
+        vector, or a (paths, terms) array with one coefficient row per path.
+        directions is an int64 (partials, width) array."""
         k = 1 + directions.shape[0]
         # the terms of every partial: per (direction, column) pair of a
         # nonzero weight, each term of positive power in that column, lowered
@@ -286,7 +256,8 @@ class PolySystem:
     def kernel(self) -> MonomialKernel:
         """The evaluator of values and all first partials, built on first use."""
         if self._kernel is None:
-            self._kernel = MonomialKernel(self.polys, self.width)
+            self._kernel = MonomialKernel(*_terms(self.polys), self.n,
+                                          np.eye(self.width, dtype=np.int64))
         return self._kernel
 
     def values_and_partials(self, z, params=None):

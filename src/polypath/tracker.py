@@ -170,7 +170,7 @@ class ParameterPathHomotopy(Homotopy):
     @classmethod
     def _of_terms(cls, num_vars, exps, coeffs, rows, count):
         """The homotopy of count polynomials over [z, s, t] given term by
-        term, as MonomialKernel.of_terms takes them."""
+        term, as MonomialKernel takes them."""
         h = cls.__new__(cls)
         h._build(num_vars, exps, coeffs, rows, count)
         return h
@@ -182,7 +182,7 @@ class ParameterPathHomotopy(Homotopy):
         # partials along each z_j, and along (-1, 1) in (s, t): dH/dt
         directions = np.eye(num_vars + 1, num_vars + 2, dtype=np.int64)
         directions[num_vars, num_vars:] = (-1, 1)
-        self._kernel = MonomialKernel.of_terms(exps, coeffs, rows, count, directions)
+        self._kernel = MonomialKernel(exps, coeffs, rows, count, directions)
 
     def eval(self, z, t):
         value, dz, dt = self.eval_batch(np.asarray(z, dtype=complex)[None],
@@ -310,7 +310,11 @@ def _check_path_count(h: Homotopy, count: int):
 
 
 def homotopy_eval(homotopy: Homotopy, z, t):
-    """(value, dH/dz, dH/dt) at a point; t in [0, 1]."""
+    """(value, dH/dz, dH/dt) at a point; t in [0, 1].  A per-path homotopy
+    of several paths has no one H: a point alone names no path."""
+    if (homotopy.num_paths or 1) > 1:
+        raise DimensionMismatch(
+            f"one point names no path of a homotopy with {homotopy.num_paths} paths")
     return homotopy.eval(_as_point(homotopy, z), float(t))
 
 

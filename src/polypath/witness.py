@@ -118,14 +118,17 @@ def _fixed_rows(system: PolySystem, dim: int, rng: Rng, patch) -> PolySystem:
     return PolySystem(system.variables, rows)
 
 
-def _on_variety(system, point, patch=None):
-    scale = _RESIDUAL_GATE * (1.0 + vec_inf_norm(point))
-    if vec_inf_norm(system.evaluate(point)) > scale:
-        return False
+def _on_variety(system, points, patch=None):
+    """The mask of the rows of a (points, N) stack that satisfy system and
+    the chart equation within the residual gate, from one kernel call.  A
+    NaN residual is not above the gate, so it counts as on."""
+    scale = _RESIDUAL_GATE * (1.0 + np.abs(points).max(axis=1))
+    off = np.abs(system.kernel(points)[:, :, 0]).max(axis=1) > scale
     if patch is not None:
-        if abs(np.asarray(patch) @ point - 1.0) > scale:
-            return False
-    return True
+        # a stack of one-row products, each with the bits of patch @ point
+        chart = (points[:, None, :] @ np.asarray(patch)[:, None])[:, 0, 0]
+        off |= np.abs(chart - 1.0) > scale
+    return ~off
 
 
 def _superset_once(system, dim, rng, patch):
@@ -139,26 +142,25 @@ def _superset_once(system, dim, rng, patch):
     homotopy = straight_line_homotopy(square, start.start_system, gamma)
     results = track_paths(homotopy, start.start_points)
     landed = [res for res in results if res.status is PathStatus.SUCCESS]
+    on = _on_variety(system, np.array([res.endpoint for res in landed]), patch) if landed else ()
 
     def shared(q, ends):
         return sum(vec_inf_norm(q - e.endpoint) <= _MATCH_TOL for e in ends) > 1
 
     regular = [res for res in landed if res.cycle_number == 1]
     points = []
-    failures = 0
-    for res in results:
-        if res.status is PathStatus.SUCCESS:
-            q = res.endpoint
-            # two paths at one regular root means a path jumped, and the point
-            # it should have reached may be lost; a root off the variety is
-            # dropped, and a singular one (cycle >= 2) may end several paths
-            if _on_variety(system, q, patch):
-                points.append(q)
-                if res.cycle_number == 1 and shared(q, regular):
-                    failures += 1
-            elif shared(q, landed):
+    failures = sum(res.status not in (PathStatus.SUCCESS, PathStatus.AT_INFINITY)
+                   for res in results)
+    for res, ok in zip(landed, on):
+        q = res.endpoint
+        # two paths at one regular root means a path jumped, and the point
+        # it should have reached may be lost; a root off the variety is
+        # dropped, and a singular one (cycle >= 2) may end several paths
+        if ok:
+            points.append(q)
+            if res.cycle_number == 1 and shared(q, regular):
                 failures += 1
-        elif res.status is not PathStatus.AT_INFINITY:
+        elif shared(q, landed):
             failures += 1
     return SupersetResult(points=points, slice=slice_,
                           paths_tracked=len(start.start_points)), failures
@@ -207,15 +209,16 @@ def _dedupe_points(points):
     return [points[k] for k in _clusters(points)[0]]
 
 
-def _landed(ws: WitnessSet, target: LinearSlice, results):
+def _landed(ws: WitnessSet, target: LinearSlice, results, on):
     """The endpoints of the paths to one target as moved witness points, or
-    the PathFailure that rejects them."""
+    the PathFailure of the first endpoint that rejects them.  on[i] tells
+    whether endpoint i, if it succeeded, lies on the variety."""
     moved = []
-    for res in results:
+    for res, ok in zip(results, on):
         if res.status is not PathStatus.SUCCESS:
             return PathFailure(f"witness point failed to move ({res.status.value})")
         q = res.endpoint
-        if not _on_variety(ws.system, q, ws.patch):
+        if not ok:
             return PathFailure("moved point left the variety")
         if vec_inf_norm(target.evaluate(q)) > _RESIDUAL_GATE * (1.0 + vec_inf_norm(q)):
             return PathFailure("moved point missed the target slice")
@@ -247,10 +250,16 @@ def _move(ws: WitnessSet, targets, rng: Rng, sources=None, *, endgame=True) -> l
         [t for t, (_, points) in zip(targets, sources) for _ in points], gamma)
     results = track_paths(homotopy, [p for _, points in sources for p in points],
                           endgame=endgame)
+    # only the endpoints of successful paths are checked, all in one call
+    landed = [i for i, res in enumerate(results) if res.status is PathStatus.SUCCESS]
+    on = np.zeros(len(results), dtype=bool)
+    if landed:
+        on[landed] = _on_variety(ws.system, np.array([results[i].endpoint for i in landed]),
+                                 ws.patch)
     out = []
     for t, (_, points) in zip(targets, sources):
-        out.append(_landed(ws, t, results[:len(points)]))
-        results = results[len(points):]
+        out.append(_landed(ws, t, results[:len(points)], on[:len(points)]))
+        results, on = results[len(points):], on[len(points):]
     return out
 
 
@@ -570,7 +579,7 @@ def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None) -
     a point's test keeps failing.
     """
     rng = rng or Rng(nv.seed + 101)
-    queries = []        # the normalized point, or None for one rejected untracked
+    queries = []        # the normalized point, or None for one outside the chart
     for point in test_points:
         p = np.array([complex(c) for c in point], dtype=complex)
         if p.shape[0] != nv.system.num_vars:
@@ -582,9 +591,15 @@ def membership_test(nv: NumericalVariety, test_points, rng: Rng | None = None) -
                 queries.append(None)   # representative sits outside the chart
                 continue
             p = p / s
-        on = vec_inf_norm(nv.system.evaluate(p)) <= _MATCH_TOL * (1.0 + vec_inf_norm(p))
-        queries.append(p if on else None)
+        queries.append(p)
     live = [i for i, p in enumerate(queries) if p is not None]
+    if live:
+        # the system residual of every normalized query in one kernel call; a
+        # NaN residual is not within the tolerance
+        stack = np.array([queries[i] for i in live])
+        on = (np.abs(nv.system.kernel(stack)[:, :, 0]).max(axis=1)
+              <= _MATCH_TOL * (1.0 + np.abs(stack).max(axis=1)))
+        live = [i for i, ok in zip(live, on) if ok]
     out = [[] for _ in queries]
     for ws in nv.witness_sets():
         if not live:

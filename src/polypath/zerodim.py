@@ -28,7 +28,6 @@ from .algebra import (
     conditioned_solve_stack,
     random_unit_complex,
     singular_reason,
-    vec_inf_norm,
 )
 from .errors import (
     DimensionMismatch,
@@ -200,17 +199,16 @@ def _solution_conditions(system: PolySystem, z, *, projective: bool = False):
 
 
 def _diagnosed(sols, solved: PolySystem, system: PolySystem, *, projective: bool = False):
-    """The solutions with their residual in solved and their chart-free
-    condition number as roots of system (see _solution_conditions).  Each
-    residual is a one-point evaluation: at a root it is rounding noise,
-    which the last-bit differences of a stacked kernel call would change."""
+    """The solutions with their residual in solved, from one kernel call on
+    the stack of roots, and their chart-free condition number as roots of
+    system (see _solution_conditions)."""
     if not sols:
         return []
     z = np.array([sp.coordinate_array() for sp in sols])
     kappas = _solution_conditions(system, z, projective=projective)
-    return [replace(sp, function_residual=vec_inf_norm(solved.evaluate(p)),
-                    condition_number=float(kappa))
-            for sp, p, kappa in zip(sols, z, kappas)]
+    residuals = np.abs(solved.kernel(z)[:, :, 0]).max(axis=1)
+    return [replace(sp, function_residual=float(res), condition_number=float(kappa))
+            for sp, res, kappa in zip(sols, residuals, kappas)]
 
 
 def zero_dim_solve(system: PolySystem, *, projective: bool = False,

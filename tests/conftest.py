@@ -55,6 +55,16 @@ f4 = 2*x0*x3 + 2*x1*x2 + 2*x1*x4 - x3;
 f5 = x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 - 1;
 """
 
+KATSURA5 = """
+vars x0, x1, x2, x3, x4, x5;
+f1 = x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 + 2*x5^2 - x0;
+f2 = 2*x0*x1 + 2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5 - x1;
+f3 = 2*x0*x2 + x1^2 + 2*x1*x3 + 2*x2*x4 + 2*x3*x5 - x2;
+f4 = 2*x0*x3 + 2*x1*x2 + 2*x1*x4 + 2*x2*x5 - x3;
+f5 = 2*x0*x4 + 2*x1*x3 + x2^2 + 2*x1*x5 - x4;
+f6 = x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 + 2*x5 - 1;
+"""
+
 CYCLIC5 = """
 vars z0, z1, z2, z3, z4;
 f1 = z0 + z1 + z2 + z3 + z4;
@@ -107,6 +117,11 @@ def xy_lines():
 @pytest.fixture(scope="session")
 def katsura4():
     return _system(KATSURA4)
+
+
+@pytest.fixture(scope="session")
+def katsura5():
+    return _system(KATSURA5)
 
 
 @pytest.fixture(scope="session")

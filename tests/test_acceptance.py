@@ -374,7 +374,8 @@ def test_criterion_12_parser_fuzz_and_paper_inputs():
             poly = parse_polynomial(text, names)
             expect = Polynomial.from_terms(
                 {k: complex(v) for k, v in expanded.items()}, len(names))
+            both = PolySystem(names, [poly, expect])
             for _ in range(10):
                 z = gen.standard_normal(len(names)) + 1j * gen.standard_normal(len(names))
-                a, b = poly.value(z), expect.value(z)
+                a, b = both.evaluate(z)
                 assert abs(a - b) <= 1e-12 * (1.0 + abs(b))

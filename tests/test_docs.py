@@ -3,7 +3,8 @@ from pathlib import Path
 
 import polypath
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _paragraph(text, opening):
@@ -22,3 +23,14 @@ def test_every_main_entry_point_in_the_readme_is_in_the_package():
         for part in name.split("."):
             assert hasattr(owner, part), name
             owner = getattr(owner, part)
+
+
+def test_every_test_the_readme_names_exists():
+    defined = set()
+    for folder in ("tests", "perfbench"):
+        for path in (ROOT / folder).glob("*.py"):
+            defined.update(re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M))
+    names = re.findall(r"`(test_\w+)`", README.read_text())
+    assert names
+    for name in names:
+        assert name in defined, name

@@ -4,7 +4,7 @@ import pytest
 from polypath.algebra import Rng, condition_estimate, vec_inf_norm
 from polypath.errors import DimensionMismatch, NotHomogeneous
 from polypath.parser import parse_input_file, parse_polynomial
-from polypath.polysys import MonomialKernel, Polynomial, PolySystem, affine_patch, random_slice
+from polypath.polysys import Polynomial, PolySystem, affine_patch, random_slice
 
 
 def _poly(text, variables, params=()):
@@ -147,7 +147,7 @@ def test_affine_patch_squares_the_quadrics(quadrics):
     patched, coeffs = affine_patch(quadrics, Rng(2))
     assert patched.n == 3 and patched.num_vars == 3
     z = np.asarray(Rng(3).unit_complex(3))
-    patch_val = patched.polys[-1].value(z)
+    patch_val = patched.evaluate(z)[-1]
     assert abs(patch_val - (coeffs @ z - 1.0)) <= 1e-14
 
 
@@ -181,6 +181,17 @@ def _fd_partials(system, z, params, h=1e-6):
     return np.column_stack(cols)
 
 
+def _conic_values_and_partials(z, params):
+    """The conic family {a x^2 + b y^2 - c, y} plus a zero row and the
+    constant row 2.5 - i, with its partials by (x, y, a, b, c), by hand."""
+    x, y = z
+    a, b, c = params
+    return np.array([[a * x * x + b * y * y - c, 2 * a * x, 2 * b * y, x * x, y * y, -1],
+                     [y, 0, 1, 0, 0, 0],
+                     [0, 0, 0, 0, 0, 0],
+                     [2.5 - 1j, 0, 0, 0, 0, 0]], dtype=complex)
+
+
 def test_kernel_matches_term_values_and_finite_differences(family):
     # the conic family plus a zero row and a constant row
     extra = [Polynomial(np.zeros((0, 5), np.int64), [], width=5),
@@ -193,14 +204,12 @@ def test_kernel_matches_term_values_and_finite_differences(family):
         point = np.concatenate([z, p])
         out = system.values_and_partials(z, p)
         assert out.shape == (4, 6)
-        exact = [poly.value(point) for poly in system.polys]
-        assert vec_inf_norm(out[:, 0] - exact) <= 1e-14
+        exact = _conic_values_and_partials(z, p)
+        assert vec_inf_norm(out[:, 0] - exact[:, 0]) <= 1e-14
         assert np.array_equal(system.evaluate(z, p), out[:, 0])
         assert np.array_equal(system.jacobian(z, p), out[:, 1:3])
         assert np.array_equal(system.param_jacobian(z, p), out[:, 3:])
-        exact_partials = [[poly.diff(j).value(point) for j in range(5)]
-                          for poly in system.polys]
-        assert vec_inf_norm((out[:, 1:] - exact_partials).ravel()) <= 1e-14
+        assert vec_inf_norm((out[:, 1:] - exact[:, 1:]).ravel()) <= 1e-14
         fd = _fd_partials(system, z, p)
         assert vec_inf_norm((fd - out[:, 1:]).ravel()) <= 1e-8
         # one point is computed as a one-row stack: the product of each
@@ -223,8 +232,24 @@ def test_kernel_on_one_variable_system():
 
 def test_kernel_of_an_all_zero_system():
     zero = Polynomial(np.zeros((0, 2), np.int64), [], width=2)
-    kernel = MonomialKernel([zero, zero], 2)
+    kernel = PolySystem(["x", "y"], [zero, zero]).kernel
     assert np.array_equal(kernel(np.array([1.0 + 2j, -3.0])), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("name", ["katsura5", "cyclic5", "family"])
+def test_one_point_equals_its_row_of_a_stacked_kernel_call(name, request):
+    system = request.getfixturevalue(name)
+    nv, npar = system.num_vars, len(system.parameters)
+    gen = np.random.default_rng(22)
+    for size in (1, 2, 7, 130):
+        z = gen.standard_normal((size, nv)) + 1j * gen.standard_normal((size, nv))
+        params = gen.standard_normal((size, npar)) + 1j * gen.standard_normal((size, npar))
+        stack = system.kernel(np.concatenate([z, params], axis=1))
+        assert stack.shape == (size, system.n, 1 + system.width)
+        for i in range(size):
+            p = params[i] if npar else None
+            assert system.values_and_partials(z[i], p).tobytes() == stack[i].tobytes()
+            assert system.evaluate(z[i], p).tobytes() == stack[i, :, 0].tobytes()
 
 
 def test_linear_polynomial_drops_zero_terms():
