@@ -151,18 +151,26 @@ def _solution_json(sp: SolutionPoint) -> dict:
     }
 
 
+def _read_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer (true and false are not)."""
+    value = obj[key]
+    if type(value) is not int:
+        raise CorruptFile(f'"{key}" is not an integer: {json.dumps(value)}')
+    return value
+
+
 def _solution_from_json(d) -> SolutionPoint:
     try:
         return SolutionPoint(
             coordinates=tuple(_read_complex(c) for c in d["coordinates"]),
             condition_number=float(d["conditionNumber"]),
-            cycle_number=int(d["cycleNumber"]),
+            cycle_number=_read_int(d, "cycleNumber"),
             function_residual=float(d["functionResidual"]),
             last_t=float(d["lastT"]),
-            max_precision_bits=int(d["maxPrecisionBits"]),
+            max_precision_bits=_read_int(d, "maxPrecisionBits"),
             newton_residual=float(d["newtonResidual"]),
-            solution_number=int(d["solutionNumber"]),
-            multiplicity=int(d.get("multiplicity", 1)),
+            solution_number=_read_int(d, "solutionNumber"),
+            multiplicity=_read_int(d, "multiplicity") if "multiplicity" in d else 1,
         )
     except (KeyError, TypeError) as exc:
         raise CorruptFile(f"malformed solution object: {exc}") from exc
@@ -227,7 +235,7 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
         top, _ = _dimension_range(system, patch)
         components: dict[int, list[WitnessSet]] = {}
         for comp in data["components"]:
-            dim = int(comp["dim"])
+            dim = _read_int(comp, "dim")
             if not 0 <= dim <= top:
                 raise CorruptFile(f"component dimension {dim} is outside 0..{top}")
             rows = comp["slice"]["coefficients"]
@@ -237,10 +245,10 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
                               dtype=complex).reshape(dim, width)
             consts = _read_vector(comp["slice"]["constants"], dim, "the slice constants")
             points = [_read_vector(p, width, "a witness point") for p in comp["points"]]
-            if len(points) != int(comp["degree"]):
+            if len(points) != _read_int(comp, "degree"):
                 raise CorruptFile("degree does not match the stored point count")
             ws = WitnessSet(system=system, slice=LinearSlice(coeffs, consts), points=points,
-                            dimension=dim, component_index=int(comp["index"]), patch=patch)
+                            dimension=dim, component_index=_read_int(comp, "index"), patch=patch)
             components.setdefault(dim, []).append(ws)
         for dim, sets in components.items():
             # sample --index picks a component by its position in sets
@@ -249,7 +257,7 @@ def decomposition_from_json(data: dict) -> NumericalVariety:
                 raise CorruptFile(f"the dimension-{dim} component indices are not "
                                   f"0..{len(sets) - 1}")
         return NumericalVariety(components=components, system=system,
-                                seed=int(data["seed"]), patch=patch)
+                                seed=_read_int(data, "seed"), patch=patch)
     except ParseError as exc:
         raise CorruptFile(f"embedded system does not parse: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError) as exc:

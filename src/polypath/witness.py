@@ -14,10 +14,14 @@ no component of n equations has a lower dimension.
 Moves of witness points to many target slices (membership, sampling, the
 two translations of a trace test, each leg of a batch of monodromy loops)
 are one batch of paths with one draw of the fixed rows and gamma: a move
-that fails fails only its own target.  Membership and sampling redraw the
-failed targets and move them again as one batch, at most _RETRIES times.
-Junk removal tests every remaining point of every lower dimension against
-a newly confirmed witness set as one membership batch.
+that fails fails only its own target.  _retried_moves redraws the failed
+membership and sample targets, and both trace-test translations when one
+fails, at most _RETRIES times; then membership_test, sample and the trace
+test raise PathFailure, and junk removal keeps the point.  A superset keeps
+its cleanest of _RETRIES draws, one point per cluster; monodromy counts
+_RETRIES + 1 failed loop draws in a row as a loop without a merge.  Junk
+removal tests every remaining point of every lower dimension against a
+newly confirmed witness set as one membership batch.
 
 A move to a randomly drawn slice (a sample draw, a monodromy loop leg, a
 trace-test translation) ends at nonsingular points with probability one,
@@ -104,7 +108,6 @@ class NumericalVariety:
 class SupersetResult:
     points: list
     slice: LinearSlice
-    paths_tracked: int
 
 
 def _fixed_rows(system: PolySystem, dim: int, rng: Rng, patch) -> PolySystem:
@@ -162,8 +165,7 @@ def _superset_once(system, dim, rng, patch):
                 failures += 1
         elif shared(q, landed):
             failures += 1
-    return SupersetResult(points=points, slice=slice_,
-                          paths_tracked=len(start.start_points)), failures
+    return SupersetResult(points=points, slice=slice_), failures
 
 
 def _dimension_range(system, patch):
@@ -184,11 +186,13 @@ def _superset(system, dim, rng, patch):
     attempts = []
     for _ in range(_RETRIES):
         result, failures = _superset_once(system, dim, rng, patch)
-        if failures == 0:
-            return result
         attempts.append((failures, -len(result.points), result))
-    # fewest failures, then most points; the first of equals
-    return min(attempts, key=lambda a: a[:2])[2]
+        if failures == 0:
+            break
+    # a clean attempt, else fewest failures, then most raw points; the first
+    # of equals.  Its points are then deduplicated, one per cluster.
+    best = min(attempts, key=lambda a: a[:2])[2]
+    return replace(best, points=[best.points[k] for k in _clusters(best.points)[0]])
 
 
 def witness_superset(system: PolySystem, dim: int, rng: Rng) -> SupersetResult:
@@ -196,17 +200,13 @@ def witness_superset(system: PolySystem, dim: int, rng: Rng) -> SupersetResult:
 
     The result contains the true dimension-dim witness points, possibly
     plus junk points sitting on higher-dimensional components (singular
-    path endpoints included).  Points failing the original system's
-    residual are already discarded.
+    path endpoints included), one point per cluster of path endpoints
+    (zerodim._clusters).  Points failing the original system's residual are
+    already discarded.
     """
     if system.parameters:
         raise DimensionMismatch("witness computations need a parameter-free system")
     return _superset(system, dim, rng, None)
-
-
-def _dedupe_points(points):
-    """One point of every cluster (zerodim._clusters), in input order."""
-    return [points[k] for k in _clusters(points)[0]]
 
 
 def _landed(ws: WitnessSet, target: LinearSlice, results, on):
@@ -264,11 +264,13 @@ def _move(ws: WitnessSet, targets, rng: Rng, sources=None, *, endgame=True) -> l
 
 
 def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng, *, endgame=True) -> list:
-    """Move the witness set to count targets, target i drawn by draw(i).
+    """Move the witness set to count groups of targets, group i the list of
+    slices draw(i) returns.
 
-    The moves go as one batch; the targets whose moves failed are redrawn
-    and moved again as one batch, at most _RETRIES times.  Returns per
-    target its moved points or the PathFailure of its last move.  endgame
+    All groups are drawn, then moved as one batch; a group with a failed
+    move is redrawn whole and moved again with the other failed groups, at
+    most _RETRIES times.  Returns per group its moved points per slice, or
+    the PathFailure of the first failed move of its last draw.  endgame
     goes to _move.
     """
     out = [None] * count
@@ -276,8 +278,11 @@ def _retried_moves(ws: WitnessSet, draw, count: int, rng: Rng, *, endgame=True) 
     for _ in range(_RETRIES + 1):
         if not todo:
             break
-        for i, moved in zip(todo, _move(ws, [draw(i) for i in todo], rng, endgame=endgame)):
-            out[i] = moved
+        groups = [draw(i) for i in todo]
+        moved = _move(ws, [t for group in groups for t in group], rng, endgame=endgame)
+        for i, group in zip(todo, groups):
+            mine, moved = moved[:len(group)], moved[len(group):]
+            out[i] = next((m for m in mine if isinstance(m, PathFailure)), mine)
         todo = [i for i in todo if isinstance(out[i], PathFailure)]
     return out
 
@@ -316,10 +321,10 @@ def _members(ws: WitnessSet, points, rng: Rng) -> list:
 
     def through(i):
         coeffs = np.atleast_2d(rng.unit_complex(shape))
-        return LinearSlice(coeffs, -(coeffs @ points[i]))
+        return [LinearSlice(coeffs, -(coeffs @ points[i]))]
 
     moved = _retried_moves(ws, through, len(points), rng)
-    return [None if isinstance(m, PathFailure) else _near(p, m)
+    return [None if isinstance(m, PathFailure) else _near(p, m[0])
             for p, m in zip(points, moved)]
 
 
@@ -363,30 +368,6 @@ def _match_points(originals, moved):
     return perm
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[max(ri, rj)] = min(ri, rj)
-        return True
-
-    def blocks(self):
-        groups = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), set()).add(i)
-        return [groups[r] for r in sorted(groups)]
-
-
 def _loop_batch(ws: WitnessSet, rng: Rng) -> list:
     """Track _LOOP_BATCH random slice loops L0 -> L1 -> L2 -> L0, each leg
     of all loops as one batch.  Returns per loop, in draw order, the
@@ -411,17 +392,18 @@ def monodromy_partition(ws: WitnessSet, rng: Rng) -> list[set]:
     """Partition witness point indices into monodromy orbits.
 
     Random slice loops L0 -> L1 -> L2 -> L0 are tracked _LOOP_BATCH at a
-    time and the induced permutations merged with union-find in draw order;
-    stops after _QUIET_LOOPS consecutive loops produce no merge, or when a
-    single block remains, and loops drawn past that point are ignored.  A
-    loop is redrawn when a move fails or its points do not match back one
-    to one; after _RETRIES + 1 such draws it counts as a loop with no merge.
+    time and each induced permutation joins the blocks of j and perm[j], in
+    draw order; stops after _QUIET_LOOPS consecutive loops produce no merge,
+    or when a single block remains, and loops drawn past that point are
+    ignored.  A loop is redrawn when a move fails or its points do not match
+    back one to one; after _RETRIES + 1 such draws it counts as a loop with
+    no merge.  Blocks come in order of their smallest point.
     """
     k = len(ws.points)
-    uf = _UnionFind(k)
     if k <= 1 or ws.slice.codim == 0:
         # isolated points never exchange; every one is its own component
-        return uf.blocks()
+        return [{i} for i in range(k)]
+    block = list(range(k))      # block[i]: the block of point i, named by its smallest point
     blocks, quiet, failed = k, 0, 0
     while blocks > 1 and quiet < _QUIET_LOOPS:
         for perm in _loop_batch(ws, rng):
@@ -430,13 +412,17 @@ def monodromy_partition(ws: WitnessSet, rng: Rng) -> list[set]:
                 if failed > _RETRIES:
                     quiet, failed = quiet + 1, 0
             else:
-                # a sum, not any(): every union must run, not just the first hit
-                merges = sum(uf.union(j, i) for j, i in enumerate(perm))
+                merges = 0
+                for j, i in enumerate(perm):
+                    low, high = sorted((block[j], block[i]))
+                    if low != high:
+                        block = [low if b == high else b for b in block]
+                        merges += 1
                 blocks -= merges
                 quiet, failed = 0 if merges else quiet + 1, 0
             if blocks == 1 or quiet >= _QUIET_LOOPS:
                 break
-    return uf.blocks()
+    return [{i for i in range(k) if block[i] == name} for name in sorted(set(block))]
 
 
 def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng):
@@ -449,27 +435,26 @@ def _block_trace_defects(ws: WitnessSet, blocks, rng: Rng):
     if ws.slice.codim == 0:
         zero = np.zeros(ws.system.num_vars, dtype=complex)
         return [zero for _ in blocks], 1.0
-    last_error = None
-    for _ in range(_RETRIES + 1):
+
+    def translations(_):
         w = np.atleast_1d(rng.unit_complex(ws.slice.codim))
         w /= np.linalg.norm(w)
-        plus, minus = _move(ws, [ws.slice.translated(w), ws.slice.translated(-w)], rng,
-                            endgame=False)
-        failed = [m for m in (plus, minus) if isinstance(m, PathFailure)]
-        if failed:
-            last_error = failed[0]
-            continue
-        defects = []
-        for block in blocks:
-            idx = sorted(block)
-            s0 = sum(ws.points[i] for i in idx)
-            sp = sum(plus[i] for i in idx)
-            sm = sum(minus[i] for i in idx)
-            defects.append(sp + sm - 2.0 * s0)
-        scale = 1.0 + max(vec_inf_norm(sum(ws.points[i] for i in sorted(b)))
-                          for b in blocks)
-        return defects, scale
-    raise PathFailure("trace translations kept failing") from last_error
+        return [ws.slice.translated(w), ws.slice.translated(-w)]
+
+    moved = _retried_moves(ws, translations, 1, rng, endgame=False)[0]
+    if isinstance(moved, PathFailure):
+        raise PathFailure("trace translations kept failing") from moved
+    plus, minus = moved
+    defects = []
+    for block in blocks:
+        idx = sorted(block)
+        s0 = sum(ws.points[i] for i in idx)
+        sp = sum(plus[i] for i in idx)
+        sm = sum(minus[i] for i in idx)
+        defects.append(sp + sm - 2.0 * s0)
+    scale = 1.0 + max(vec_inf_norm(sum(ws.points[i] for i in sorted(b)))
+                      for b in blocks)
+    return defects, scale
 
 
 def trace_test(ws: WitnessSet, block, rng: Rng) -> bool:
@@ -488,7 +473,9 @@ def trace_test(ws: WitnessSet, block, rng: Rng) -> bool:
 def _certified_blocks(ws: WitnessSet, blocks, rng: Rng):
     """Merge blocks with the smallest combined defect until all traces pass."""
     blocks = [set(b) for b in blocks]
-    for _ in range(len(blocks) + _RETRIES):
+    # each pass returns, raises at one block or merges two blocks, so the
+    # loop ends within len(blocks) passes
+    while True:
         defects, scale = _block_trace_defects(ws, blocks, rng)
         norms = [vec_inf_norm(d) for d in defects]
         failing = [i for i, d in enumerate(norms) if d > _MATCH_TOL * scale]
@@ -509,7 +496,6 @@ def _certified_blocks(ws: WitnessSet, blocks, rng: Rng):
         _, i, j = best
         blocks[i] = blocks[i] | blocks[j]
         del blocks[j]
-    raise DecompositionIncomplete("trace certification did not stabilize")
 
 
 def _point_sort_key(p):
@@ -522,8 +508,8 @@ def numerical_irreducible_decomposition(
 
     Scans dimensions from the top (N - 1 for N variables, N - 2 projective)
     down to the Krull bound max(0, top + 1 - n) for n equations, below which
-    no component lies: witness superset, dedupe, junk removal by membership,
-    then monodromy grouping certified by the linear trace test.  Component
+    no component lies: deduplicated witness superset, junk removal by
+    membership, then monodromy grouping certified by the trace test.  Component
     indices within a dimension are assigned by (degree, first-point order).
     Moves to random slices (monodromy loops, trace translations) skip the
     tracker's endgame; junk removal's moves through given points keep it.
@@ -543,9 +529,8 @@ def numerical_irreducible_decomposition(
     supersets = {}
     for dim in range(top, bottom - 1, -1):
         sres = _superset(system, dim, rng.fork(), patch)
-        pts = _dedupe_points(sres.points)
-        if pts:
-            supersets[dim] = replace(sres, points=pts)
+        if sres.points:
+            supersets[dim] = sres
 
     cleaned = junk_removal(supersets, system, rng.fork(), patch=patch)
 
@@ -625,9 +610,9 @@ def sample(ws: WitnessSet, count: int, rng: Rng) -> list:
     if ws.slice.codim == 0:
         return [ws.points[rng.integers(len(ws.points))] for _ in range(count)]
     nv, codim = ws.system.num_vars, ws.slice.codim
-    moved = _retried_moves(ws, lambda _: random_slice(nv, codim, rng), count, rng,
+    moved = _retried_moves(ws, lambda _: [random_slice(nv, codim, rng)], count, rng,
                            endgame=False)
     for m in moved:
         if isinstance(m, PathFailure):
             raise m
-    return [m[rng.integers(len(m))] for m in moved]
+    return [m[0][rng.integers(len(m[0]))] for m in moved]

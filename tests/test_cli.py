@@ -475,6 +475,9 @@ MALFORMED_DECOMPOSITIONS = {
         {"re": "1.0", "im": "0.0"}),
     "nan coordinate": lambda d: _line(d)["points"][0][0].update(re="nan"),
     "infinite slice constant": lambda d: _sphere(d)["slice"]["constants"][0].update(im="inf"),
+    "non-integer dim": lambda d: _sphere(d).update(dim=2.5),
+    "string degree": lambda d: _sphere(d).update(degree="2"),
+    "fractional index": lambda d: _line(d).update(index=0.7),
 }
 MALFORMED_QUERIES = ["0,0,1", "0,0,0.5", "0.6,0.8,0"]
 
@@ -492,6 +495,15 @@ def test_a_malformed_decomposition_is_corrupt(workdir, capsys, sphere_line_data,
                          *argv[1:])
         assert code == 1
         assert json.loads(out)["error"]["type"] == "CorruptFile"
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("dim", "2")])
+def test_an_integer_field_of_a_decomposition_must_be_a_json_integer(sphere_line_data, field,
+                                                                     value):
+    data = copy.deepcopy(sphere_line_data)
+    (data if field == "seed" else _sphere(data))[field] = value
+    with pytest.raises(CorruptFile, match=f'"{field}" is not an integer'):
+        cli.decomposition_from_json(data)
 
 
 def test_a_projective_patch_of_the_wrong_length_is_corrupt(workdir, capsys):
@@ -828,6 +840,22 @@ def test_malformed_coordinates_are_usage_errors(workdir, capsys, coordinate, err
                      "--digits", 20)
     assert code == 1
     assert json.loads(out)["error"]["type"] == error
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cycleNumber", 1.5), ("solutionNumber", "7"), ("maxPrecisionBits", True),
+    ("multiplicity", 2.0),
+])
+def test_an_integer_field_of_a_solution_must_be_a_json_integer(workdir, capsys, field, value):
+    sols = _solutions_file(workdir / "sols.json", [{"re": "0.5", "im": "0"},
+                                                   {"re": "0.8660254037844386", "im": "0"}])
+    data = json.loads(sols.read_text())
+    data["solutions"][0][field] = value
+    code, out = _run(capsys, "refine", workdir / "circles.sys",
+                     "--solutions", _written(sols, data), "--digits", 20)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CorruptFile" and f'"{field}"' in error["message"]
 
 
 def test_the_runtime_does_not_import_mpmath():

@@ -10,7 +10,6 @@ from polypath.tracker import PathResult, PathStatus
 from polypath.witness import (
     WitnessSet,
     _certified_blocks,
-    _dedupe_points,
     _superset,
     _superset_once,
     junk_removal,
@@ -22,6 +21,7 @@ from polypath.witness import (
     trace_test,
     witness_superset,
 )
+from polypath.zerodim import _clusters
 
 
 def _sys(texts, variables):
@@ -59,15 +59,13 @@ def _record_calls(monkeypatch, name):
 
 def test_superset_top_dimension_of_sphere_line(sphere_line):
     res = witness_superset(sphere_line, 2, Rng(1))
-    pts = _dedupe_points(res.points)
-    assert len(pts) == 2
-    assert all(_on_sphere(p) for p in pts)
+    assert len(res.points) == 2
+    assert all(_on_sphere(p) for p in res.points)
 
 
 def test_superset_dim_one_contains_axis_point(sphere_line):
     res = witness_superset(sphere_line, 1, Rng(1))
-    pts = _dedupe_points(res.points)
-    axis = [p for p in pts if _on_axis(p)]
+    axis = [p for p in res.points if _on_axis(p)]
     assert len(axis) >= 1
 
 
@@ -123,6 +121,23 @@ def test_superset_redraws_when_two_regular_paths_meet_on_the_variety(sphere_line
     assert draws([1, 1], second=(0.0, 0.6, 0.8)) == 1
 
 
+def test_superset_picks_by_raw_points_then_keeps_one_per_cluster(sphere_line, monkeypatch):
+    p, q = (0.6, 0.0, 0.8), (0.0, 0.6, 0.8)
+
+    def ends(points, lost=0):
+        return ([PathResult(PathStatus.SUCCESS, np.array(z, dtype=complex), 0.0, 1, 0.0, 0.0, 1)
+                 for z in points]
+                + [PathResult(PathStatus.STEP_FAILURE, np.zeros(3, dtype=complex), 0.5, 1,
+                              0.0, 0.0, 1)] * lost)
+
+    # three failed paths in every draw: three cycle-1 paths at p, or two
+    # distinct points and three lost paths; the first has more raw points
+    draws = iter([ends([p, p, p]), ends([p, q], lost=3), ends([p, q], lost=3)])
+    monkeypatch.setattr(witness, "track_paths", lambda homotopy, starts: next(draws))
+    res = _superset(sphere_line, 2, Rng(1), None)
+    assert [list(z) for z in res.points] == [list(p)]
+
+
 @pytest.mark.parametrize("seed", [174, 649688356])
 def test_decomposition_where_a_superset_path_jumped_on_the_sphere(sphere_line, seed):
     # the dimension-2 superset's first draw ends two cycle-1 paths at one
@@ -133,18 +148,16 @@ def test_decomposition_where_a_superset_path_jumped_on_the_sphere(sphere_line, s
 
 def test_superset_of_two_lines(xy_lines):
     res = witness_superset(xy_lines, 1, Rng(2))
-    pts = _dedupe_points(res.points)
-    assert len(pts) == 2
-    kinds = {("x" if abs(p[0]) <= 1e-8 else "y") for p in pts}
+    assert len(res.points) == 2
+    kinds = {("x" if abs(p[0]) <= 1e-8 else "y") for p in res.points}
     assert kinds == {"x", "y"}
 
 
 def test_sphere_meets_codim_two_slice_in_two_points():
     sphere = _sys(["x^2 + y^2 + z^2 - 1"], ["x", "y", "z"])
     res = witness_superset(sphere, 2, Rng(3))
-    pts = _dedupe_points(res.points)
-    assert len(pts) == 2
-    assert all(_on_sphere(p) for p in pts)
+    assert len(res.points) == 2
+    assert all(_on_sphere(p) for p in res.points)
 
 
 def test_superset_dimension_range(sphere_line):
@@ -182,7 +195,7 @@ def _sphere_witness(seed=3):
     rng = Rng(seed)
     res = witness_superset(sphere, 2, rng)
     return WitnessSet(system=sphere, slice=res.slice,
-                      points=_dedupe_points(res.points), dimension=2)
+                      points=res.points, dimension=2)
 
 
 def test_move_to_same_slice_is_stationary():
@@ -209,12 +222,12 @@ def test_circle_always_meets_a_generic_line_twice():
     rng = Rng(6)
     res = witness_superset(circle, 1, rng)
     ws = WitnessSet(system=circle, slice=res.slice,
-                    points=_dedupe_points(res.points), dimension=1)
+                    points=res.points, dimension=1)
     assert len(ws.points) == 2
     for _ in range(20):
         ws = move_slice(ws, random_slice(2, 1, rng), rng)
         assert len(ws.points) == 2
-        assert len(_dedupe_points(ws.points)) == 2
+        assert len(_clusters(ws.points)[0]) == 2
 
 
 def test_endgame_free_moves_land_on_the_endgame_points(monkeypatch):
@@ -238,8 +251,7 @@ def test_only_moves_to_random_slices_skip_the_endgame(sphere_line, sphere_nv, mo
     supersets = {}
     for dim in (2, 1):
         res = witness_superset(sphere_line, dim, rng.fork())
-        supersets[dim] = res.__class__(points=_dedupe_points(res.points), slice=res.slice,
-                                       paths_tracked=res.paths_tracked)
+        supersets[dim] = res
     calls = _record_calls(monkeypatch, "track_paths")
 
     def endgame_flags(run):
@@ -257,6 +269,31 @@ def test_only_moves_to_random_slices_skip_the_endgame(sphere_line, sphere_nv, mo
     assert endgame_flags(lambda: move_slice(sphere, random_slice(3, 2, Rng(2)), Rng(3))) == {True}
 
 
+def _path(status, endpoint):
+    return PathResult(status, np.array(endpoint, dtype=complex), 0.0, 1, 0.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("results, on, message", [
+    ([_path(PathStatus.SUCCESS, [0.0, 1.0]), _path(PathStatus.STEP_FAILURE, [0.0, -1.0])],
+     [True, False], "witness point failed to move (StepFailure)"),
+    ([_path(PathStatus.SUCCESS, [0.0, 1.0]), _path(PathStatus.SUCCESS, [0.0, -1.0])],
+     [True, False], "moved point left the variety"),
+    ([_path(PathStatus.SUCCESS, [0.0, 1.0]), _path(PathStatus.SUCCESS, [1e-6, -1.0])],
+     [True, True], "moved point missed the target slice"),
+    ([_path(PathStatus.SUCCESS, [0.0, 1.0]), _path(PathStatus.SUCCESS, [0.0, 1.0 + 1e-12])],
+     [True, True], "witness points collided during the move"),
+], ids=["failed", "off the variety", "off the slice", "collision"])
+def test_landed_rejects_a_bad_move(results, on, message):
+    circle = _sys(["x^2 + y^2 - 1"], ["x", "y"])
+    target = LinearSlice(np.array([[1.0 + 0.0j, 0.0]]), np.array([0.0j]))      # x = 0
+    ws = WitnessSet(system=circle, slice=target, points=[], dimension=1)
+    good = [_path(PathStatus.SUCCESS, [0.0, 1.0]), _path(PathStatus.SUCCESS, [0.0, -1.0])]
+    assert [list(q) for q in witness._landed(ws, target, good, [True, True])] == [
+        [0.0, 1.0], [0.0, -1.0]]
+    failure = witness._landed(ws, target, results, on)
+    assert isinstance(failure, PathFailure) and str(failure) == message
+
+
 def test_move_slice_codim_mismatch():
     ws = _sphere_witness()
     with pytest.raises(DimensionMismatch):
@@ -270,9 +307,7 @@ def test_junk_removal_sphere_line(sphere_line):
     supersets = {}
     for dim in (2, 1):
         res = witness_superset(sphere_line, dim, rng.fork())
-        pts = _dedupe_points(res.points)
-        supersets[dim] = res.__class__(points=pts, slice=res.slice,
-                                       paths_tracked=res.paths_tracked)
+        supersets[dim] = res
     cleaned = junk_removal(supersets, sphere_line, rng.fork())
     assert len(cleaned[2]) == 2
     assert len(cleaned[1]) == 1
@@ -284,8 +319,7 @@ def test_junk_removal_makes_one_membership_batch_per_confirmed_set(sphere_line, 
     supersets = {}
     for dim in (2, 1, 0):
         res = witness_superset(sphere_line, dim, rng.fork())
-        supersets[dim] = res.__class__(points=_dedupe_points(res.points), slice=res.slice,
-                                       paths_tracked=res.paths_tracked)
+        supersets[dim] = res
     calls = _record_calls(monkeypatch, "_members")
     cleaned = junk_removal(supersets, sphere_line, rng.fork())
     # the sphere tests every point of dimensions 1 and 0 at once, then the
@@ -302,10 +336,8 @@ def test_junk_removal_single_component_leaves_lower_dims_empty():
     supersets = {}
     for dim in (2, 1):
         res = witness_superset(sphere, dim, rng.fork())
-        pts = _dedupe_points(res.points)
-        if pts:
-            supersets[dim] = res.__class__(points=pts, slice=res.slice,
-                                           paths_tracked=res.paths_tracked)
+        if res.points:
+            supersets[dim] = res
     cleaned = junk_removal(supersets, sphere, rng.fork())
     assert len(cleaned[2]) == 2
     assert len(cleaned.get(1, [])) == 0
@@ -327,7 +359,7 @@ def test_monodromy_merges_the_sphere(sphere_nv):
 def test_monodromy_keeps_distinct_lines_apart(xy_lines):
     res = witness_superset(xy_lines, 1, Rng(2))
     ws = WitnessSet(system=xy_lines, slice=res.slice,
-                    points=_dedupe_points(res.points), dimension=1)
+                    points=res.points, dimension=1)
     blocks = monodromy_partition(ws, Rng(22))
     assert sorted(len(b) for b in blocks) == [1, 1]
 
@@ -335,7 +367,7 @@ def test_monodromy_keeps_distinct_lines_apart(xy_lines):
 def test_monodromy_tracks_loops_in_batches(xy_lines, sphere_nv, monkeypatch):
     res = witness_superset(xy_lines, 1, Rng(2))
     ws = WitnessSet(system=xy_lines, slice=res.slice,
-                    points=_dedupe_points(res.points), dimension=1)
+                    points=res.points, dimension=1)
     calls = _record_calls(monkeypatch, "track_paths")
     blocks = monodromy_partition(ws, Rng(22))
     assert sorted(len(b) for b in blocks) == [1, 1]
@@ -368,6 +400,56 @@ def test_monodromy_counts_loops_in_draw_order(xy_lines, monkeypatch):
     assert partition([None] * 3 + [same] + [None] + [same] * 8 + [swap] * 3) == [{0, 1}]
 
 
+def _closure(k, perms):
+    """The orbits of the pairs (j, perm[j]) of perms, by brute force: point
+    i's block is every point reachable from i; blocks ordered by their
+    smallest point."""
+    edges = [(j, i) for perm in perms if perm is not None for j, i in enumerate(perm)]
+    reach = []
+    for i in range(k):
+        block = {i}
+        while True:
+            grown = block | {b for a, b in edges if a in block} | {a for a, b in edges
+                                                                    if b in block}
+            if grown == block:
+                break
+            block = grown
+        reach.append(block)
+    return sorted({frozenset(b) for b in reach}, key=min)
+
+
+def test_monodromy_merges_orbits_of_six_points(xy_lines, monkeypatch):
+    ws = WitnessSet(system=xy_lines, slice=random_slice(2, 1, Rng(0)),
+                    points=[np.full(2, j, dtype=complex) for j in range(6)], dimension=1)
+    same = list(range(6))
+    swap = [3, 1, 2, 0, 4, 5]                 # (0 3)
+    two_merges = [0, 4, 5, 3, 1, 2]           # (1 4)(2 5)
+    cycle = [0, 4, 2, 3, 5, 1]                # (1 4 5): {1, 4} meets {2, 5}
+    joins_all = [1, 0, 3, 2, 4, 5]            # (0 1)(2 3)
+    batches_drawn = []
+
+    def partition(draws):
+        batches = iter([draws[i:i + 4] for i in range(0, len(draws), 4)])
+        batches_drawn.clear()
+        monkeypatch.setattr(witness, "_loop_batch",
+                            lambda ws, rng: batches_drawn.append(1) or next(batches))
+        return monodromy_partition(ws, Rng(0))
+
+    # ten quiet loops stop the run; the loop after them would join everything
+    draws = [swap, None, two_merges, cycle] + [same] * 10 + [joins_all, same]
+    blocks = partition(draws)
+    assert blocks == [{0, 3}, {1, 2, 4, 5}]
+    assert blocks == [set(b) for b in _closure(6, draws[:14])]
+    assert len(batches_drawn) == 4
+    # the last merge leaves one block: the draw after it and any later batch
+    # are ignored
+    draws = [two_merges, cycle, joins_all, None]
+    blocks = partition(draws)
+    assert blocks == [set(range(6))]
+    assert blocks == [set(b) for b in _closure(6, draws[:3])]
+    assert len(batches_drawn) == 1
+
+
 def test_monodromy_singleton_is_trivial(sphere_nv):
     line = sphere_nv.components[1][0]
     assert monodromy_partition(line, Rng(23)) == [{0}]
@@ -387,6 +469,49 @@ def test_trace_test_detects_incomplete_block(sphere_nv):
 def test_trace_test_line_passes(sphere_nv):
     line = sphere_nv.components[1][0]
     assert trace_test(line, {0}, Rng(34))
+
+
+def _is_translation_pair(targets, base):
+    """targets is [L + w, L - w] for base = L and some w."""
+    plus, minus = targets
+    return (np.array_equal(plus.coefficients, base.coefficients)
+            and np.array_equal(minus.coefficients, base.coefficients)
+            and vec_inf_norm(plus.constants + minus.constants - 2.0 * base.constants) <= 1e-12)
+
+
+def test_trace_test_redraws_both_translations(sphere_nv, monkeypatch):
+    ws = sphere_nv.components[2][0]
+    calls = []
+    original = witness._move
+
+    def move(ws, targets, rng, sources=None, **kwargs):
+        calls.append(targets)
+        out = original(ws, targets, rng, sources, **kwargs)
+        # the first draw's L - w move fails; L + w succeeded
+        return [out[0], PathFailure("scripted")] if len(calls) == 1 else out
+
+    monkeypatch.setattr(witness, "_move", move)
+    assert trace_test(ws, {0, 1}, Rng(31))
+    assert len(calls) == 2
+    assert all(_is_translation_pair(targets, ws.slice) for targets in calls)
+    # both translations of the redraw are new
+    for old, new in zip(calls[0], calls[1]):
+        assert vec_inf_norm(old.constants - new.constants) > 1e-3
+
+
+def test_trace_test_raises_when_every_translation_draw_fails(sphere_nv, monkeypatch):
+    ws = sphere_nv.components[2][0]
+    draws = []
+
+    def move(ws, targets, rng, sources=None, **kwargs):
+        draws.append([PathFailure(f"draw {len(draws)} move {j}") for j in range(len(targets))])
+        return draws[-1]
+
+    monkeypatch.setattr(witness, "_move", move)
+    with pytest.raises(PathFailure, match="trace translations kept failing") as info:
+        trace_test(ws, {0, 1}, Rng(31))
+    assert len(draws) == witness._RETRIES + 1
+    assert info.value.__cause__ is draws[-1][0]
 
 
 @pytest.mark.parametrize("seed", range(5))
