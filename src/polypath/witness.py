@@ -190,7 +190,8 @@ def _superset(system, dim, rng, patch):
         if failures == 0:
             break
     # a clean attempt, else fewest failures, then most raw points; the first
-    # of equals.  Its points are then deduplicated, one per cluster.
+    # of equals.  Deduplicate only after choosing, so that ties still go to
+    # the attempt with most raw points.
     best = min(attempts, key=lambda a: a[:2])[2]
     return replace(best, points=[best.points[k] for k in _clusters(best.points)[0]])
 

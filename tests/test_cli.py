@@ -497,12 +497,11 @@ def test_a_malformed_decomposition_is_corrupt(workdir, capsys, sphere_line_data,
         assert json.loads(out)["error"]["type"] == "CorruptFile"
 
 
-@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("dim", "2")])
-def test_an_integer_field_of_a_decomposition_must_be_a_json_integer(sphere_line_data, field,
-                                                                     value):
+@pytest.mark.parametrize("value", [1.5, True])
+def test_the_seed_of_a_decomposition_must_be_a_json_integer(sphere_line_data, value):
     data = copy.deepcopy(sphere_line_data)
-    (data if field == "seed" else _sphere(data))[field] = value
-    with pytest.raises(CorruptFile, match=f'"{field}" is not an integer'):
+    data["seed"] = value
+    with pytest.raises(CorruptFile, match='"seed" is not an integer'):
         cli.decomposition_from_json(data)
 
 
