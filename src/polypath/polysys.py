@@ -103,16 +103,22 @@ class Polynomial:
         return Polynomial(np.vstack(blocks_e), np.concatenate(blocks_c), width=width)
 
 
+def _merged(exps, coeffs):
+    """The distinct exponent rows, sorted descending, and their coefficients
+    along the last axis of coeffs, (terms,) or (..., terms): the
+    coefficients of equal rows add up in reverse term order, since the
+    ascending sort is stable."""
+    order = np.lexsort(exps.T[::-1])[::-1]
+    exps, coeffs = exps[order], coeffs[..., order]
+    uniq = np.ones(exps.shape[0], dtype=bool)
+    uniq[1:] = np.any(exps[1:] != exps[:-1], axis=1)
+    idx = np.flatnonzero(uniq)
+    return exps[idx], np.add.reduceat(coeffs, idx, axis=-1)
+
+
 def _canonicalize(exps, coeffs):
     """Merge duplicate exponent rows, drop zeros, sort rows descending."""
-    if exps.shape[0]:
-        order = np.lexsort(exps.T[::-1])[::-1]
-        exps, coeffs = exps[order], coeffs[order]
-        uniq = np.ones(exps.shape[0], dtype=bool)
-        uniq[1:] = np.any(exps[1:] != exps[:-1], axis=1)
-        idx = np.flatnonzero(uniq)
-        merged = np.add.reduceat(coeffs, idx)
-        exps, coeffs = exps[idx], merged
+    exps, coeffs = _merged(exps, coeffs)
     keep = np.abs(coeffs) > _COEFF_EPS
     return np.ascontiguousarray(exps[keep]), np.ascontiguousarray(coeffs[keep])
 
@@ -294,24 +300,37 @@ class PolySystem:
                 return False
         return True
 
+    def specialized_terms(self, values):
+        """The terms of the system specialized at every row of values, a
+        (tuples, parameters) array: the variable exponent rows, a
+        (tuples, terms) array of their coefficients, and the polynomial of
+        each term.  Family term c z^a p^b gives c * p_1**b_1 * ... * p_P**b_P,
+        multiplied in parameter order, and the terms of one polynomial that
+        share z^a add up, as Polynomial merges them (_merged), to the same
+        bits.  No term is dropped: at a tuple where one vanishes its
+        coefficient is zero."""
+        nv = self.num_vars
+        exps, coeffs, rows = _terms(self.polys)
+        scale = np.ones((values.shape[0], coeffs.size), dtype=complex)
+        # one product per parameter, as specialize always formed them:
+        # np.multiply.reduce over the parameters rounds differently
+        for j in range(len(self.parameters)):
+            scale *= values[:, j, None] ** exps[:, nv + j]
+        coeffs = coeffs * scale
+        # the polynomial as the first column keeps each one's terms apart
+        keys, coeffs = _merged(np.column_stack([rows, exps[:, :nv]]), coeffs)
+        return keys[:, 1:], coeffs, keys[:, 0]
+
     def specialize(self, param_values) -> "PolySystem":
         """Substitute parameter values, producing a parameter-free system."""
-        param_values = np.asarray(param_values, dtype=complex)
-        if param_values.shape[0] != len(self.parameters):
+        values = np.asarray(param_values, dtype=complex)
+        if values.shape != (len(self.parameters),):
             raise DimensionMismatch(
-                f"expected {len(self.parameters)} parameter values, got {param_values.shape[0]}"
-            )
-        nv = self.num_vars
-        out = []
-        for p in self.polys:
-            if p.is_zero:
-                out.append(Polynomial(np.zeros((0, nv), np.int64), [], width=nv))
-                continue
-            scale = np.ones(p.coeffs.shape[0], dtype=complex)
-            for j, val in enumerate(param_values):
-                scale *= val ** p.exps[:, nv + j]
-            out.append(Polynomial(p.exps[:, :nv], p.coeffs * scale, width=nv))
-        return PolySystem(self.variables, out)
+                f"expected {len(self.parameters)} parameter values, got {values.size}")
+        exps, coeffs, rows = self.specialized_terms(values[None])
+        return PolySystem(self.variables, [
+            Polynomial(exps[rows == i], coeffs[0, rows == i], width=self.num_vars)
+            for i in range(self.n)])
 
     def __repr__(self):
         return (f"PolySystem({self.n} polynomials in {self.variables}"

@@ -36,7 +36,7 @@ from .errors import (
     PathFailure,
     RefinementDiverged,
 )
-from .polysys import Polynomial, PolySystem, _distinct_rows, affine_patch
+from .polysys import MonomialKernel, Polynomial, PolySystem, _distinct_rows, affine_patch
 from .tracker import (
     ParameterPathHomotopy,
     PathResult,
@@ -143,6 +143,30 @@ def _clusters(points, *, projective: bool = False):
     return reps, sizes
 
 
+def _clustered(results, *, projective: bool = False):
+    """The successful results that represent a cluster (see _clusters), and
+    the cluster sizes."""
+    ends = [res for res in results if res.status is PathStatus.SUCCESS]
+    reps, sizes = _clusters([res.endpoint for res in ends], projective=projective)
+    return [ends[k] for k in reps], sizes
+
+
+def _solution(number: int, res: PathResult, multiplicity: int, residual: float,
+              kappa: float, projective: bool) -> SolutionPoint:
+    return SolutionPoint(
+        coordinates=tuple(complex(c) for c in res.endpoint),
+        condition_number=kappa,
+        cycle_number=res.cycle_number,
+        function_residual=residual,
+        last_t=res.last_t,
+        max_precision_bits=res.max_precision_bits,
+        newton_residual=res.newton_residual,
+        solution_number=number,
+        multiplicity=multiplicity,
+        is_projective=projective,
+    )
+
+
 def dedupe(results: list[PathResult], *, projective: bool = False) -> list[SolutionPoint]:
     """Cluster successful path endpoints into solutions.
 
@@ -151,25 +175,15 @@ def dedupe(results: list[PathResult], *, projective: bool = False) -> list[Solut
     cluster size.  The condition number is left NaN for the caller to fill
     in; zero_dim_solve and parameter_homotopy set it from the root.
     """
-    ends = [res for res in results if res.status is PathStatus.SUCCESS]
-    reps, sizes = _clusters([res.endpoint for res in ends], projective=projective)
-    return [SolutionPoint(
-        coordinates=tuple(complex(c) for c in ends[k].endpoint),
-        condition_number=math.nan,
-        cycle_number=ends[k].cycle_number,
-        function_residual=ends[k].function_residual,
-        last_t=ends[k].last_t,
-        max_precision_bits=ends[k].max_precision_bits,
-        newton_residual=ends[k].newton_residual,
-        solution_number=i,
-        multiplicity=count,
-        is_projective=projective,
-    ) for i, (k, count) in enumerate(zip(reps, sizes))]
+    return [_solution(i, res, count, res.function_residual, math.nan, projective)
+            for i, (res, count) in enumerate(zip(*_clustered(results, projective=projective)))]
 
 
-def _solution_conditions(system: PolySystem, z, *, projective: bool = False):
+def _conditions(table, z, degrees, *, projective: bool = False):
     """Chart-free condition numbers of a stack of roots z (m, N), each a
-    property of its root alone.
+    property of its root alone, from the kernel table of the system at z
+    (m, n, 1 + N) and the degrees of its polynomials in the variables, one
+    row (n,) for every root or one per root (m, n).
 
     With zeta = (z, 1) for an affine root (zeta = z for a projective one) and
     its unit representative zeta^ = zeta / ||zeta||_2, this is the
@@ -177,14 +191,12 @@ def _solution_conditions(system: PolySystem, z, *, projective: bool = False):
     with the row zeta^H appended.  The homogenizing column follows from
     Euler's identity, d_i f_i(z) - sum_j z_j df_i/dz_j at h = 1, and row i
     of the Jacobian at zeta^ is its value at zeta scaled by
-    ||zeta||^-(d_i - 1), so only the affine Jacobian is evaluated, in one
-    kernel call for the stack.  For a projective root, system is the
-    homogeneous system without its chart.  Singular means what it means
-    for condition_estimate, and gives inf.
+    ||zeta||^-(d_i - 1), so only the affine Jacobian is needed.  For a
+    projective root, the system is the homogeneous system without its
+    chart.  Singular means what it means for condition_estimate, and gives
+    inf.
     """
-    table = system.kernel(z)
     jac = table[:, :, 1:]
-    degrees = np.array(system.degrees())
     if projective:
         zeta = z
     else:
@@ -201,11 +213,12 @@ def _solution_conditions(system: PolySystem, z, *, projective: bool = False):
 def _diagnosed(sols, solved: PolySystem, system: PolySystem, *, projective: bool = False):
     """The solutions with their residual in solved, from one kernel call on
     the stack of roots, and their chart-free condition number as roots of
-    system (see _solution_conditions)."""
+    system (see _conditions), from another."""
     if not sols:
         return []
     z = np.array([sp.coordinate_array() for sp in sols])
-    kappas = _solution_conditions(system, z, projective=projective)
+    kappas = _conditions(system.kernel(z), z, np.array(system.degrees()),
+                         projective=projective)
     residuals = np.abs(solved.kernel(z)[:, :, 0]).max(axis=1)
     return [replace(sp, function_residual=float(res), condition_number=float(kappa))
             for sp, res, kappa in zip(sols, residuals, kappas)]
@@ -595,6 +608,13 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     that ends AtInfinity lost no root.  A path that ends StepFailure or
     MaxSteps may have lost one, so it raises PathFailure naming the first
     such tuple rather than return a set that could be short.
+
+    The roots of every tuple are diagnosed together, in one call of a
+    kernel with one coefficient row per tuple (PolySystem.specialized_terms).
+    function_residual and condition_number keep their definitions: the
+    root's largest residual and its chart-free condition number (see
+    _conditions) in its tuple's specialized system, whose degrees count only
+    the terms that do not vanish there, to the bits that system gives.
     """
     if not family.parameters:
         raise DimensionMismatch("family has no parameters")
@@ -636,8 +656,27 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
                                for name, v in zip(family.parameters, p1.tolist()))
             raise PathFailure(f"parameter tuple {j} ({values}): {len(lost)} of {k} paths "
                               f"failed ({lost[0].status.value}: {lost[0].reason})")
-    solution_sets = []
-    for j, p1 in enumerate(tuples):
-        target = family.specialize(p1)
-        solution_sets.append(_diagnosed(dedupe(results[j * k:(j + 1) * k]), target, target))
+    clustered = [_clustered(results[j * k:(j + 1) * k]) for j in range(len(tuples))]
+    reps = [res for ends, _ in clustered for res in ends]
+    residuals = kappas = []
+    if reps:
+        # every tuple's roots in one call of a kernel with one coefficient
+        # row per tuple; a term that vanishes at tuple j keeps a zero
+        # coefficient there, which adds nothing, so root rows get the bits
+        # of their tuple's specialized system, and degrees count only the
+        # terms that do not vanish, as that system's do
+        exps, coeffs, rows = family.specialized_terms(targets)
+        kernel = MonomialKernel(exps, coeffs, rows, family.n,
+                                np.eye(family.num_vars, dtype=np.int64))
+        owner = np.repeat(np.arange(len(tuples)), [len(ends) for ends, _ in clustered])
+        z = np.array([res.endpoint for res in reps])
+        table = kernel(z, owner)
+        present = (np.abs(coeffs) > 0)[:, :, None] & (rows[:, None] == np.arange(family.n))
+        degrees = np.where(present, exps.sum(axis=1)[:, None], 0).max(axis=1, initial=0)
+        residuals = np.abs(table[:, :, 0]).max(axis=1).tolist()
+        kappas = _conditions(table, z, degrees[owner]).tolist()
+    diagnostics = zip(residuals, kappas)
+    solution_sets = [[_solution(i, res, count, *next(diagnostics), False)
+                      for i, (res, count) in enumerate(zip(ends, sizes))]
+                     for ends, sizes in clustered]
     return ParameterHomotopyResult(solution_sets, p0, len(stage1))

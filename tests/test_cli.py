@@ -142,6 +142,17 @@ def test_param_matches_paper(workdir, capsys):
     assert abs(xs2[0] + 1.41421) <= 1e-5 and abs(xs2[1] - 1.41421) <= 1e-5
 
 
+def test_param_of_a_family_without_nonsingular_start_roots(workdir, capsys):
+    # the generic member of (x - a)^2 has only a double root, so stage 1
+    # keeps no start: every tuple gets an empty set, and the call succeeds
+    family = workdir / "double.sys"
+    family.write_text("vars x;\nparams a;\nf = (x - a)^2;\n")
+    code, out = _run(capsys, "param", family, "--values", "1;2;0", "--seed", 3)
+    assert code == 0
+    data = json.loads(out)
+    assert data["pathsPerTuple"] == 0
+    assert data["solutionSets"] == [[], [], []]
+
 def test_projective_flag_and_file_statement(workdir, capsys):
     code, out = _run(capsys, "solve", workdir / "quadrics.sys", "--seed", 3)
     assert code == 0

@@ -124,6 +124,44 @@ def test_specialize_commutes_with_evaluate(family):
         assert vec_inf_norm(a - b) <= 1e-12 * (1.0 + vec_inf_norm(b))
 
 
+def _specialized_one_by_one(family, values):
+    """specialize as a loop over polynomials and parameters: the reference."""
+    nv = family.num_vars
+    out = []
+    for p in family.polys:
+        scale = np.ones(p.coeffs.shape[0], dtype=complex)
+        for j, val in enumerate(values):
+            scale *= val ** p.exps[:, nv + j]
+        out.append(Polynomial(p.exps[:, :nv], p.coeffs * scale, width=nv))
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "vars x, y; params a, b, c; f1 = a*x^2 + b*y^2 - c; f2 = y;",
+    # terms that merge when specialized, and powers of the parameters
+    "vars x, y; params a, b, c; f1 = a*x^2 + b*x^2 + c*x^2 + y^2 - 1; f2 = y - a*x + b*x;",
+    "vars x, y; params a, b; f1 = a^3*x*y + 3*a*b^2*x*y - b*x*y + a*b; f2 = (a + b)^2*y^2 - x;",
+])
+def test_specialize_equals_the_term_by_term_loop(text):
+    family = parse_input_file(text).system
+    rng = Rng(6)
+    values = [np.asarray(rng.unit_complex(len(family.parameters)))
+              * rng.uniform(0.1, 10.0, size=len(family.parameters)) for _ in range(8)]
+    values += [np.eye(len(family.parameters), dtype=complex)[0],
+               np.zeros(len(family.parameters), dtype=complex)]
+    exps, coeffs, rows = family.specialized_terms(np.array(values))
+    for k, v in enumerate(values):
+        expect = _specialized_one_by_one(family, v)
+        got = family.specialize(v).polys
+        for i, (p, q) in enumerate(zip(got, expect)):
+            assert np.array_equal(p.exps, q.exps)
+            assert p.coeffs.tobytes() == q.coeffs.tobytes()
+            # the stacked terms hold the same coefficients, zeros kept
+            live = np.abs(coeffs[k, rows == i]) > 0
+            assert np.array_equal(exps[rows == i][live], q.exps)
+            assert coeffs[k, rows == i][live].tobytes() == q.coeffs.tobytes()
+
+
 def test_random_slice_shapes_and_independence():
     rng = Rng(8)
     one = random_slice(3, 1, rng)

@@ -17,6 +17,7 @@ from polypath.parser import parse_polynomial
 from polypath.polysys import Polynomial, PolySystem
 from polypath.tracker import PathResult, PathStatus
 from polypath.zerodim import (
+    _diagnosed,
     dedupe,
     parameter_homotopy,
     refine_solutions,
@@ -532,7 +533,7 @@ def test_refine_raises_the_lowest_index_failure():
 
 
 def _one_point_condition(system, z, projective=False):
-    """_solution_conditions for one root, from condition_estimate."""
+    """_conditions for one root, from condition_estimate."""
     jac = system.jacobian(z)
     degrees = np.array(system.degrees())
     zeta = z if projective else np.append(z, 1.0)
@@ -546,12 +547,13 @@ def _one_point_condition(system, z, projective=False):
 def test_stacked_condition_numbers_match_one_point_ones(cyclic5, quadrics):
     sols = zero_dim_solve(cyclic5, seed=2)
     z = np.array([sp.coordinate_array() for sp in sols])
-    stacked = zerodim._solution_conditions(cyclic5, z)
+    stacked = zerodim._conditions(cyclic5.kernel(z), z, np.array(cyclic5.degrees()))
     for zi, kappa in zip(z, stacked):
         assert abs(kappa - _one_point_condition(cyclic5, zi)) <= 1e-12 * kappa
     sols = zero_dim_solve(quadrics, projective=True, seed=0)
     z = np.array([sp.coordinate_array() for sp in sols])
-    stacked = zerodim._solution_conditions(quadrics, z, projective=True)
+    stacked = zerodim._conditions(quadrics.kernel(z), z, np.array(quadrics.degrees()),
+                                  projective=True)
     for zi, kappa in zip(z, stacked):
         assert abs(kappa - _one_point_condition(quadrics, zi, True)) <= 1e-12 * kappa
 
@@ -645,3 +647,47 @@ def test_parameter_homotopy_batch_equals_one_tuple_calls(family):
         assert alone.paths_per_tuple == batch.paths_per_tuple
         assert len(alone[0]) == len(sols) == 2
         assert list(alone[0]) == list(sols)
+
+
+MERGING_FAMILY = ["a*x^2 + b*x^2 + c*x^2 + y^2 - 1", "y - a*x + b*x"]
+DEGREE_DROP_FAMILY = ["a*x*y^2 + x^2 - 1", "y"]
+
+
+def _stage_two_results(monkeypatch, family, tuples, seed):
+    """parameter_homotopy's result and its stage-2 path results."""
+    calls, track = [], zerodim.track_paths
+
+    def recorded(h, starts, **kwargs):
+        calls.append(track(h, starts, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(zerodim, "track_paths", recorded)
+    res = parameter_homotopy(family, list(family.parameters), tuples, seed=seed)
+    return res, calls[-1]
+
+
+@pytest.mark.parametrize("case", ["conic", "merging", "degree drop"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_parameter_homotopy_diagnosis_equals_one_system_per_tuple(family, monkeypatch,
+                                                                   case, seed):
+    # every tuple's roots are diagnosed in one kernel call over the family's
+    # terms; each must get the bits that its own specialized system gives:
+    # terms that vanish at a tuple ((1, 0, 1), a = 0), a singular root
+    # ((1, 1, 0)), terms that merge when specialized, and a degree that drops
+    generic = [[0.31 + 0.84j, -0.77 + 0.41j, 0.56 - 0.71j], [1.3 - 0.2j, 0.6j, -1.1 + 0.4j]]
+    fam, tuples = {
+        "conic": (family, generic + [[1, 0, 1], [1, 1, 0], [2, 3, 4]]),
+        "merging": (_sys(MERGING_FAMILY, ["x", "y"], ["a", "b", "c"]), generic + [[1, 2, 3]]),
+        "degree drop": (_sys(DEGREE_DROP_FAMILY, ["x", "y"], ["a"]), [[0], [2]]),
+    }[case]
+    res, results = _stage_two_results(monkeypatch, fam, tuples, seed)
+    k = res.paths_per_tuple
+    assert k == 2
+    for j, (tup, sols) in enumerate(zip(tuples, res)):
+        target = fam.specialize(np.array(tup, dtype=complex))
+        alone = _diagnosed(dedupe(results[j * k:(j + 1) * k]), target, target)
+        assert sols and repr(sols) == repr(alone)
+    if case == "degree drop":
+        # at a = 0, f1 = x^2 - 1 has degree 2, not the family's 3
+        assert [sp.condition_number for sp in res[0]] == [3.0, 3.0]
+

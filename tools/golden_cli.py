@@ -13,6 +13,9 @@ Runs the CLI in-process on the benchmark's inputs (perfbench/systems.py):
   and `refine --digits 30` of each refine output, the one call that reads
   33-digit coordinates at full precision;
 - `param` of the conic family over 16 tuples at seeds 0-9;
+- `param` edge cases at seeds 0-2 (EDGE_PARAMS): conic tuples with a zero
+  entry, a family whose terms merge when specialized and one whose degree
+  drops at a = 0;
 - sphere-line `posdim` at seeds 0-39;
 - `member` of 16 query points and `sample` of the dimension-2 and
   dimension-1 components against the `posdim` result at seeds 0-9;
@@ -54,6 +57,19 @@ POSDIM_SEEDS = range(40)
 TUPLES = 16
 QUERIES = 16
 SAMPLE_COUNT = 8
+
+# `param` edge cases, (family, tuples): conic tuples with a zero entry, each
+# of which drops a term and two of which ((1, 1, 0), (1, 2, 0)) have a
+# double root; terms that merge when specialized, to a sum that vanishes at
+# (1, 1, 1) in f2; and f1 of degree 3 that has degree 2 at a = 0
+EDGE_PARAMS = {
+    "conic": (None, "1,0,1;1,1,0;0.5-1*I,0,2;1,2,0"),
+    "merging": ("vars x, y;\nparams a, b, c;\nf1 = a*x^2 + b*x^2 + c*x^2 + y^2 - 1;\n"
+                "f2 = y - a*x + b*x;\n", "1,2,3;1,1,1;0.3+0.2*I,-1,0.5"),
+    "degree-drop": ("vars x, y;\nparams a;\nf1 = a*x*y^2 + x^2 - 1;\nf2 = y;\n",
+                    "0;2;-0.5*I"),
+}
+EDGE_SEEDS = range(3)
 
 # katsura-5's root (1, 0, 0, 0, 0, 0), three times, its coordinates written
 # in every form the solutions reader takes: a sign, blanks, "1." and ".5",
@@ -112,6 +128,15 @@ def _calls(work: Path, systems):
         out = work / f"param-{seed}.json"
         yield f"param {seed}", ["param", str(files["family"]), "--values", values,
                                 "--seed", str(seed), "--out", str(out)], out
+    for case, (text, values) in EDGE_PARAMS.items():
+        family = files["family"]
+        if text:
+            family = work / f"{case}.sys"
+            family.write_text(text, encoding="utf-8")
+        for seed in EDGE_SEEDS:
+            out = work / f"param-{case}-{seed}.json"
+            yield f"param {case} {seed}", ["param", str(family), "--values", values,
+                                           "--seed", str(seed), "--out", str(out)], out
     for seed in POSDIM_SEEDS:
         nv = work / f"posdim-{seed}.json"
         yield f"posdim {seed}", ["posdim", str(files["sphereline"]), "--seed", str(seed),
