@@ -43,6 +43,15 @@ class Polynomial:
         self.exps, self.coeffs = _canonicalize(exps, coeffs)
 
     @classmethod
+    def _of_merged(cls, exps, coeffs) -> "Polynomial":
+        """The polynomial of terms already merged and sorted, as _merged
+        gives them: only the exact zeros are dropped, as _canonicalize does."""
+        p = cls.__new__(cls)
+        keep = np.abs(coeffs) > _COEFF_EPS
+        p.exps, p.coeffs = np.ascontiguousarray(exps[keep]), np.ascontiguousarray(coeffs[keep])
+        return p
+
+    @classmethod
     def from_terms(cls, terms: dict, width: int) -> "Polynomial":
         """Build from a mapping of exponent tuple -> coefficient."""
         if not terms:
@@ -329,8 +338,7 @@ class PolySystem:
                 f"expected {len(self.parameters)} parameter values, got {values.size}")
         exps, coeffs, rows = self.specialized_terms(values[None])
         return PolySystem(self.variables, [
-            Polynomial(exps[rows == i], coeffs[0, rows == i], width=self.num_vars)
-            for i in range(self.n)])
+            Polynomial._of_merged(exps[rows == i], coeffs[0, rows == i]) for i in range(self.n)])
 
     def __repr__(self):
         return (f"PolySystem({self.n} polynomials in {self.variables}"

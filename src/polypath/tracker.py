@@ -23,6 +23,15 @@ Predictor and corrector solves form no condition number: a row fails only
 on an exactly singular Jacobian or a non-finite solution.  lin_solve's bound
 kappa_inf < 1e14 applies to the reported limits (the Newton polish at t = 0).
 
+H is evaluated once per (point, t).  Each path keeps the evaluation at its
+present point and t: the next RK4 step's first tangent, the correction at
+the endgame boundary, the polish after it and after each halving, and the
+limit polish of a path tracked straight to t = 0 start from it, wherever
+the path is at that t already.  A point recurs at one t only where the
+arithmetic repeats it: within a step too short to move it, in a rejected
+step retried at the same size, or after a Newton update that rounds to
+nothing.
+
 Paths are tracked from t = 1 to the endgame boundary with RK4 steps
 on the Davidenko ODE dz/dt = -(dH/dz)^-1 dH/dt and a short Newton corrector
 at fixed t.  From the boundary, the endgame samples every path at the same
@@ -197,7 +206,7 @@ class ParameterPathHomotopy(Homotopy):
         point[:, nv + 1] = t
         # rows [H | dH/dz | dH/dt] of the kernel, one block per point
         out = self._kernel(point, idx)
-        return out[:, :, 0], out[:, :, 1:nv + 1], out[:, :, nv + 1]
+        return out[..., 0], out[..., 1:nv + 1], out[..., nv + 1]
 
 
 def _expanded(family: PolySystem, p_start, p_target):
@@ -345,54 +354,75 @@ def _solve_rows(a, b):
 
 
 def _tangent(h: Homotopy, z, t, idx=None):
+    """-dz/dt at every row: dH/dz solved against +dH/dt.  An LU solve is
+    exactly odd in its right-hand side, so the predictor subtracts it and
+    gets the bits of adding the solve against -dH/dt."""
     _, dz, dt = h.eval_batch(z, t, idx)
-    return _solve_rows(dz, -dt)[0]
+    return _solve_rows(dz, dt)[0]
 
 
-_CONVERGED, _STALLED, _SINGULAR = 0, 1, 2
+def _paths_of(idx, rows):
+    """The paths of the rows picked by rows (a slice of all rows or an index
+    array) from a stack whose row i is path idx[i]; idx None: path i."""
+    if isinstance(rows, slice):
+        return idx
+    return rows if idx is None else idx[rows]
 
 
-def _newton(h: Homotopy, z, t, idx, tol, iters):
+_STALLED, _CONVERGED, _SINGULAR = 0, 1, 2
+_LOG_2 = np.log(2.0)
+
+
+def _newton(h: Homotopy, z, t, idx, tol, iters, first=None):
     """Newton at fixed t on every row of z (updated in place), stopping each
     row as soon as its residual is at most tol (a scalar or one per row).
-    Row i belongs to path idx[i].
+    Row i belongs to path idx[i] (idx None: path i).  first is the
+    evaluation (H, dH/dz, dH/dt) at (z, t) when the caller holds one, its
+    arrays then updated in place; otherwise Newton makes it.  Each update
+    is the solve against +H subtracted, the bits of adding the solve
+    against -H.
 
-    Returns the points, the size of each row's last update, a code per row
-    (_CONVERGED; _STALLED: residual above tol after iters updates, or not
-    finite; _SINGULAR: an exactly singular Jacobian or a non-finite update,
-    the row keeps its last point)
-    and the Jacobian and dH/dt of the last evaluation at each returned point.
+    Returns
+    - the points;
+    - the size of each row's last update;
+    - a code per row: _CONVERGED; _STALLED, a residual above tol after
+      iters updates, or not finite; _SINGULAR, an exactly singular Jacobian
+      or a non-finite update, and the row keeps its last point;
+    - H, dH/dz and dH/dt of the last evaluation at each returned point.
     """
     m, n = z.shape
     update = np.zeros(m)
-    code = np.full(m, _STALLED)
+    code = np.zeros(m, dtype=int)      # _STALLED
     if not m:
-        return z, update, code, np.empty((0, n, n), complex), np.empty((0, n), complex)
-    value, jac, dt = h.eval_batch(z, t, idx)
+        return (z, update, code, np.empty((0, n), complex), np.empty((0, n, n), complex),
+                np.empty((0, n), complex))
+    value, jac, dt = h.eval_batch(z, t, idx) if first is None else first
     rows = slice(None)      # the rows still iterating: all, until one stops
     for it in range(iters + 1):
-        res = _norms(value)
+        res = _norms(value[rows])
         done = res <= (tol[rows] if isinstance(tol, np.ndarray) else tol)
-        if _all(done):      # after an RK4 step, usually at once
+        count = np.count_nonzero(done)
+        if count == done.size:      # after an RK4 step, usually at once
             code[rows] = _CONVERGED
             break
-        go = ~done & np.isfinite(res)
-        if _any(done):
+        if count:
             code[_pick(rows, done)] = _CONVERGED
-        if it == iters or not _any(go):
+        go = ~done & np.isfinite(res)
+        count = np.count_nonzero(go)
+        if it == iters or not count:
             break
-        if not _all(go):
-            rows, value = _pick(rows, go), value[go]
-        delta, ok = _solve_rows(jac[rows], -value)
+        if count < go.size:
+            rows = _pick(rows, go)
+        delta, ok = _solve_rows(jac[rows], value[rows])
         if not _all(ok):
             code[_pick(rows, ~ok)] = _SINGULAR
             rows, delta = _pick(rows, ok), delta[ok]
             if not rows.size:
                 break
-        z[rows] += delta
+        z[rows] -= delta
         update[rows] = _norms(delta)
-        value, jac[rows], dt[rows] = h.eval_batch(z[rows], t[rows], idx[rows])
-    return z, update, code, jac, dt
+        value[rows], jac[rows], dt[rows] = h.eval_batch(z[rows], t[rows], _paths_of(idx, rows))
+    return z, update, code, value, jac, dt
 
 
 def _pick(rows, mask):
@@ -406,22 +436,21 @@ def _cycle_numbers(samples):
     Consecutive samples halve t, so differences of a cycle-c path shrink by
     2^(-1/c); the inverse map of the median of the last three usable decay
     ratios (the larger of two) recovers c.  Converged (tiny) differences
-    mean a regular endpoint, cycle 1.
+    mean a regular endpoint, cycle 1: with no usable ratio the median is
+    inf, which maps to 1.
     """
     m = samples.shape[0]
     if samples.shape[1] < 3:
         return np.ones(m, dtype=int)
     diffs = np.maximum.reduce(np.abs(samples[:, 1:] - samples[:, :-1]), axis=2)
     a, b = diffs[:, :-1], diffs[:, 1:]
-    r = b / a
-    usable = (a > FINAL_TOL) & (b > FINAL_TOL) & (r > 0.0) & (r < 0.95)
+    r = b / a           # positive where both differences are above FINAL_TOL
+    usable = (a > FINAL_TOL) & (b > FINAL_TOL) & (r < 0.95)
     usable &= usable[:, ::-1].cumsum(axis=1)[:, ::-1] <= 3
-    count = usable.sum(axis=1)
     tail = np.where(usable, r, np.inf)
     tail.sort(axis=1)
-    mid = tail[np.arange(m), count // 2]
-    c = np.minimum(np.maximum(np.rint(np.log(2.0) / -np.log(mid)), 1), 8)
-    return np.where(count > 0, c, 1).astype(int)
+    mid = tail[np.arange(m), np.add.reduce(usable, axis=1) // 2]
+    return np.minimum(np.maximum(np.rint(_LOG_2 / -np.log(mid)), 1), 8).astype(int)
 
 
 def _extrapolate(samples, cycles):
@@ -443,28 +472,34 @@ class _Paths:
 
     Per row: point z, time t, step size, consecutive successes, steps taken
     (limit: where the phase's step budget runs out, each phase has its own),
-    the Jacobian and dH/dt of the last evaluation at (z, t), so the next
-    RK4 step needs no new one, and in the endgame the samples, the
-    growth count of their differences, the last extrapolant, cycle number
-    and Newton update.  A path that finishes or fails leaves the stack;
-    its outcome goes to the per-path arrays at its index idx.
+    the kept evaluation, H, dH/dz and dH/dt at the row's (z, t), and in the
+    endgame the samples, the growth count of their differences, the last
+    extrapolant, cycle number and Newton update.  A path that finishes or
+    fails leaves the stack; its outcome goes to the per-path arrays at its
+    index idx.  Every step and correction moves z and t with an
+    evaluation there, so the kept one always belongs to the row's present
+    (z, t): the next RK4 step, a correction at the row's own t and the
+    limit polish of a row that reached t = 0 start from it.
     """
 
-    _ROWS = ("idx", "z", "t", "step", "succ", "steps", "limit", "jac", "dt",
+    _ROWS = ("idx", "z", "t", "step", "succ", "steps", "limit", "value", "jac", "dt",
              "samples", "grew", "extrap", "cycle", "newton")
 
-    def __init__(self, h: Homotopy, z, t):
+    def __init__(self, h: Homotopy, z, t, first=None):
+        """Paths at the points z, all at time t; first is the evaluation
+        (H, dH/dz, dH/dt) at (z, t), made here when not given."""
         m, n = z.shape
         self.h = h
         self.idx = np.arange(m)
+        self.paths = None       # idx as evaluations take it: None while row i is path i
         self.z = z
         self.t = np.full(m, float(t))
         self.step = np.full(m, INITIAL_STEP)
         self.succ = np.zeros(m, dtype=int)
         self.steps = np.zeros(m, dtype=int)
         self.limit = np.full(m, MAX_STEPS)
-        self.jac = np.full((m, n, n), np.nan, dtype=complex)
-        self.dt = np.full((m, n), np.nan, dtype=complex)
+        self.budget = MAX_STEPS     # at most min(limit - steps): steps that are safe to take
+        self.value, self.jac, self.dt = h.eval_batch(z, self.t) if first is None else first
         self.samples = np.empty((m, 0, n), dtype=complex)
         self.grew = np.zeros(m, dtype=int)
         self.extrap = z
@@ -493,12 +528,14 @@ class _Paths:
         keep = (~mask).nonzero()[0]
         for name in self._ROWS:
             setattr(self, name, getattr(self, name).take(keep, axis=0))
+        self.paths = self.idx
 
     def _join(self, parts):
         """Put rows returned by _split back on the stack."""
         for name in self._ROWS:
             setattr(self, name, np.concatenate([getattr(self, name)]
                                                + [p[name] for p in parts]))
+        self.paths = self.idx
 
     def _leave(self, mask, status=None, reason=None):
         """Record the rows in mask as finished (status None) or failed, and drop them."""
@@ -517,20 +554,21 @@ class _Paths:
         self._drop(mask)
 
     def _first_tangent(self):
-        """The first RK4 tangent, from the evaluation kept at (z, t)."""
-        return _solve_rows(self.jac, -self.dt)[0]
+        """The first RK4 tangent, as _tangent gives it, from the kept evaluation."""
+        return _solve_rows(self.jac, self.dt)[0]
 
     def _predict(self, s):
-        """One RK4 step of signed size s[i] in t for every row."""
+        """One RK4 step of signed size s[i] in t for every row; each tangent
+        is -dz/dt (_tangent), so the step subtracts it."""
         z, t, h = self.z, self.t, self.h
         k1 = self._first_tangent()
-        sc = s[:, None]
-        half, t_half = 0.5 * sc, t + 0.5 * s
-        idx = self.idx
-        k2 = _tangent(h, z + half * k1, t_half, idx)
-        k3 = _tangent(h, z + half * k2, t_half, idx)
-        k4 = _tangent(h, z + sc * k3, t + s, idx)
-        return z + (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sc, hs = s[:, None], 0.5 * s
+        half, t_half = hs[:, None], t + hs
+        paths = self.paths
+        k2 = _tangent(h, z - half * k1, t_half, paths)
+        k3 = _tangent(h, z - half * k2, t_half, paths)
+        k4 = _tangent(h, z - sc * k3, t + s, paths)
+        return z - (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def advance(self, t_to, collapse):
         """Adaptive steps of every row from its t down to t_to.
@@ -543,37 +581,35 @@ class _Paths:
         """
         arrived = []
         while self.idx.size:
-            spent = self.steps >= self.limit
-            if _any(spent):
-                self._leave(spent, PathStatus.MAX_STEPS, STEP_BUDGET)
-                continue
+            if not self.budget:     # a row may be at its limit: rows leaving only raise it
+                left = self.limit - self.steps
+                spent = left <= 0
+                if _any(spent):
+                    self._leave(spent, PathStatus.MAX_STEPS, STEP_BUDGET)
+                    continue
+                self.budget = int(left.min())
+            self.budget -= 1
             self.steps += 1
             s = np.minimum(self.step, self.t - t_to)
             t1 = self.t - s
-            zp = self._predict(-s)
-            finite = np.isfinite(zp)
-            live = slice(None) if _all(finite) else finite.all(axis=1)
-            zc, _, code, jac, dt = _newton(self.h, zp[live], t1[live], self.idx[live],
-                                           CORRECTOR_TOL, NEWTON_ITERATIONS)
-            ok = conv = code == _CONVERGED
-            if isinstance(live, np.ndarray):    # a non-finite prediction fails its row
-                live[live] = conv
-                ok = live
+            # a non-finite prediction stalls its row's corrector at once
+            zc, _, code, value, jac, dt = _newton(self.h, self._predict(-s), t1, self.paths,
+                                                  CORRECTOR_TOL, NEWTON_ITERATIONS)
+            ok = code == _CONVERGED
             if _all(ok):
-                self.z, self.t, self.jac, self.dt = zc, t1, jac, dt
+                self.z, self.t, self.value, self.jac, self.dt = zc, t1, value, jac, dt
                 self.succ += 1
                 gone = _norms(self.z) > INFINITY_THRESHOLD
             else:
-                self.z[ok], self.t[ok] = zc[conv], t1[ok]
-                self.jac[ok], self.dt[ok] = jac[conv], dt[conv]
+                self.z[ok], self.t[ok] = zc[ok], t1[ok]
+                self.value[ok], self.jac[ok], self.dt[ok] = value[ok], jac[ok], dt[ok]
                 self.succ[ok] += 1
                 self.succ[~ok] = 0
                 self.step[~ok] *= STEP_SHRINK
                 gone = ok & (_norms(self.z) > INFINITY_THRESHOLD)
                 gone |= ~ok & (self.step < MIN_STEP)
             grow = self.succ >= GROWTH_SUCCESSES
-            if _any(grow):
-                grow &= ok
+            if _any(grow):      # a rejected row has succ 0: every growing row succeeded
                 self.step[grow] = np.minimum(self.step[grow] * STEP_GROWTH, MAX_STEP)
                 self.succ[grow] = 0
             if _any(gone):
@@ -589,17 +625,30 @@ class _Paths:
         if arrived:
             self._join(arrived)
 
-    def _correct(self, tol, iters):
-        """Newton on every row at its t; rows take the result and the code of
-        a singular Jacobian fails the path in the endgame."""
-        self.z, self.newton, code, self.jac, self.dt = _newton(
-            self.h, self.z, self.t, self.idx, tol, iters)
+    def _evaluated(self, t):
+        """The kept evaluation, made afresh at time t for the rows whose own
+        t differs from it; those rows must then take t or leave."""
+        rows = (self.t != t).nonzero()[0]
+        if rows.size:
+            self.value[rows], self.jac[rows], self.dt[rows] = self.h.eval_batch(
+                self.z[rows], np.full(rows.size, t), _paths_of(self.paths, rows))
+        return self.value, self.jac, self.dt
+
+    def _correct(self, t, tol, iters):
+        """Newton on every row at time t, from the kept evaluation; rows take
+        t and the result, and the code of a singular Jacobian fails the
+        path in the endgame."""
+        first = self._evaluated(t)
+        self.t[:] = t
+        self.z, self.newton, code, self.value, self.jac, self.dt = _newton(
+            self.h, self.z, self.t, self.paths, tol, iters, first)
         return code
 
-    def _polish(self):
-        """Newton beyond the tracking tolerance, so extrapolation sees tracking
-        noise well below FINAL_TOL.  A singular Jacobian fails the path."""
-        code = self._correct(1e-13 * (1.0 + _norms(self.z)), 6)
+    def _polish(self, t):
+        """Newton at time t beyond the tracking tolerance, so extrapolation
+        sees tracking noise well below FINAL_TOL.  A singular Jacobian fails
+        the path."""
+        code = self._correct(t, 1e-13 * (1.0 + _norms(self.z)), 6)
         self._leave(code == _SINGULAR, PathStatus.STEP_FAILURE, ENDGAME_SINGULAR)
 
     def endgame(self):
@@ -616,15 +665,14 @@ class _Paths:
         extrapolant.  Then each limit is polished against H(. , 0) when
         Newton stays consistent with the extrapolation.
         """
-        self.t[:] = ENDGAME_START
         self.step[:] = min(INITIAL_STEP, ENDGAME_START / 2.0)
         self.succ[:] = 0
-        self.limit = self.steps + MAX_STEPS
-        code = self._correct(CORRECTOR_TOL, NEWTON_ITERATIONS + 3)
+        self.limit, self.budget = self.steps + MAX_STEPS, MAX_STEPS
+        code = self._correct(ENDGAME_START, CORRECTOR_TOL, NEWTON_ITERATIONS + 3)
         self._leave(code == _SINGULAR, PathStatus.STEP_FAILURE, ENDGAME_SINGULAR)
         self._leave((code == _STALLED)[code != _SINGULAR], PathStatus.STEP_FAILURE,
                     BOUNDARY_FAILED)
-        self._polish()
+        self._polish(ENDGAME_START)
         self.samples = self.z[:, None, :].copy()
         self.extrap = self.samples[:, 0]
         for k in range(1, ENDGAME_MAX_HALVINGS + 1):
@@ -632,8 +680,7 @@ class _Paths:
                 break
             t_next = ENDGAME_START * 0.5 ** k
             self.advance(t_next, ENDGAME_COLLAPSE)
-            self.t[:] = t_next
-            self._polish()
+            self._polish(t_next)
             self._leave(_norms(self.z) > INFINITY_THRESHOLD,
                         PathStatus.AT_INFINITY, BEYOND_INFINITY)
             self.samples = np.concatenate([self.samples, self.z[:, None, :]], axis=1)
@@ -656,41 +703,47 @@ class _Paths:
 
     def straight_to_zero(self):
         """Advance every row to t = 0 with no endgame; each row's point
-        there is its limit."""
+        there is its limit, and the kept evaluation there starts its polish."""
         self.advance(0.0, MAIN_COLLAPSE)
         self.extrap = self.z
-        self.finish()
+        value, jac, _ = self._evaluated(0.0)
+        # the finished paths in index order, as _polish_limits takes them
+        order = slice(None) if self.paths is None else self.idx.argsort()
+        self.finish((value[order], jac[order]))
 
-    def finish(self):
+    def finish(self, first=None):
         """Record every row still on the stack as finished at its extrapolant
-        and polish the limits."""
+        and polish the limits (from first, as _polish_limits takes it)."""
         self._leave(np.ones(self.idx.size, dtype=bool))
-        self._polish_limits()
+        self._polish_limits(first)
 
-    def _polish_limits(self):
+    def _polish_limits(self, first=None):
         """Guarded Newton at t = 0 on every finished path's limit: keep the
         polished point only if it stays near the extrapolant and lowers the
         residual; a Jacobian lin_solve calls singular (kappa_inf >= 1e14 too)
-        keeps the extrapolant.  Sets every finished path's function residual."""
+        keeps the extrapolant.  Sets every finished path's function residual.
+        first is H and dH/dz at every finished path's limit at t = 0, in
+        path order, when the caller holds them."""
         done = np.array([i for i, s in enumerate(self.status) if s is None], dtype=int)
         if not done.size:
             return
+        paths = None if done.size == len(self.status) else done
         ends = self.out_z[done]
         zero = np.zeros(done.size)
-        value, jac, _ = self.h.eval_batch(ends, zero, done)
+        value, jac = self.h.eval_batch(ends, zero, paths)[:2] if first is None else first
         res0 = _norms(value)
         zp = ends.copy()
         rows = np.arange(done.size)
         for it in range(3):
             if it:
-                value, jac, _ = self.h.eval_batch(zp[rows], zero[rows], done[rows])
-            delta, _, ok = conditioned_solve_stack(jac, -value[:, :, None])
+                value, jac, _ = self.h.eval_batch(zp[rows], zero[rows], _paths_of(paths, rows))
+            delta, _, ok = conditioned_solve_stack(jac, value[:, :, None])
             rows, delta = rows[ok], delta[ok, :, 0]
             if not rows.size:
                 break
-            zp[rows] += delta
+            zp[rows] -= delta
         if rows.size:
-            res_p = _norms(self.h.eval_batch(zp[rows], zero[rows], done[rows])[0])
+            res_p = _norms(self.h.eval_batch(zp[rows], zero[rows], _paths_of(paths, rows))[0])
             moved = _norms(zp[rows] - ends[rows])
             keep = (res_p < res0[rows]) & (moved <= 1e-4 * (1.0 + _norms(ends[rows])))
             rows = rows[keep]
@@ -756,8 +809,7 @@ def track_paths(h: Homotopy, starts, *, endgame: bool = True) -> list[PathResult
             raise StartPointInvalid(
                 f"start point {i}: residual {start_res[i]:.3e} too large for a "
                 "start-system solution")
-        paths = _Paths(h, z, 1.0)
-        paths.jac, paths.dt = jac, dt
+        paths = _Paths(h, z, 1.0, (value, jac, dt))
         if endgame:
             paths.advance(ENDGAME_START, MAIN_COLLAPSE)
             paths.endgame()

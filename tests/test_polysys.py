@@ -162,6 +162,29 @@ def test_specialize_equals_the_term_by_term_loop(text):
             assert coeffs[k, rows == i][live].tobytes() == q.coeffs.tobytes()
 
 
+def _assert_as_the_constructor_builds(family, values):
+    """specialize's polynomials equal Polynomial() of the same merged terms."""
+    exps, coeffs, rows = family.specialized_terms(np.asarray(values, dtype=complex)[None])
+    polys = family.specialize(values).polys
+    for i, p in enumerate(polys):
+        q = Polynomial(exps[rows == i], coeffs[0, rows == i], width=family.num_vars)
+        assert p.exps.shape == q.exps.shape and np.array_equal(p.exps, q.exps)
+        assert p.coeffs.tobytes() == q.coeffs.tobytes()
+    return polys
+
+
+def test_specialize_builds_its_polynomials_as_the_constructor_would(family):
+    rng = Rng(8)
+    for values in [rng.unit_complex(3) * rng.uniform(0.1, 10.0, size=3) for _ in range(6)] \
+            + [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]:
+        _assert_as_the_constructor_builds(family, values)
+    # the x^2 terms cancel at (1, 1, -2), and so do the x terms of f2
+    merging = parse_input_file("vars x, y; params a, b, c; "
+                               "f1 = a*x^2 + b*x^2 + c*x^2 + y^2 - 1; f2 = y - a*x + b*x;").system
+    f1, f2 = _assert_as_the_constructor_builds(merging, [1.0, 1.0, -2.0])
+    assert f1.exps.tolist() == [[0, 2], [0, 0]] and f2.exps.tolist() == [[0, 1]]
+
+
 def test_random_slice_shapes_and_independence():
     rng = Rng(8)
     one = random_slice(3, 1, rng)

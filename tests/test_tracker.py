@@ -578,6 +578,85 @@ def test_a_per_path_homotopy_row_has_the_bits_it_has_alone(family):
     assert [i for i in range(32) if not _same_bits(batch[i], alone[i])] == []
 
 
+@pytest.fixture(scope="module")
+def sphere_moves(sphere_line):
+    """The sphere's witness points of the seed-0 sphere-line decomposition
+    and move(rows), the per-path slice move of those rows, each to its own
+    random target slice."""
+    from polypath.witness import _fixed_rows, numerical_irreducible_decomposition
+
+    ws = numerical_irreducible_decomposition(sphere_line, seed=0).components[2][0]
+    assert ws.degree == 2
+    rng = Rng(22)
+    targets = [random_slice(3, ws.slice.codim, rng) for _ in ws.points]
+    fixed = _fixed_rows(ws.system, ws.dimension, rng, ws.patch)
+    gamma = random_unit_complex(rng)
+
+    def move(rows):
+        return slice_move_homotopy(fixed, ws.slice, [targets[i] for i in rows], gamma)
+    return np.array(ws.points), move
+
+
+class _Recording(Homotopy):
+    """h, logging every row it evaluates as (point bytes, t, path)."""
+
+    def __init__(self, h):
+        self.h, self.num_vars, self.num_paths = h, h.num_vars, h.num_paths
+        self.rows = []
+
+    def eval_batch(self, z, t, idx=None):
+        paths = range(len(z)) if idx is None else idx.tolist()
+        self.rows += [(p.tobytes(), float(s), i) for p, s, i in zip(z, t, paths)]
+        return self.h.eval_batch(z, t, idx)
+
+
+def _repeats(rows):
+    """The (point, t) pairs evaluated more than once, apart from those in a
+    step too short to move a point: a step of about 1e-16, the last of a
+    phase whose t landed a few ulps above the phase's end, evaluates one
+    point at its midpoint twice (RK4 stages 2 and 3) and one at its end
+    twice (stage 4 and the corrector).  Such a repeat is excused only when
+    its path was evaluated at another t within 1e-15 of it."""
+    count, times = {}, {}
+    for point, t, path in rows:
+        count[point, t] = count.get((point, t), 0) + 1
+        times.setdefault(path, set()).add(t)
+    paths = {(point, t): path for point, t, path in rows}
+    return [(point, t) for (point, t), n in count.items() if n > 1
+            and not any(0 < abs(u - t) <= 1e-15 for u in times[paths[point, t]])]
+
+
+def test_no_point_is_evaluated_twice_at_one_t(katsura4, sphere_moves):
+    # generic starts: no Newton update rounds to zero, so every evaluation
+    # is at a new (z, t) unless the tracker evaluates one it holds again
+    start = total_degree_start(katsura4)
+    points, move = sphere_moves
+    cases = [
+        (straight_line_homotopy(katsura4, start.start_system, random_unit_complex(Rng(3))),
+         start.start_points, True),
+        (move(range(len(points))), points, False),
+    ]
+    for h, starts, endgame in cases:
+        recording = _Recording(h)
+        results = track_paths(recording, starts, endgame=endgame)
+        assert all(r.status is PathStatus.SUCCESS for r in results)
+        assert _repeats(recording.rows) == []
+
+
+def test_a_path_tracked_without_the_endgame_has_the_bits_it_has_alone(katsura4, sphere_moves):
+    start = total_degree_start(katsura4)
+    h = straight_line_homotopy(katsura4, start.start_system, random_unit_complex(Rng(3)))
+    starts = np.array(start.start_points)
+    batch = track_paths(h, starts, endgame=False)
+    assert [i for i, res in enumerate(batch)
+            if not _same_bits(res, track_paths(h, starts[i:i + 1], endgame=False)[0])] == []
+    # a per-path move: row i alone is the one-path move to its own target
+    points, move = sphere_moves
+    batch = track_paths(move(range(len(points))), points, endgame=False)
+    assert [i for i, res in enumerate(batch)
+            if not _same_bits(res, track_paths(move([i]), points[i:i + 1], endgame=False)[0])] == []
+
+
 def test_endgame_free_paths_reach_the_same_regular_roots_at_t_zero(katsura4):
     start = total_degree_start(katsura4)
     h = straight_line_homotopy(katsura4, start.start_system, random_unit_complex(Rng(3)))

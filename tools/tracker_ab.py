@@ -26,12 +26,17 @@ from perfbench/systems.py:
 The sides alternate for PAIRS timed pairs per input, the order flipping
 every pair.  For each input the
 tool prints the median time per call of each side, the median of the
-per-pair ratios new/old, the kernel evaluations (MonomialKernel calls) and
+per-pair ratios new/old, the kernel evaluations (MonomialKernel calls),
 LAPACK solves (calls of numpy's gesv gufunc, whichever function makes them)
-per call on each side, counted in one extra untimed run, and whether both
-sides returned the same result bit for bit: the tracker's results, or the
-exit code, stdout and --out file of a CLI call.  A change that keeps every
-floating-point operation must show equal counts and the same results.
+and function calls per call on each side, counted in one extra untimed run,
+and whether both sides returned the same result bit for bit: the tracker's
+results, or the exit code, stdout and --out file of a CLI call.  A change
+that keeps every floating-point operation must show equal solves and the
+same results.  The function calls are cProfile's total_calls: calls of
+Python functions and of C builtins such as ndarray methods and ufunc
+methods (reduce, at).  Ufunc calls (np.abs) and array operators (a + b,
+a[i]) are not counted.  Unlike the times, the count does not drift with the
+host's speed, so it shows the bookkeeping a change removes.
 BLAS runs on one thread, as in golden_cli.py.
 """
 
@@ -43,10 +48,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import cProfile
 import dataclasses
 import importlib
 import importlib.util
 import io
+import pstats
 import statistics
 import sys
 import tempfile
@@ -167,7 +174,7 @@ def _inputs(pp, work: Path):
 
 
 def _counts(pp, run):
-    """(kernel evaluations, LAPACK solves) made by one run()."""
+    """(kernel evaluations, LAPACK solves, function calls) made by one run()."""
     kernel = pp.polysys.MonomialKernel
     count = {"kernel": 0, "solve": 0}
     saved = kernel.__call__, _umath_linalg.solve
@@ -180,11 +187,16 @@ def _counts(pp, run):
 
     kernel.__call__ = counted("kernel", saved[0])
     _umath_linalg.solve = counted("solve", saved[1])
+    profile = cProfile.Profile()
     try:
+        profile.enable()
         run()
     finally:
+        profile.disable()
         kernel.__call__, _umath_linalg.solve = saved
-    return count["kernel"], count["solve"]
+    # without the counting wrappers and the profiler's own disable()
+    calls = pstats.Stats(profile).total_calls - count["kernel"] - count["solve"] - 1
+    return count["kernel"], count["solve"], calls
 
 
 def _timed(run) -> float:
@@ -209,7 +221,7 @@ def main(argv=None) -> int:
 
 def _compare(packages, works):
     print(f"{'input':12s} {'old ms':>9s} {'new ms':>9s} {'ratio':>7s} "
-          f"{'kernel old/new':>15s} {'solves old/new':>15s}  same")
+          f"{'kernel old/new':>15s} {'solves old/new':>15s} {'calls old/new':>17s}  same")
     for (name, calls, run_old, digest), (_, _, run_new, _) in zip(*map(_inputs, packages,
                                                                         works)):
         same = digest(run_old()) == digest(run_new())      # also a warm-up
@@ -220,11 +232,11 @@ def _compare(packages, works):
             for run, times in (sides[::-1] if i % 2 else sides):
                 times.append(_timed(run))
         ratio = statistics.median(b / a for a, b in zip(old, new))
-        (ko, so), (kn, sn) = counts
+        (ko, so, fo), (kn, sn, fn) = counts
         print(f"{name:12s} {statistics.median(old) / calls * 1e3:9.3f} "
               f"{statistics.median(new) / calls * 1e3:9.3f} {ratio:7.3f} "
               f"{f'{ko / calls:g}/{kn / calls:g}':>15s} {f'{so / calls:g}/{sn / calls:g}':>15s}"
-              f"  {'yes' if same else 'NO'}")
+              f" {f'{fo / calls:g}/{fn / calls:g}':>17s}  {'yes' if same else 'NO'}")
 
 
 if __name__ == "__main__":
