@@ -14,14 +14,20 @@ no component of n equations has a lower dimension.
 Moves of witness points to many target slices (membership, sampling, the
 two translations of a trace test, each leg of a batch of monodromy loops)
 are one batch of paths with one draw of the fixed rows and gamma: a move
-that fails fails only its own target.  _retried_moves redraws the failed
-membership and sample targets, and both trace-test translations when one
-fails, at most _RETRIES times; then membership_test, sample and the trace
-test raise PathFailure, and junk removal keeps the point.  A superset keeps
-its cleanest of _RETRIES draws, one point per cluster; monodromy counts
-_RETRIES + 1 failed loop draws in a row as a loop without a merge.  Junk
-removal tests every remaining point of every lower dimension against a
-newly confirmed witness set as one membership batch.
+that fails fails only its own target.  Every stage that redraws has one
+budget: at most _RETRIES (3) redraws, _RETRIES + 1 draws in all.
+_retried_moves redraws the failed membership and sample targets, and both
+trace-test translations when one fails; then membership_test, sample and
+the trace test raise PathFailure, and junk removal keeps the point.  A
+superset keeps its cleanest draw, one point per cluster; monodromy counts
+a loop whose every draw failed as a loop without a merge.  Junk removal
+tests every remaining point of every lower dimension against a newly
+confirmed witness set as one membership batch.
+
+Two points are the same point when they are within DEDUPE_TOL of each
+other in the infinity norm (zerodim._close): superset clusters and path
+jumps, collisions of moved points, monodromy matches and membership hits
+all use that one test.
 
 A move to a randomly drawn slice (a sample draw, a monodromy loop leg, a
 trace-test translation) ends at nonsingular points with probability one,
@@ -51,7 +57,7 @@ from .tracker import (
     straight_line_homotopy,
     track_paths,
 )
-from .zerodim import _clusters, total_degree_start
+from .zerodim import _close, _clusters, total_degree_start
 
 _MATCH_TOL = 1e-6
 _RESIDUAL_GATE = 1e-8
@@ -104,12 +110,6 @@ class NumericalVariety:
                 yield ws
 
 
-@dataclass(frozen=True)
-class SupersetResult:
-    points: list
-    slice: LinearSlice
-
-
 def _fixed_rows(system: PolySystem, dim: int, rng: Rng, patch) -> PolySystem:
     """The non-slice rows of the square sliced system at dimension dim: generic
     unit-modulus combinations of the system's polynomials, and the chart row."""
@@ -135,6 +135,8 @@ def _on_variety(system, points, patch=None):
 
 
 def _superset_once(system, dim, rng, patch):
+    """One draw of the dimension-dim superset: the WitnessSet of the
+    endpoints on the variety, every one, and the count of failed paths."""
     nv = system.num_vars
     slice_ = random_slice(nv, dim, rng) if dim > 0 else empty_slice(nv)
     fixed = _fixed_rows(system, dim, rng, patch)
@@ -144,28 +146,23 @@ def _superset_once(system, dim, rng, patch):
     start = total_degree_start(square)
     homotopy = straight_line_homotopy(square, start.start_system, gamma)
     results = track_paths(homotopy, start.start_points)
-    landed = [res for res in results if res.status is PathStatus.SUCCESS]
-    on = _on_variety(system, np.array([res.endpoint for res in landed]), patch) if landed else ()
-
-    def shared(q, ends):
-        return sum(vec_inf_norm(q - e.endpoint) <= _MATCH_TOL for e in ends) > 1
-
-    regular = [res for res in landed if res.cycle_number == 1]
-    points = []
     failures = sum(res.status not in (PathStatus.SUCCESS, PathStatus.AT_INFINITY)
                    for res in results)
-    for res, ok in zip(landed, on):
-        q = res.endpoint
+    landed = [res for res in results if res.status is PathStatus.SUCCESS]
+    points = []
+    if landed:
+        ends = np.array([res.endpoint for res in landed])
+        on = _on_variety(system, ends, patch)
+        close = _close(ends, ends)
+        regular = np.array([res.cycle_number == 1 for res in landed])
         # two paths at one regular root means a path jumped, and the point
         # it should have reached may be lost; a root off the variety is
         # dropped, and a singular one (cycle >= 2) may end several paths
-        if ok:
-            points.append(q)
-            if res.cycle_number == 1 and shared(q, regular):
-                failures += 1
-        elif shared(q, landed):
-            failures += 1
-    return SupersetResult(points=points, slice=slice_), failures
+        jumped = np.where(on, regular & ((close & regular).sum(axis=1) > 1),
+                          close.sum(axis=1) > 1)
+        failures += int(jumped.sum())
+        points = [res.endpoint for res, ok in zip(landed, on) if ok]
+    return WitnessSet(system, slice_, points, dim, patch=patch), failures
 
 
 def _dimension_range(system, patch):
@@ -184,7 +181,7 @@ def _superset(system, dim, rng, patch):
     # sent it on a wild excursion), so redraw everything a few times and keep
     # the cleanest attempt
     attempts = []
-    for _ in range(_RETRIES):
+    for _ in range(_RETRIES + 1):
         result, failures = _superset_once(system, dim, rng, patch)
         attempts.append((failures, -len(result.points), result))
         if failures == 0:
@@ -196,14 +193,16 @@ def _superset(system, dim, rng, patch):
     return replace(best, points=[best.points[k] for k in _clusters(best.points)[0]])
 
 
-def witness_superset(system: PolySystem, dim: int, rng: Rng) -> SupersetResult:
-    """Finite solutions of the randomized dimension-dim sliced system.
+def witness_superset(system: PolySystem, dim: int, rng: Rng) -> WitnessSet:
+    """The witness superset of dimension dim of the affine system: a
+    WitnessSet of the finite solutions of the randomized dimension-dim
+    sliced system, on its random slice, drawn from rng.
 
-    The result contains the true dimension-dim witness points, possibly
-    plus junk points sitting on higher-dimensional components (singular
-    path endpoints included), one point per cluster of path endpoints
+    Its points are the true dimension-dim witness points, possibly plus junk
+    points sitting on higher-dimensional components (singular path
+    endpoints included), one point per cluster of path endpoints
     (zerodim._clusters).  Points failing the original system's residual are
-    already discarded.
+    already discarded.  Its component_index is -1: it is not a component.
     """
     if system.parameters:
         raise DimensionMismatch("witness computations need a parameter-free system")
@@ -307,17 +306,13 @@ def move_slice(ws: WitnessSet, target_slice: LinearSlice, rng: Rng | None = None
     return replace(ws, slice=target_slice, points=moved)
 
 
-def _near(point, points) -> bool:
-    return any(vec_inf_norm(point - q) <= _MATCH_TOL for q in points)
-
-
 def _members(ws: WitnessSet, points, rng: Rng) -> list:
     """For each point, whether it lies on the component of ws: the slice is
     moved through every point at once and the moved witness points are
     searched for a hit.  None marks a point whose move kept failing."""
-    points = [np.asarray(p, dtype=complex) for p in points]
+    points = np.array(points, dtype=complex)
     if ws.dimension == 0:
-        return [_near(p, ws.points) for p in points]
+        return _close(points, np.array(ws.points)).any(axis=1).tolist()
     shape = (ws.slice.codim, ws.system.num_vars)
 
     def through(i):
@@ -325,48 +320,41 @@ def _members(ws: WitnessSet, points, rng: Rng) -> list:
         return [LinearSlice(coeffs, -(coeffs @ points[i]))]
 
     moved = _retried_moves(ws, through, len(points), rng)
-    return [None if isinstance(m, PathFailure) else _near(p, m[0])
+    return [None if isinstance(m, PathFailure) else bool(_close(p[None], np.array(m[0])).any())
             for p, m in zip(points, moved)]
 
 
-def junk_removal(supersets: dict, system: PolySystem, rng: Rng, *, patch=None) -> dict:
+def junk_removal(supersets: dict, rng: Rng) -> dict:
     """Discard superset points lying on higher-dimensional components.
 
-    supersets maps dimension -> SupersetResult, computed top dimension
-    downward.  Returns dimension -> surviving points.  The survivors of a
-    dimension form a confirmed witness set, which tests the remaining
-    points of every lower dimension at once; a point whose test keeps
-    failing is kept.
+    supersets maps dimension -> its witness superset (witness_superset),
+    computed top dimension downward.  Returns dimension -> that superset
+    with only its surviving points, in their order.  The survivors of a
+    dimension form a confirmed witness set, which tests the remaining points
+    of every lower dimension at once; a point whose test keeps failing is
+    kept.
     """
     dims = sorted(supersets, reverse=True)
-    cleaned = {dim: list(supersets[dim].points) for dim in dims}
+    cleaned = {dim: supersets[dim] for dim in dims}
     for n, dim in enumerate(dims):
-        lower = [(d, p) for d in dims[n + 1:] for p in cleaned[d]]
-        if not cleaned[dim] or not lower:
+        lower = [(d, p) for d in dims[n + 1:] for p in cleaned[d].points]
+        if not cleaned[dim].points or not lower:
             continue
-        ws = WitnessSet(system=system, slice=supersets[dim].slice, points=cleaned[dim],
-                        dimension=dim, patch=patch)
-        hits = _members(ws, [p for _, p in lower], rng)
+        hits = _members(cleaned[dim], [p for _, p in lower], rng)
         for d in dims[n + 1:]:
-            cleaned[d] = []
-        for (d, p), hit in zip(lower, hits):
-            if not hit:
-                cleaned[d].append(p)
+            cleaned[d] = replace(cleaned[d], points=[
+                p for (owner, p), hit in zip(lower, hits) if owner == d and not hit])
     return cleaned
 
 
 def _match_points(originals, moved):
-    """Greedy nearest-neighbor matching; None when ambiguous or unmatched."""
-    perm = [-1] * len(moved)
-    taken = set()
-    for j, q in enumerate(moved):
-        dists = [vec_inf_norm(q - p) for p in originals]
-        i = int(np.argmin(dists))
-        if dists[i] > _MATCH_TOL * (1.0 + vec_inf_norm(q)) or i in taken:
-            return None
-        taken.add(i)
-        perm[j] = i
-    return perm
+    """perm[j], the index of the original that moved point j is close to
+    (_close), when every moved point is close to an original and no two are
+    close to the same one; else None."""
+    close = _close(np.array(moved), np.array(originals))
+    if not close.any(axis=1).all() or (close.sum(axis=0) > 1).any():
+        return None
+    return close.argmax(axis=1).tolist()
 
 
 def _loop_batch(ws: WitnessSet, rng: Rng) -> list:
@@ -529,29 +517,20 @@ def numerical_irreducible_decomposition(
 
     supersets = {}
     for dim in range(top, bottom - 1, -1):
-        sres = _superset(system, dim, rng.fork(), patch)
-        if sres.points:
-            supersets[dim] = sres
-
-    cleaned = junk_removal(supersets, system, rng.fork(), patch=patch)
+        superset = _superset(system, dim, rng.fork(), patch)
+        if superset.points:
+            supersets[dim] = superset
 
     components: dict[int, list[WitnessSet]] = {}
-    for dim in sorted(cleaned, reverse=True):
-        points = cleaned[dim]
-        if not points:
+    for dim, ws in junk_removal(supersets, rng.fork()).items():
+        if not ws.points:
             continue
-        ws_all = WitnessSet(system=system, slice=supersets[dim].slice,
-                            points=points, dimension=dim, patch=patch)
-        blocks = monodromy_partition(ws_all, rng.fork())
-        blocks = _certified_blocks(ws_all, blocks, rng.fork())
-        blocks.sort(key=lambda b: (len(b), min(_point_sort_key(points[i]) for i in b)))
-        sets = []
-        for j, block in enumerate(blocks):
-            sets.append(WitnessSet(
-                system=system, slice=supersets[dim].slice,
-                points=[points[i] for i in sorted(block)], dimension=dim,
-                component_index=j, patch=patch))
-        components[dim] = sets
+        blocks = monodromy_partition(ws, rng.fork())
+        blocks = _certified_blocks(ws, blocks, rng.fork())
+        blocks.sort(key=lambda b: (len(b), min(_point_sort_key(ws.points[i]) for i in b)))
+        components[dim] = [replace(ws, points=[ws.points[i] for i in sorted(block)],
+                                   component_index=j)
+                           for j, block in enumerate(blocks)]
     return NumericalVariety(components=components, system=system, seed=seed, patch=patch)
 
 

@@ -113,13 +113,22 @@ def total_degree_start(system: PolySystem) -> StartData:
     return StartData(start_system=g, start_points=points)
 
 
+def _close(a, b):
+    """The (len(a), len(b)) mask of the pairs of rows of a and b (points)
+    within DEDUPE_TOL of each other in the infinity norm, strictly: the one
+    test of "the same point"."""
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2) < DEDUPE_TOL
+
+
 def _clusters(points, *, projective: bool = False):
-    """Greedy clustering: each point joins the first representative within
-    DEDUPE_TOL (infinity norm), compared with all of them at once, or becomes
-    a representative itself.  Projective ones are compared after dividing
-    both by their coordinate at the representative's largest modulus, and a
-    point whose coordinate there is at most DEDUPE_TOL times its largest
-    never matches.  Returns the representatives' indices and cluster sizes."""
+    """Greedy clustering of a sequence of points (arrays of length N): each
+    point joins the first representative it is close to (_close), compared
+    with all of them at once, or becomes a representative itself.
+    Projective ones are compared after dividing both by their coordinate at
+    the representative's largest modulus, and a point whose coordinate there
+    is at most DEDUPE_TOL times its largest never matches.  Returns the
+    representatives' indices into points and the cluster sizes, in the
+    order of the representatives."""
     reps: list[int] = []
     sizes: list[int] = []
     pts = np.array(points, dtype=complex)
@@ -134,7 +143,7 @@ def _clusters(points, *, projective: bool = False):
                 near = np.abs(unit[reps] - q / qi[:, None]).max(axis=1) < DEDUPE_TOL
                 near &= np.abs(qi) > floor[k]
             else:
-                near = np.abs(pts[reps] - q).max(axis=1) < DEDUPE_TOL
+                near = _close(pts[reps], pts[k:k + 1])[:, 0]
             if near.any():
                 sizes[int(np.argmax(near))] += 1
             else:
@@ -172,8 +181,9 @@ def dedupe(results: list[PathResult], *, projective: bool = False) -> list[Solut
 
     Endpoints within DEDUPE_TOL join the first cluster they match (see
     _clusters), so the operation is idempotent.  Multiplicity records the
-    cluster size.  The condition number is left NaN for the caller to fill
-    in; zero_dim_solve and parameter_homotopy set it from the root.
+    cluster size.  The function residual is the tracker's and the condition
+    number is left NaN; zero_dim_solve and parameter_homotopy diagnose their
+    roots with _solution_sets instead.
     """
     return [_solution(i, res, count, res.function_residual, math.nan, projective)
             for i, (res, count) in enumerate(zip(*_clustered(results, projective=projective)))]
@@ -210,18 +220,21 @@ def _conditions(table, z, degrees, *, projective: bool = False):
     return np.where(ok, np.maximum(kappa, 1.0), math.inf)
 
 
-def _diagnosed(sols, solved: PolySystem, system: PolySystem, *, projective: bool = False):
-    """The solutions with their residual in solved, from one kernel call on
-    the stack of roots, and their chart-free condition number as roots of
-    system (see _conditions), from another."""
-    if not sols:
-        return []
-    z = np.array([sp.coordinate_array() for sp in sols])
-    kappas = _conditions(system.kernel(z), z, np.array(system.degrees()),
-                         projective=projective)
-    residuals = np.abs(solved.kernel(z)[:, :, 0]).max(axis=1)
-    return [replace(sp, function_residual=float(res), condition_number=float(kappa))
-            for sp, res, kappa in zip(sols, residuals, kappas)]
+def _solution_sets(clustered, z, table, degrees, residuals=None, *,
+                   projective: bool = False) -> list[list[SolutionPoint]]:
+    """The SolutionPoints of every set of clustered results, numbered within
+    each set.  clustered holds one (results, sizes) pair of _clustered per
+    set, and z (m, N) the stack of all their endpoints, set after set.  A
+    root's condition number comes from table, the kernel table of its system
+    at z, and degrees (see _conditions); its function_residual is its
+    largest |f_i| in table, or in residuals, the table of another system at
+    z."""
+    values = (table if residuals is None else residuals)[:, :, 0]
+    diagnostics = zip(np.abs(values).max(axis=1).tolist(),
+                      _conditions(table, z, degrees, projective=projective).tolist())
+    return [[_solution(i, res, count, *next(diagnostics), projective)
+             for i, (res, count) in enumerate(zip(ends, sizes))]
+            for ends, sizes in clustered]
 
 
 def zero_dim_solve(system: PolySystem, *, projective: bool = False,
@@ -255,8 +268,14 @@ def zero_dim_solve(system: PolySystem, *, projective: bool = False,
     gamma = random_unit_complex(rng)
     start = total_degree_start(solved)
     homotopy = straight_line_homotopy(solved, start.start_system, gamma)
-    sols = dedupe(track_paths(homotopy, start.start_points), projective=projective)
-    return _diagnosed(sols, solved, system, projective=projective)
+    ends, sizes = _clustered(track_paths(homotopy, start.start_points), projective=projective)
+    if not ends:
+        return []
+    # the condition numbers are those of roots of system, without the chart;
+    # a projective root's residual is the patched system's
+    z = np.array([res.endpoint for res in ends])
+    return _solution_sets([(ends, sizes)], z, system.kernel(z), np.array(system.degrees()),
+                          solved.kernel(z) if projective else None, projective=projective)[0]
 
 
 # -- refinement ---------------------------------------------------------------
@@ -657,8 +676,8 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
             raise PathFailure(f"parameter tuple {j} ({values}): {len(lost)} of {k} paths "
                               f"failed ({lost[0].status.value}: {lost[0].reason})")
     clustered = [_clustered(results[j * k:(j + 1) * k]) for j in range(len(tuples))]
+    solution_sets = [[] for _ in tuples]
     reps = [res for ends, _ in clustered for res in ends]
-    residuals = kappas = []
     if reps:
         # every tuple's roots in one call of a kernel with one coefficient
         # row per tuple; a term that vanishes at tuple j keeps a zero
@@ -670,13 +689,7 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
                                 np.eye(family.num_vars, dtype=np.int64))
         owner = np.repeat(np.arange(len(tuples)), [len(ends) for ends, _ in clustered])
         z = np.array([res.endpoint for res in reps])
-        table = kernel(z, owner)
         present = (np.abs(coeffs) > 0)[:, :, None] & (rows[:, None] == np.arange(family.n))
         degrees = np.where(present, exps.sum(axis=1)[:, None], 0).max(axis=1, initial=0)
-        residuals = np.abs(table[:, :, 0]).max(axis=1).tolist()
-        kappas = _conditions(table, z, degrees[owner]).tolist()
-    diagnostics = zip(residuals, kappas)
-    solution_sets = [[_solution(i, res, count, *next(diagnostics), False)
-                      for i, (res, count) in enumerate(zip(ends, sizes))]
-                     for ends, sizes in clustered]
+        solution_sets = _solution_sets(clustered, z, kernel(z, owner), degrees[owner])
     return ParameterHomotopyResult(solution_sets, p0, len(stage1))

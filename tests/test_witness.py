@@ -5,7 +5,7 @@ from polypath import witness
 from polypath.algebra import Rng, vec_inf_norm
 from polypath.errors import DimensionMismatch, DimensionOutOfRange, PathFailure
 from polypath.parser import parse_polynomial
-from polypath.polysys import LinearSlice, PolySystem, random_slice
+from polypath.polysys import LinearSlice, PolySystem, empty_slice, random_slice
 from polypath.tracker import PathResult, PathStatus
 from polypath.witness import (
     WitnessSet,
@@ -21,7 +21,7 @@ from polypath.witness import (
     trace_test,
     witness_superset,
 )
-from polypath.zerodim import _clusters
+from polypath.zerodim import DEDUPE_TOL, _clusters
 
 
 def _sys(texts, variables):
@@ -104,7 +104,7 @@ def test_superset_redraws_when_two_paths_meet_off_the_variety(sphere_line, monke
         return _superset_draws(monkeypatch, sphere_line, endpoints)
 
     # two paths at one regular root: a path jumped, so every draw fails
-    assert draws([[3.0, 3.0, 3.0], [3.0, 3.0, 3.0 + 1e-9]]) == witness._RETRIES
+    assert draws([[3.0, 3.0, 3.0], [3.0, 3.0, 3.0 + 1e-9]]) == witness._RETRIES + 1
     # two distinct roots off the variety are only dropped
     assert draws([[3.0, 3.0, 3.0], [3.0, 3.0, 4.0]]) == 1
 
@@ -115,7 +115,7 @@ def test_superset_redraws_when_two_regular_paths_meet_on_the_variety(sphere_line
         return _superset_draws(monkeypatch, sphere_line, [(0.6, 0.0, 0.8), second], cycles)
 
     # two cycle-1 paths at one point of the sphere: a path jumped
-    assert draws([1, 1]) == witness._RETRIES
+    assert draws([1, 1]) == witness._RETRIES + 1
     # a singular endpoint may end several paths, and distinct points are fine
     assert draws([2, 2]) == draws([1, 2]) == 1
     assert draws([1, 1], second=(0.0, 0.6, 0.8)) == 1
@@ -132,10 +132,36 @@ def test_superset_picks_by_raw_points_then_keeps_one_per_cluster(sphere_line, mo
 
     # three failed paths in every draw: three cycle-1 paths at p, or two
     # distinct points and three lost paths; the first has more raw points
-    draws = iter([ends([p, p, p]), ends([p, q], lost=3), ends([p, q], lost=3)])
+    draws = iter([ends([p, p, p]), ends([p, q], lost=3), ends([p, q], lost=3),
+                  ends([p, q], lost=3)])
     monkeypatch.setattr(witness, "track_paths", lambda homotopy, starts: next(draws))
     res = _superset(sphere_line, 2, Rng(1), None)
     assert [list(z) for z in res.points] == [list(p)]
+
+
+@pytest.mark.parametrize("norm", [1.0, 1e3])
+@pytest.mark.parametrize("factor", [0.99, 1.01], ids=["inside", "outside"])
+def test_one_same_point_rule(sphere_line, monkeypatch, norm, factor):
+    # two points within DEDUPE_TOL in the infinity norm are the same point,
+    # at any norm: a monodromy match, a membership hit and a superset jump
+    p = np.full(3, norm, dtype=complex)           # off sphere-line
+    q = p + np.array([factor * DEDUPE_TOL, 0.0, 0.0])
+    same = factor < 1.0
+    assert witness._match_points([p, -p], [-p, q]) == ([1, 0] if same else None)
+    point = WitnessSet(system=sphere_line, slice=empty_slice(3), points=[p], dimension=0)
+    assert witness._members(point, [q, -p], Rng(0)) == [same, False]
+    monkeypatch.setattr(witness, "track_paths", lambda homotopy, starts: [
+        PathResult(PathStatus.SUCCESS, z, 0.0, 1, 0.0, 0.0, 1) for z in (p, q)])
+    # both paths count as jumped when their off-variety endpoints are one point
+    assert _superset_once(sphere_line, 2, Rng(1), None)[1] == (2 if same else 0)
+
+
+def test_a_superset_is_a_witness_set(sphere_line):
+    ws = witness_superset(sphere_line, 2, Rng(1))
+    assert isinstance(ws, WitnessSet)
+    assert (ws.system, ws.dimension, ws.component_index, ws.degree) == (sphere_line, 2, -1, 2)
+    assert monodromy_partition(ws, Rng(21)) == [{0, 1}]
+    assert trace_test(ws, {0, 1}, Rng(31))
 
 
 @pytest.mark.parametrize("seed", [174, 649688356])
@@ -265,7 +291,7 @@ def test_only_moves_to_random_slices_skip_the_endgame(sphere_line, sphere_nv, mo
     assert endgame_flags(lambda: trace_test(sphere, {0, 1}, Rng(31))) == {False}
     # slices through given points, which may be singular
     assert endgame_flags(lambda: membership_test(sphere_nv, [[0.0, 0.0, 1.0]])) == {True}
-    assert endgame_flags(lambda: junk_removal(supersets, sphere_line, Rng(12))) == {True}
+    assert endgame_flags(lambda: junk_removal(supersets, Rng(12))) == {True}
     assert endgame_flags(lambda: move_slice(sphere, random_slice(3, 2, Rng(2)), Rng(3))) == {True}
 
 
@@ -308,10 +334,10 @@ def test_junk_removal_sphere_line(sphere_line):
     for dim in (2, 1):
         res = witness_superset(sphere_line, dim, rng.fork())
         supersets[dim] = res
-    cleaned = junk_removal(supersets, sphere_line, rng.fork())
-    assert len(cleaned[2]) == 2
-    assert len(cleaned[1]) == 1
-    assert _on_axis(cleaned[1][0])
+    cleaned = junk_removal(supersets, rng.fork())
+    assert len(cleaned[2].points) == 2
+    assert len(cleaned[1].points) == 1
+    assert _on_axis(cleaned[1].points[0])
 
 
 def test_junk_removal_makes_one_membership_batch_per_confirmed_set(sphere_line, monkeypatch):
@@ -321,13 +347,13 @@ def test_junk_removal_makes_one_membership_batch_per_confirmed_set(sphere_line, 
         res = witness_superset(sphere_line, dim, rng.fork())
         supersets[dim] = res
     calls = _record_calls(monkeypatch, "_members")
-    cleaned = junk_removal(supersets, sphere_line, rng.fork())
+    cleaned = junk_removal(supersets, rng.fork())
     # the sphere tests every point of dimensions 1 and 0 at once, then the
     # line tests what is left of dimension 0
     assert [args[0].dimension for args, *_ in calls] == [2, 1]
     assert len(calls[0][0][1]) == len(supersets[1].points) + len(supersets[0].points)
-    assert len(cleaned[2]) == 2 and cleaned[0] == []
-    assert len(cleaned[1]) == 1 and _on_axis(cleaned[1][0])
+    assert len(cleaned[2].points) == 2 and cleaned[0].points == []
+    assert len(cleaned[1].points) == 1 and _on_axis(cleaned[1].points[0])
 
 
 def test_junk_removal_single_component_leaves_lower_dims_empty():
@@ -338,9 +364,9 @@ def test_junk_removal_single_component_leaves_lower_dims_empty():
         res = witness_superset(sphere, dim, rng.fork())
         if res.points:
             supersets[dim] = res
-    cleaned = junk_removal(supersets, sphere, rng.fork())
-    assert len(cleaned[2]) == 2
-    assert len(cleaned.get(1, [])) == 0
+    cleaned = junk_removal(supersets, rng.fork())
+    assert len(cleaned[2].points) == 2
+    assert 1 not in cleaned or cleaned[1].points == []
 
 
 def test_junk_removal_two_lines_no_isolated_points(xy_lines):

@@ -14,10 +14,11 @@ from polypath.algebra import (
 )
 from polypath.errors import NotHomogeneous, NotSquare, RefinementDiverged
 from polypath.parser import parse_polynomial
-from polypath.polysys import Polynomial, PolySystem
+from polypath.polysys import MonomialKernel, Polynomial, PolySystem
 from polypath.tracker import PathResult, PathStatus
 from polypath.zerodim import (
-    _diagnosed,
+    _clustered,
+    _solution_sets,
     dedupe,
     parameter_homotopy,
     refine_solutions,
@@ -558,6 +559,43 @@ def test_stacked_condition_numbers_match_one_point_ones(cyclic5, quadrics):
         assert abs(kappa - _one_point_condition(quadrics, zi, True)) <= 1e-12 * kappa
 
 
+def _kernel_calls(monkeypatch):
+    """The kernels of every MonomialKernel call, in call order."""
+    calls, original = [], MonomialKernel.__call__
+
+    def recorded(self, point, paths=None):
+        calls.append(self)
+        return original(self, point, paths)
+
+    monkeypatch.setattr(MonomialKernel, "__call__", recorded)
+    return calls
+
+
+def test_affine_solve_diagnoses_its_roots_in_one_kernel_call(katsura4, monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    sols = zero_dim_solve(katsura4, seed=0)
+    assert len(sols) == 16
+    assert sum(kernel is katsura4.kernel for kernel in calls) == 1
+
+
+def test_projective_solve_takes_its_residuals_from_the_patched_system(quadrics, monkeypatch):
+    patched, patch = [], zerodim.affine_patch
+
+    def recorded(system, rng):
+        patched.append(patch(system, rng))
+        return patched[-1]
+
+    monkeypatch.setattr(zerodim, "affine_patch", recorded)
+    calls = _kernel_calls(monkeypatch)
+    sols = zero_dim_solve(quadrics, projective=True, seed=0)
+    solved = patched[0][0]
+    assert sum(kernel is quadrics.kernel for kernel in calls) == 1
+    assert sum(kernel is solved.kernel for kernel in calls) == 1
+    z = np.array([sp.coordinate_array() for sp in sols])
+    assert [sp.function_residual for sp in sols] == np.abs(
+        solved.kernel(z)[:, :, 0]).max(axis=1).tolist()
+
+
 # -- parameter homotopy ---------------------------------------------------------
 
 def test_parameter_homotopy_paper_tuples(family):
@@ -685,7 +723,10 @@ def test_parameter_homotopy_diagnosis_equals_one_system_per_tuple(family, monkey
     assert k == 2
     for j, (tup, sols) in enumerate(zip(tuples, res)):
         target = fam.specialize(np.array(tup, dtype=complex))
-        alone = _diagnosed(dedupe(results[j * k:(j + 1) * k]), target, target)
+        ends, sizes = _clustered(results[j * k:(j + 1) * k])
+        z = np.array([res.endpoint for res in ends])
+        alone = _solution_sets([(ends, sizes)], z, target.kernel(z),
+                               np.array(target.degrees()))[0]
         assert sols and repr(sols) == repr(alone)
     if case == "degree drop":
         # at a = 0, f1 = x^2 - 1 has degree 2, not the family's 3
