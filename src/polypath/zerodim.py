@@ -38,6 +38,7 @@ from .errors import (
 )
 from .polysys import MonomialKernel, Polynomial, PolySystem, _distinct_rows, affine_patch
 from .tracker import (
+    FINAL_TOL,
     ParameterPathHomotopy,
     PathResult,
     PathStatus,
@@ -604,6 +605,20 @@ def _sharpen(system: PolySystem, points, digits: int) -> list[SolutionPoint]:
 
 # -- parameter homotopy ---------------------------------------------------------
 
+def _in_doubt(results) -> bool:
+    """Whether the paths of one tuple, tracked straight to t = 0, may have
+    lost or merged a root, so that the endgame must decide: a path did not
+    succeed, two paths ended at the same point (_close), or a path's last
+    Newton update at t = 0 is above FINAL_TOL relative, the slow polish of
+    a singular or badly conditioned root."""
+    if any(res.status is not PathStatus.SUCCESS for res in results):
+        return True
+    z = np.array([res.endpoint for res in results])
+    update = np.array([res.newton_residual for res in results])
+    return bool(np.count_nonzero(_close(z, z)) > len(z)
+                or (update > FINAL_TOL * (1.0 + np.abs(z).max(axis=1))).any())
+
+
 class ParameterHomotopyResult(list):
     """Per-tuple solution lists plus the stage-1 bookkeeping."""
 
@@ -620,11 +635,17 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
     Stage 1 assigns a random unit-modulus complex value to every parameter
     and solves that specialization from scratch; stage 2 tracks each
     nonsingular stage-1 solution to every requested parameter tuple, so each
-    tuple costs exactly the generic root count in paths.  The paths of all
-    tuples are tracked as one batch, each at its own tuple's parameters.
+    tuple costs the generic root count in paths.  The paths of all tuples
+    are tracked as one batch, each at its own tuple's parameters, straight
+    to t = 0 with no endgame (their roots report last_t 0 and cycle number
+    1).  A tuple whose straight paths leave a root in doubt (_in_doubt: a
+    path failed, two paths met, or a polish converged slowly) is tracked
+    again with the endgame, all such tuples as one batch from the same
+    starts; the kernel and the tracker give every path the bits it gets
+    alone, so its roots are those of an endgame run over all tuples.
 
-    A tuple's solution set holds the finite endpoints of its paths; a path
-    that ends AtInfinity lost no root.  A path that ends StepFailure or
+    A tuple's solution set holds the finite endpoints of its final paths; a
+    path that ends AtInfinity lost no root.  A path that ends StepFailure or
     MaxSteps may have lost one, so it raises PathFailure naming the first
     such tuple rather than return a set that could be short.
 
@@ -660,13 +681,20 @@ def parameter_homotopy(family: PolySystem, param_names, value_tuples,
               if sp.cycle_number == 1 and sp.multiplicity == 1
               and math.isfinite(sp.condition_number) and sp.condition_number < 1e12]
 
-    # every tuple's paths as one batch: path (tuple j, root i) runs from p0
-    # to tuple j
+    # every tuple's paths as one batch, straight to t = 0: path (tuple j,
+    # root i) runs from p0 to tuple j; then the tuples whose straight paths
+    # leave a root in doubt, tracked again with the endgame, as one batch
     starts = [sp.coordinate_array() for sp in stage1]
     k = len(starts)
     targets = np.array(tuples, dtype=complex).reshape(len(tuples), len(names))
     homotopy = ParameterPathHomotopy(family, p0, np.repeat(targets, k, axis=0))
-    results = track_paths(homotopy, starts * len(tuples))
+    results = track_paths(homotopy, starts * len(tuples), endgame=False)
+    redo = [j for j in range(len(tuples)) if k and _in_doubt(results[j * k:(j + 1) * k])]
+    if redo:
+        homotopy = ParameterPathHomotopy(family, p0, np.repeat(targets[redo], k, axis=0))
+        again = track_paths(homotopy, starts * len(redo))
+        for n, j in enumerate(redo):
+            results[j * k:(j + 1) * k] = again[n * k:(n + 1) * k]
     for j, p1 in enumerate(tuples):
         lost = [r for r in results[j * k:(j + 1) * k]
                 if r.status in (PathStatus.STEP_FAILURE, PathStatus.MAX_STEPS)]

@@ -347,17 +347,34 @@ def test_param_with_an_invalid_stage_two_start_is_an_error_payload(workdir, caps
     assert error["message"].startswith("parameter tuple 0 (a=10000000000.0, b=1.0, c=1.0)")
 
 
-@pytest.mark.parametrize("values", ["1e8,1,1", "0.001,1,1"])
+@pytest.mark.parametrize("values", ["1e8,1,1", "1e10,1,1"])
 @pytest.mark.parametrize("seed", range(5))
 def test_param_with_a_failed_stage_two_path_exits_two(workdir, capsys, values, seed):
     # both tuples have two finite roots that the stage-2 paths lose (a step
-    # collapse at 1e8, samples not Cauchy at 0.001): not an empty set
+    # collapse, straight and in the endgame): not an empty set
     code, out = _run(capsys, "param", workdir / "family.sys",
                      "--values", f"1,1,1;{values}", "--seed", seed)
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "PathFailure"
     assert error["message"].startswith("parameter tuple 1 ")
+
+
+@pytest.mark.parametrize("values", ["0.01,1,1", "3e-3,1,1", "0.001,1,1"])
+@pytest.mark.parametrize("seed", range(5))
+def test_param_with_a_small_conic_tuple_finds_both_roots(workdir, capsys, values, seed):
+    # a*x^2 + y^2 - 1, y has the roots (+-a^-1/2, 0), far from the stage-1
+    # roots at small a; the straight stage-2 paths reach both, while the
+    # endgame's growth counter calls the samples of some not Cauchy
+    code, out = _run(capsys, "param", workdir / "family.sys",
+                     "--values", f"1,1,1;{values}", "--seed", seed)
+    assert code == 0
+    root = float(values.split(",")[0]) ** -0.5
+    points = sorted((_coords(sol) for sol in json.loads(out)["solutionSets"][1]),
+                    key=lambda z: z[0].real)
+    assert len(points) == 2
+    for z, x in zip(points, (-root, root)):
+        assert np.abs(np.array(z) - (x, 0)).max() <= 1e-12 * root
 
 
 @pytest.fixture

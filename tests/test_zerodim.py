@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 
 import mpmath
@@ -12,7 +14,7 @@ from polypath.algebra import (
     lin_solve,
     vec_inf_norm,
 )
-from polypath.errors import NotHomogeneous, NotSquare, RefinementDiverged
+from polypath.errors import NotHomogeneous, NotSquare, PathFailure, RefinementDiverged
 from polypath.parser import parse_polynomial
 from polypath.polysys import MonomialKernel, Polynomial, PolySystem
 from polypath.tracker import PathResult, PathStatus
@@ -678,13 +680,124 @@ def test_katsura4_root_count_over_seeds(katsura4):
 def test_parameter_homotopy_batch_equals_one_tuple_calls(family):
     rng = Rng(31)
     tuples = [list(rng.unit_complex(3) * rng.uniform(0.5, 2.0, size=3)) for _ in range(16)]
+    # the double root (1, 1, 0) is tracked again with the endgame
+    tuples.append([1, 1, 0])
     batch = parameter_homotopy(family, ["a", "b", "c"], tuples, seed=5)
-    assert len(batch) == 16
+    assert len(batch) == 17
     for tup, sols in zip(tuples, batch):
         alone = parameter_homotopy(family, ["a", "b", "c"], [tup], seed=5)
         assert alone.paths_per_tuple == batch.paths_per_tuple
-        assert len(alone[0]) == len(sols) == 2
+        assert len(alone[0]) == len(sols) == (1 if tup == [1, 1, 0] else 2)
         assert list(alone[0]) == list(sols)
+    assert [sp.multiplicity for sp in batch[16]] == [2] and batch[16][0].last_t > 0
+
+
+def _stage_two_calls(monkeypatch):
+    """The (target parameters, keywords, results) of every stage-2
+    track_paths call that parameter_homotopy makes while the test runs."""
+    calls, track = [], zerodim.track_paths
+
+    def recorded(h, starts, **kwargs):
+        results = track(h, starts, **kwargs)
+        if h.p_target is not None:      # stage 1 tracks a straight-line homotopy
+            calls.append((h.p_target, kwargs, list(results)))
+        return results
+
+    monkeypatch.setattr(zerodim, "track_paths", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("change, doubt", [
+    ({}, False),
+    ({"status": PathStatus.AT_INFINITY}, True),
+    ({"status": PathStatus.STEP_FAILURE}, True),
+    ({"endpoint": np.array([1.0 + 5e-7, 2.0])}, True),       # meets the first path
+    ({"endpoint": np.array([1.0 + 2e-6, 2.0])}, False),
+    ({"newton_residual": 2e-11}, False),                     # FINAL_TOL * (1 + 2) = 3e-11
+    ({"newton_residual": 4e-11}, True),
+], ids=["clear", "at infinity", "failed", "meets", "apart", "fast polish", "slow polish"])
+def test_parameter_homotopy_doubt_rules(change, doubt):
+    # one tuple's straight paths: the first at (1, 2), the second changed
+    paths = [_fake_result([1.0, 2.0]), _fake_result([-1.0, 2.0])]
+    paths[1] = dataclasses.replace(paths[1], **change)
+    assert zerodim._in_doubt(paths) is doubt
+
+
+@pytest.mark.parametrize("tup, seed, fails", [
+    ([2, 3, 4], 0, None),
+    # the straight paths collapse: the endgame's paths collapse too
+    ([1e8, 1, 1], 0, "main-phase step collapse"),
+    # the double root: the straight paths fail the success gate
+    ([1, 1, 0], 3, None),
+    # the straight paths end at the roots +-3.16e-4, but their polish
+    # converged slowly; the endgame's samples there are not Cauchy
+    ([1, 1, 1e-7], 0, "residual above the success gate"),
+])
+def test_parameter_homotopy_tracks_tuples_in_doubt_again(family, monkeypatch, tup, seed,
+                                                         fails):
+    calls = _stage_two_calls(monkeypatch)
+    with pytest.raises(PathFailure, match=fails) if fails else contextlib.nullcontext():
+        parameter_homotopy(family, ["a", "b", "c"], [[1, 1, 1], tup], seed=seed)
+    targets = np.array([[1, 1, 1], tup], dtype=complex)
+    again = tup != [2, 3, 4]
+    # the straight pass over both tuples, then the endgame over the one in doubt
+    assert [kwargs for _, kwargs, _ in calls] == [{"endgame": False}] + [{}] * again
+    assert calls[0][0].tolist() == np.repeat(targets, 2, axis=0).tolist()
+    if again:
+        assert calls[1][0].tolist() == np.repeat(targets[1:], 2, axis=0).tolist()
+
+
+def _endgame_run(monkeypatch, family, tuples, seed):
+    """parameter_homotopy with every stage-2 path tracked through the
+    endgame, as track_paths(..., endgame=True) of the same homotopy."""
+    track = zerodim.track_paths
+    with monkeypatch.context() as patch:
+        patch.setattr(zerodim, "track_paths", lambda h, starts, **kwargs: track(h, starts))
+        return parameter_homotopy(family, list(family.parameters), tuples, seed=seed)
+
+
+@pytest.mark.parametrize("case", ["1,1,0", "1,2,0", "batch"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_parameter_homotopy_tuples_in_doubt_equal_the_endgame_run(family, monkeypatch,
+                                                                   case, seed):
+    # a tuple tracked again gets the endgame's roots to the last bit; a
+    # tuple tracked straight gets roots with lastT 0 and cycle number 1, at
+    # the endgame's points to about an ulp
+    if case == "batch":
+        rng = Rng(11)
+        tuples = [list(rng.unit_complex(3) * rng.uniform(0.5, 2.0, size=3)) for _ in range(15)]
+        tuples.insert(6, [1, 1, 0])
+    else:
+        tuples = [[float(v) for v in case.split(",")]]
+    endgame = _endgame_run(monkeypatch, family, tuples, seed)
+    calls = _stage_two_calls(monkeypatch)
+    res = parameter_homotopy(family, ["a", "b", "c"], tuples, seed=seed)
+    # only the double roots are in doubt
+    again = np.array([[1, 1, 0]] if case == "batch" else tuples, dtype=complex).tolist()
+    assert len(calls) == 2 and calls[1][0][::res.paths_per_tuple].tolist() == again
+    for tup, sols, ref in zip(np.array(tuples, dtype=complex).tolist(), res, endgame):
+        if tup in again:
+            assert repr(sols) == repr(ref)
+            assert [sp.multiplicity for sp in sols] == [2]
+            continue
+        assert [sp.multiplicity for sp in sols] == [sp.multiplicity for sp in ref] == [1, 1]
+        assert {(sp.last_t, sp.cycle_number) for sp in sols} == {(0.0, 1)}
+        z, z_ref = (np.array([sp.coordinates for sp in s]) for s in (sols, ref))
+        assert np.abs(z - z_ref).max() <= 1e-15 * (1 + np.abs(z_ref).max())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parameter_homotopy_double_root_passing_the_gate_is_one_root(monkeypatch, seed):
+    # x^2 - 2 a x + b has the double root x = 10 at (10, 100); the straight
+    # paths end 6e-5 apart with residuals 1e-9, inside the success gate at
+    # |x| = 10, but their polish converges linearly, so the endgame decides
+    # and finds one root of multiplicity 2, not two simple roots
+    fam = _sys(["x^2 - 2*a*x + b", "y"], ["x", "y"], ["a", "b"])
+    endgame = _endgame_run(monkeypatch, fam, [[10, 100]], seed)
+    res = parameter_homotopy(fam, ["a", "b"], [[10, 100]], seed=seed)
+    assert [sp.multiplicity for sp in res[0]] == [2]
+    assert abs(res[0][0].coordinates[0] - 10) <= 1e-6
+    assert repr(list(res)) == repr(list(endgame))
 
 
 MERGING_FAMILY = ["a*x^2 + b*x^2 + c*x^2 + y^2 - 1", "y - a*x + b*x"]
@@ -692,16 +805,19 @@ DEGREE_DROP_FAMILY = ["a*x*y^2 + x^2 - 1", "y"]
 
 
 def _stage_two_results(monkeypatch, family, tuples, seed):
-    """parameter_homotopy's result and its stage-2 path results."""
-    calls, track = [], zerodim.track_paths
-
-    def recorded(h, starts, **kwargs):
-        calls.append(track(h, starts, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(zerodim, "track_paths", recorded)
+    """parameter_homotopy's result and each tuple's final stage-2 path
+    results, tuple after tuple: those of the last stage-2 track of its
+    paths, the endgame's where the tuple was tracked again."""
+    calls = _stage_two_calls(monkeypatch)
     res = parameter_homotopy(family, list(family.parameters), tuples, seed=seed)
-    return res, calls[-1]
+    final = []
+    for tup in np.array(tuples, dtype=complex):
+        for targets, _, results in reversed(calls):
+            rows = (targets == tup).all(axis=1).nonzero()[0]
+            if rows.size:
+                final += [results[i] for i in rows]
+                break
+    return res, final
 
 
 @pytest.mark.parametrize("case", ["conic", "merging", "degree drop"])

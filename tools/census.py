@@ -26,9 +26,10 @@ every polypath/*.py), the census rows and the medians.  Rows:
   decomposition raised, and the `track_paths` calls made from witness;
 - conic: `solve` of {a*x^2 + y^2 - 1, y}, whose roots are (+-a^-1/2, 0), at
   a = 0.1, 0.01, 0.001 and 0.0001, and `param` of the conic family at
-  (a, 1, 1) for a = 1e3, 1e6, 0.1, 0.01, 3e-3, 1e8, 1e10, 1e12 and at
-  (1, 1e10, 1e10), seeds 0-4, through `cli.main`: the roots reported
-  against 2, the exit code and the error type.
+  (a, 1, 1) for a = 1e3, 1e6, 0.1, 0.01, 3e-3, 0.001, 1e8, 1e10, 1e12, at
+  (1, 1e10, 1e10) and at (1, 1, 0), seeds 0-4, through `cli.main`: the
+  roots reported against 2 (against 1 at (1, 1, 0), whose one root is
+  double), the exit code and the error type.
 
 Every row also has its wall time, wall_s.  The medians are the median wall
 times of REPEATS in-process `cli.main` calls of each of solve (katsura-5),
@@ -76,8 +77,9 @@ POSDIM_SEEDS = range(400)
 QUICK_POSDIM_SEEDS = range(40)
 CONIC_SEEDS = range(5)
 SOLVE_CONICS = ["0.1", "0.01", "0.001", "0.0001"]
-PARAM_TUPLES = ["1e3,1,1", "1e6,1,1", "0.1,1,1", "0.01,1,1", "3e-3,1,1", "1e8,1,1",
-                "1e10,1,1", "1e12,1,1", "1,1e10,1e10"]
+PARAM_TUPLES = {"1e3,1,1": 2, "1e6,1,1": 2, "0.1,1,1": 2, "0.01,1,1": 2, "3e-3,1,1": 2,
+                "0.001,1,1": 2, "1e8,1,1": 2, "1e10,1,1": 2, "1e12,1,1": 2, "1,1e10,1e10": 2,
+                "1,1,0": 1}     # tuple: distinct roots
 REPEATS = 5
 TIME_KEY = "wall_s"     # the one field of a row that --against ignores
 
@@ -187,16 +189,16 @@ def _cli(argv):
     return code, buf.getvalue(), time.perf_counter() - start
 
 
-def _cli_row(argv, out: Path, count) -> dict:
-    """A conic row: the roots count(payload) of the --out payload, the exit
-    code and the error type of a failed call."""
+def _cli_row(argv, out: Path, count, known: int = 2) -> dict:
+    """A conic row: the roots count(payload) of the --out payload against
+    the known count, the exit code and the error type of a failed call."""
     code, stdout, wall = _cli(argv + ["--out", str(out)])
     roots, error = 0, None
     if code == 0:
         roots = count(json.loads(out.read_text(encoding="utf-8")))
     else:
         error = json.loads(stdout)["error"]["type"]
-    return {"known": 2, "roots": roots, "exit": code, "error": error, TIME_KEY: wall}
+    return {"known": known, "roots": roots, "exit": code, "error": error, TIME_KEY: wall}
 
 
 def conic_rows(systems, work: Path) -> dict:
@@ -212,11 +214,11 @@ def conic_rows(systems, work: Path) -> dict:
             rows[f"solve conic a={a} seed {seed}"] = _cli_row(
                 ["solve", str(conic), "--seed", str(seed)], out,
                 lambda payload: len(payload["solutions"]))
-    for values in PARAM_TUPLES:
+    for values, known in PARAM_TUPLES.items():
         for seed in CONIC_SEEDS:
             rows[f"param conic ({values}) seed {seed}"] = _cli_row(
                 ["param", str(family), "--values", values, "--seed", str(seed)], out,
-                lambda payload: len(payload["solutionSets"][0]))
+                lambda payload: len(payload["solutionSets"][0]), known)
     return rows
 
 

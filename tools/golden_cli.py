@@ -14,8 +14,8 @@ Runs the CLI in-process on the benchmark's inputs (perfbench/systems.py):
   33-digit coordinates at full precision;
 - `param` of the conic family over 16 tuples at seeds 0-9;
 - `param` edge cases at seeds 0-2 (EDGE_PARAMS): conic tuples with a zero
-  entry, a family whose terms merge when specialized and one whose degree
-  drops at a = 0;
+  entry, small conic tuples, a family whose terms merge when specialized
+  and one whose degree drops at a = 0;
 - sphere-line `posdim` at seeds 0-39;
 - `member` of 16 query points and `sample` of the dimension-2 and
   dimension-1 components against the `posdim` result at seeds 0-9;
@@ -60,10 +60,13 @@ SAMPLE_COUNT = 8
 
 # `param` edge cases, (family, tuples): conic tuples with a zero entry, each
 # of which drops a term and two of which ((1, 1, 0), (1, 2, 0)) have a
-# double root; terms that merge when specialized, to a sum that vanishes at
-# (1, 1, 1) in f2; and f1 of degree 3 that has degree 2 at a = 0
+# double root; conic tuples (a, 1, 1) with small a, whose roots (+-a^-1/2, 0)
+# lie far from the start roots; terms that merge when specialized, to a sum
+# that vanishes at (1, 1, 1) in f2; and f1 of degree 3 that has degree 2 at
+# a = 0
 EDGE_PARAMS = {
     "conic": (None, "1,0,1;1,1,0;0.5-1*I,0,2;1,2,0"),
+    "small": (None, "0.01,1,1;3e-3,1,1;0.001,1,1"),
     "merging": ("vars x, y;\nparams a, b, c;\nf1 = a*x^2 + b*x^2 + c*x^2 + y^2 - 1;\n"
                 "f2 = y - a*x + b*x;\n", "1,2,3;1,1,1;0.3+0.2*I,-1,0.5"),
     "degree-drop": ("vars x, y;\nparams a;\nf1 = a*x*y^2 + x^2 - 1;\nf2 = y;\n",

@@ -18,6 +18,8 @@ from perfbench/systems.py:
 - cli-param-1: single-tuple `param` calls through `cli.main`, one seed and
   tuple per call (the benchmark's follow-up calls);
 - cli-param-16: one `param` call over 16 tuples (the benchmark's main call);
+- cli-param-redo: one `param` call over 15 generic tuples and (1, 1, 0),
+  whose double root is tracked a second time, with the endgame;
 - cli-member: one `member` call of 16 query points against the tree's own
   sphere-line `posdim` output at a fixed seed;
 - cli-sample: one `sample` call of 8 points of the sphere (the dimension-2
@@ -114,11 +116,13 @@ def _cli_inputs(pp, work: Path):
     member = ["member", str(sphere_line), "--decomposition", str(nv)]
     for p, _ in systems.sphere_line_queries(rng, 16):
         member += ["--point", literal(p)]
+    redo = [systems.family_tuple(rng) for _ in range(15)] + [np.array([1, 1, 0], dtype=complex)]
     sample = ["sample", str(sphere_line), "--decomposition", str(nv), "--dim", "2",
               "--index", "0", "--count", "8", "--seed", str(SEED)]
     return [
         ("cli-param-1", TRACK_TARGETS, lambda: [param(seed, [t]) for seed, t in singles], repr),
         ("cli-param-16", 1, lambda: [param(SEED, sweep)], repr),
+        ("cli-param-redo", 1, lambda: [param(SEED, redo)], repr),
         ("cli-member", 1, lambda: [call(member)], repr),
         ("cli-sample", 1, lambda: [call(sample)], repr),
     ]
@@ -220,7 +224,7 @@ def main(argv=None) -> int:
 
 
 def _compare(packages, works):
-    print(f"{'input':12s} {'old ms':>9s} {'new ms':>9s} {'ratio':>7s} "
+    print(f"{'input':14s} {'old ms':>9s} {'new ms':>9s} {'ratio':>7s} "
           f"{'kernel old/new':>15s} {'solves old/new':>15s} {'calls old/new':>17s}  same")
     for (name, calls, run_old, digest), (_, _, run_new, _) in zip(*map(_inputs, packages,
                                                                         works)):
@@ -233,7 +237,7 @@ def _compare(packages, works):
                 times.append(_timed(run))
         ratio = statistics.median(b / a for a, b in zip(old, new))
         (ko, so, fo), (kn, sn, fn) = counts
-        print(f"{name:12s} {statistics.median(old) / calls * 1e3:9.3f} "
+        print(f"{name:14s} {statistics.median(old) / calls * 1e3:9.3f} "
               f"{statistics.median(new) / calls * 1e3:9.3f} {ratio:7.3f} "
               f"{f'{ko / calls:g}/{kn / calls:g}':>15s} {f'{so / calls:g}/{sn / calls:g}':>15s}"
               f" {f'{fo / calls:g}/{fn / calls:g}':>17s}  {'yes' if same else 'NO'}")
